@@ -16,7 +16,7 @@ from .scalars import (ScalarError, Scalar, scalar_parse, scalar_format,
                       set_default_eps)
 from .linalg import Matrix
 from .reps import RepSpec, build_all_generators, build_generator, verify_relations
-from .reduction import basis_b_bundle, reduction_bundle
+from .reduction import basis_b_bundle, reduced_generators, reduction_bundle
 from .chains import delta as delta_closed, delta_direct
 from .irreducibility import (REDUCIBLE, cleared_poly, decide, roots_of_P,
                              root_residual)
@@ -159,7 +159,6 @@ def _cmd_oracle(args):
             raise ScalarError("--reduced applies to family 1 only")
         a = _scalar_arg(args.a, args.backend)
         b = _scalar_arg(args.b, args.backend)
-        from .reduction import reduced_generators
         images = reduced_generators(args.n, a, b)
         d = args.n - 1
     else:
@@ -211,7 +210,6 @@ def _cmd_sweep(args):
             row = "%d,%r,%r,%s,%s,%s" % (n, float(a.re), float(a.im),
                                          verdict.status, verdict.reason, phat)
             if args.with_oracle:
-                from .reduction import reduced_generators
                 images = reduced_generators(n, a_n, b_n)
                 row += ",%d" % algebra_closure(images).dim
             sys.stdout.write(row + "\n")

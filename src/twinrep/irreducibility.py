@@ -22,7 +22,7 @@ from .linalg import Matrix, Subspace, subspace_contains
 from .reduction import (ParameterError, _check_family1, eigvec_w,
                         reduced_generators)
 from .chains import closed_chain_vector
-from .scalars import Scalar, _tol
+from .scalars import Scalar, _tol, require_finite
 
 
 # -- integer polynomial helpers (coefficients ascending) ----------------------
@@ -270,6 +270,8 @@ def decide(n, a, b, tol=None):
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
+    require_finite(a)
+    require_finite(b)
     _check_family1(a, b)
     exact = a.exact
     one = Scalar.one(exact)

@@ -237,8 +237,16 @@ def scalar_parse(text):
         return Scalar.from_rational(Fraction(int(p), int(q)), im)
     m = _FLOAT_RE.match(text)
     if m:
-        return Scalar.from_float(float(m.group(1)), float(m.group(2)))
+        return require_finite(
+            Scalar.from_float(float(m.group(1)), float(m.group(2))))
     raise ScalarError("malformed scalar text %r" % text)
+
+
+def require_finite(x):
+    """Return x, or raise ScalarError if a float part is infinite or NaN."""
+    if not (x.exact or (math.isfinite(x.re) and math.isfinite(x.im))):
+        raise ScalarError("non-finite scalar %s" % scalar_format(x))
+    return x
 
 
 def scalar_format(x):

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end criteria, one printed verdict line each.
+"""Acceptance suite: thirteen end-to-end criteria, one printed verdict line each.
 
 Each test prints "criterion <k> (<label>): PASS" or "... FAIL (<error>)" so the
 suite output doubles as a checklist.  Tolerances are pinned in the asserts.
@@ -264,3 +264,22 @@ def test_criterion_12_family23_witnesses():
                 wk = Subspace(n, [Matrix.basis_vector(n, k)])
                 assert witness_check(images3, wk), (n, k)
     _report(12, "second and third family witnesses", body)
+
+
+def test_criterion_13_wide_oracle_cross_validation():
+    # criterion 9 beyond n = 7: six generic draws per n plus a = +-1, each
+    # float closure with rank gap >= 1e3 (asserted in _oracle_dim)
+    def body():
+        rng = rng_for(1013)
+        for n in (8, 9, 10):
+            d = n - 1
+            draws = [rand_family1_params(rng, avoid=(0, 1, -1))
+                     for _ in range(6)]
+            draws += [(ex(1), rand_exact(rng, nonzero=True)),
+                      (ex(-1), rand_exact(rng, nonzero=True))]
+            for a, b in draws:
+                verdict = decide(n, a, b)
+                dim = _oracle_dim(n, a, b)
+                agrees = (dim == d * d) == (verdict.status == IRREDUCIBLE)
+                assert agrees, (n, a, b, verdict.status, dim)
+    _report(13, "wide Burnside cross-validation", body)

@@ -167,6 +167,13 @@ def test_malformed_scalar_is_error_exit():
     assert code == EXIT_ERROR and "malformed" in err
 
 
+def test_non_finite_scalar_is_error_exit():
+    code, out, err = run(["decide", "--n", "4", "--a=1e999+0i",
+                          "--b", "1.0+0.0i"])
+    assert code == EXIT_ERROR and out == ""
+    assert "non-finite scalar" in err
+
+
 def test_backend_coercion_flag():
     code, out, _ = run(["gen", "--family", "1", "--n", "3", "--a", EX("1/2"),
                         "--b", EX("1/1"), "--k", "1", "--backend", "float"])

@@ -8,7 +8,7 @@ from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     witness_check)
 from twinrep.linalg import Matrix, Subspace
 from twinrep.reduction import ParameterError, reduced_generators
-from twinrep.scalars import Scalar, ex, fl
+from twinrep.scalars import Scalar, ScalarError, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
 
 
@@ -144,6 +144,17 @@ def test_decide_validates_input():
         decide(2, ex(2), ex(1))
     with pytest.raises(ParameterError):
         decide(4, ex(2), ex(0))
+
+
+@pytest.mark.parametrize("a, b", [
+    (fl(math.nan), fl(1.0)),  # used to come back Irreducible/generic
+    (fl(math.inf), fl(1.0)),  # used to reach the a = 1 branch and fail its witness
+    (fl(0.5, -math.inf), fl(1.0)),
+    (fl(0.5), fl(1.0, math.nan)),
+])
+def test_decide_rejects_non_finite_input(a, b):
+    with pytest.raises(ScalarError, match="non-finite"):
+        decide(6, a, b)
 
 
 def test_witness_check_rejects_non_invariant():

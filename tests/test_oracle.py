@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twinrep.linalg import Matrix
+from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import (algebra_closure, algebra_dimension,
                             common_eigenlines, is_irreducible_oracle)
 from twinrep.reduction import reduced_generators
@@ -61,6 +61,50 @@ def test_closure_basis_spans_algebra():
     res = algebra_closure(gens)
     assert len(res.basis) == res.dim
     assert res.rank_gap == math.inf  # exact mode has no borderline pivots
+
+
+@pytest.mark.parametrize("n, a, b", [
+    # crosscheck seed 3, d = 4
+    (5, fl(-0.8823242305566241, 0.010439830748547152), fl(2 / 3, -1.5)),
+    (9, fl(-1.2391669488082835, -1.032227945339141),
+     fl(0.5451238838371828, -0.07213107755343096)),
+])
+def test_float_closure_near_reducible_point(n, a, b):
+    # both raised "algebra closure exceeded d^2" while the float zero test
+    # was scaled by the generators rather than by each candidate
+    res = algebra_closure(reduced_generators(n, a, b))
+    d = n - 1
+    assert res.dim == d * d
+    assert res.rank_gap >= 1e3, res.rank_gap
+
+
+def test_float_closure_rejects_non_finite_entries():
+    bad = Matrix([[fl(1.0), fl(math.inf)], [fl(0.0), fl(1.0)]])
+    with pytest.raises(ValueError, match="finite"):
+        algebra_closure([bad])
+
+
+def _flat(m):
+    return [x for row in m.data for x in row]
+
+
+@pytest.mark.parametrize("n, a, b, dim", [
+    (3, ex(3, 1), ex(1, -2), 4), (3, ex(-1), ex(2), 3),
+    (4, ex(3, 1), ex(1, -2), 9), (4, ex(-1), ex(2), 6),
+    (5, ex(3, 1), ex(1, -2), 16), (5, ex(-1), ex(2), 10),
+])
+def test_closure_basis_is_two_sided_algebra(n, a, b, dim):
+    gens = [g.matrix for g in reduced_generators(n, a, b)]
+    res = algebra_closure(gens)
+    assert res.dim == len(res.basis) == dim
+    assert mat_rank(Matrix([_flat(m) for m in res.basis])) == dim
+    # I and every product with a generator, on either side, stay in the span
+    extra = [Matrix.identity(n - 1)]
+    for g in gens:
+        for m in res.basis:
+            extra += [g @ m, m @ g]
+    stacked = Matrix([_flat(m) for m in res.basis + extra])
+    assert mat_rank(stacked) == dim
 
 
 def test_common_eigenlines_full_family1():

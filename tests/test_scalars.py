@@ -49,6 +49,12 @@ def test_parse_rejects_malformed():
             scalar_parse(bad)
 
 
+def test_parse_rejects_non_finite():
+    for bad in ("1e999+0i", "0.0-1e999i", "-1e400+1e400i"):
+        with pytest.raises(ScalarError, match="non-finite"):
+            scalar_parse(bad)
+
+
 def test_backend_mismatch_raises():
     with pytest.raises(BackendMismatchError):
         ex(1) + fl(1.0)
