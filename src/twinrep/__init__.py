@@ -2,9 +2,9 @@
 reduction, and irreducibility decisions with independent oracle validation."""
 
 from .scalars import (Scalar, Tolerance, scalar_parse, scalar_format,
-                      scalar_is_zero, set_default_eps, default_tolerance)
-from .linalg import (Matrix, Subspace, mat_mul, mat_det, mat_inverse, mat_rank,
-                     rank_with_gap, kernel, subspace_contains)
+                      set_default_eps, default_tolerance)
+from .linalg import (Matrix, Subspace, mat_det, mat_inverse, mat_rank,
+                     rank_with_gap, kernel)
 from .reps import (RepSpec, GeneratorImage, BlockClass, build_block,
                    build_generator, build_all_generators, verify_relations,
                    classify_block)
@@ -20,10 +20,10 @@ from .oracle import (algebra_dimension, algebra_closure, is_irreducible_oracle,
                      common_eigenlines)
 
 __all__ = [
-    "Scalar", "Tolerance", "scalar_parse", "scalar_format", "scalar_is_zero",
+    "Scalar", "Tolerance", "scalar_parse", "scalar_format",
     "set_default_eps", "default_tolerance",
-    "Matrix", "Subspace", "mat_mul", "mat_det", "mat_inverse", "mat_rank",
-    "rank_with_gap", "kernel", "subspace_contains",
+    "Matrix", "Subspace", "mat_det", "mat_inverse", "mat_rank",
+    "rank_with_gap", "kernel",
     "RepSpec", "GeneratorImage", "BlockClass", "build_block",
     "build_generator", "build_all_generators", "verify_relations",
     "classify_block",

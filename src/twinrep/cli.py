@@ -115,12 +115,12 @@ def _cmd_delta(args):
     b = _scalar_arg(args.b, args.backend)
     out = {"n": args.n}
     if args.mode in ("closed", "both"):
-        out["closed"] = delta_closed(args.n, a, b).to_json()
-    if args.mode in ("direct", "both"):
-        out["direct"] = delta_direct(args.n, a, b).to_json()
-    if args.mode == "both":
         closed = delta_closed(args.n, a, b)
+        out["closed"] = closed.to_json()
+    if args.mode in ("direct", "both"):
         direct = delta_direct(args.n, a, b)
+        out["direct"] = direct.to_json()
+    if args.mode == "both":
         out["equal"] = bool(closed.eq(direct))
     _emit(out)
     return EXIT_OK

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Matrix, Subspace, subspace_contains
+from .linalg import Matrix, Subspace
 from .reduction import (ParameterError, _check_family1, eigvec_w,
                         reduced_generators)
 from .chains import closed_chain_vector
@@ -76,7 +76,7 @@ class ClearedPoly:
         return len(self.coeffs) - 1
 
     def eval_exact(self, a):
-        acc = Scalar.zero(a.exact) if a.exact else Scalar.from_float(0.0)
+        acc = Scalar.zero(a.exact)
         mk = Scalar.from_rational if a.exact else Scalar.from_float
         for c in reversed(self.coeffs):
             acc = acc * a + mk(c)
@@ -229,7 +229,7 @@ def witness_check(images, w, tol=None):
         if m.cols != w.ambient_dim:
             raise ParameterError("witness/image dimension mismatch")
         for x in w.basis:
-            if not subspace_contains(w, m @ x, tol):
+            if not w.contains(m @ x, tol):
                 return False
     return True
 

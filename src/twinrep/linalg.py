@@ -5,6 +5,8 @@ nonzero pivot); float matrices use partial pivoting, with zero decisions made
 against the scalar tolerance.  Float rank computations additionally report a
 "rank gap": the ratio of the smallest accepted pivot to the largest rejected
 one, so callers can assert that a rank decision was not borderline.
+`_eliminate` is the only elimination loop: determinant, rank, kernel,
+inverse, span pruning and membership each make one call to it.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 """
@@ -103,12 +105,6 @@ class Matrix:
     @property
     def backend(self):
         return "exact" if self.exact else "float"
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def col(self, j):
-        return Matrix.column([self.data[i][j] for i in range(self.rows)])
 
     def column_entries(self, j=0):
         return [self.data[i][j] for i in range(self.rows)]
@@ -292,17 +288,13 @@ def _eliminate(m, tol=None):
     return EliminationResult(a, pivot_cols, sign, gap)
 
 
-def mat_mul(a, b):
-    return a @ b
-
-
 def mat_det(a, tol=None):
     if a.rows != a.cols:
         raise DimensionError("determinant of non-square matrix")
     res = _eliminate(a, tol)
     if res.rank < a.rows:
         return Scalar.zero(a.exact)
-    det = Scalar.one(a.exact) if a.exact else Scalar.from_float(1.0)
+    det = Scalar.one(a.exact)
     for i in range(a.rows):
         det = det * res.rows[i][i]
     if res.sign < 0:
@@ -311,36 +303,20 @@ def mat_det(a, tol=None):
 
 
 def mat_inverse(a, tol=None):
-    """Gauss-Jordan inverse; raises SingularMatrixError naming the first
-    pivot column that fails."""
+    """Inverse read off the reduced echelon form of (A | I); raises
+    SingularMatrixError naming the first column of A without a pivot."""
     if a.rows != a.cols:
         raise DimensionError("inverse of non-square matrix")
     n = a.rows
-    eps = _tol(tol).eps
-    thresh = 0 if a.exact else eps * max(1.0, a.max_magnitude())
-    aug = [list(row) + list(idrow) for row, idrow in
-           zip(a.data, Matrix.identity(n, a.exact).data)]
-    for c in range(n):
-        if a.exact:
-            p = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        else:
-            mag, p = max((aug[i][c].magnitude(), i) for i in range(c, n))
-            if mag <= thresh:
-                p = None
-        if p is None:
-            raise SingularMatrixError("singular matrix: no pivot in column %d" % c,
-                                      pivot_col=c)
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = aug[c][c].inv()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if f.re == 0 and f.im == 0:
-                continue
-            aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return Matrix([row[n:] for row in aug])
+    aug = Matrix([row + idrow for row, idrow in
+                  zip(a.data, Matrix.identity(n, a.exact).data)])
+    rref, pivot_cols = _rref(aug, tol)
+    # pivot columns increase, so the first one out of place names the gap
+    missing = next((c for c, p in enumerate(pivot_cols) if c != p), n)
+    if missing < n:
+        raise SingularMatrixError("singular matrix: no pivot in column %d"
+                                  % missing, pivot_col=missing)
+    return Matrix([row[n:] for row in rref])
 
 
 def mat_rank(a, tol=None):
@@ -373,7 +349,7 @@ def kernel(a, tol=None):
     rref, pivot_cols = _rref(a, tol)
     free = [c for c in range(a.cols) if c not in pivot_cols]
     zero = Scalar.zero(a.exact)
-    one = Scalar.one(a.exact) if a.exact else Scalar.from_float(1.0)
+    one = Scalar.one(a.exact)
     basis = []
     for f in free:
         v = [zero] * a.cols
@@ -400,13 +376,15 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim, vectors, tol=None):
-        """Prune an arbitrary generating list down to an independent basis."""
-        kept = []
-        for v in vectors:
-            cand = kept + [v]
-            if mat_rank(Matrix.from_columns(cand), tol) == len(cand):
-                kept.append(v)
-        return cls(ambient_dim, kept, _assume_independent=True)
+        """Prune an arbitrary generating list down to an independent basis.
+
+        Keeps each vector that is independent of the ones before it: the
+        pivot columns of one elimination of the vectors side by side."""
+        vectors = list(vectors)
+        if vectors:
+            pivots = _eliminate(Matrix.from_columns(vectors), tol).pivot_cols
+            vectors = [vectors[c] for c in pivots]
+        return cls(ambient_dim, vectors, _assume_independent=True)
 
     @property
     def dim(self):
@@ -424,32 +402,3 @@ class Subspace:
             return all(x.data[i][0].is_zero(tol) for i in range(x.rows))
         stacked = Matrix.from_columns(self.basis + [x])
         return mat_rank(stacked, tol) == self.dim
-
-    def intersect(self, other, tol=None):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [], _assume_independent=True)
-        a = self.matrix()
-        b = other.matrix()
-        stacked = Matrix([ra + [-x for x in rb]
-                          for ra, rb in zip(a.data, b.data)])
-        ker = kernel(stacked, tol)
-        vecs = []
-        for k in ker.basis:
-            coeffs = [k.data[i][0] for i in range(self.dim)]
-            vecs.append(_combine(self.basis, coeffs))
-        return Subspace.span(self.ambient_dim, vecs, tol)
-
-
-def _combine(vectors, coeffs):
-    exact = vectors[0].exact
-    n = vectors[0].rows
-    acc = [Scalar.zero(exact) if exact else Scalar.from_float(0.0)] * n
-    for v, c in zip(vectors, coeffs):
-        acc = [a + c * v.data[i][0] for i, a in enumerate(acc)]
-    return Matrix.column(acc)
-
-
-def subspace_contains(w, x, tol=None):
-    return w.contains(x, tol)

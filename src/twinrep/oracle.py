@@ -15,8 +15,10 @@ Two detectors validate every verdict the decision procedure produces:
   Gaussian-rational subfield equals rank over C, so exact-mode answers are
   valid verdicts over C.
 * Common eigenline enumeration for involutions: every one-dimensional
-  invariant subspace of a family of involutions is a common +-1 eigenvector,
-  found by intersecting eigenspaces incrementally.
+  invariant subspace of a family of involutions is a common +-1 eigenvector.
+  Each generator splits every candidate subspace, held as a basis matrix K,
+  into its +1 and -1 parts K @ kernel(g K -+ K); the candidates left with one
+  column are the eigenlines.
 """
 
 from __future__ import annotations
@@ -230,67 +232,43 @@ def is_irreducible_oracle(images, tol=None):
     return algebra_dimension(mats, tol) == d * d
 
 
-def _eigenspaces(m, tol=None):
-    d = m.rows
-    exact = m.exact
-    one = Matrix.identity(d, exact)
-    out = []
-    for sign in (1, -1):
-        shifted = (m - one) if sign == 1 else (m + one)
-        ker = kernel(shifted, tol)
-        if ker.dim:
-            out.append(ker)
-    return out
-
-
-def _normalized_direction(v, tol=None):
+def _normalized_direction(v):
+    """Entries of v scaled so that its lead entry is exactly 1: the first
+    nonzero entry (exact) or the largest one (float)."""
     entries = v.column_entries()
     if v.exact:
-        lead = next(x for x in entries if not x.is_zero())
+        idx = next(i for i, x in enumerate(entries) if not x.is_zero())
     else:
-        mag, idx = max((x.magnitude(), i) for i, x in enumerate(entries))
-        lead = entries[idx]
-    inv = lead.inv()
-    return [x * inv for x in entries]
+        _, idx = max((x.magnitude(), i) for i, x in enumerate(entries))
+    inv = entries[idx].inv()
+    out = [x * inv for x in entries]
+    out[idx] = Scalar.one(v.exact)
+    return out
 
 
 def common_eigenlines(images, tol=None):
     """All lines fixed (up to sign) by every involution in the list.
 
-    Intersects the +-1 eigenspaces of the images incrementally and returns
-    the one-dimensional intersections, deduplicated by span.  Raises on a
-    non-involution input."""
+    Starts from the whole space, basis matrix I.  Each generator g splits
+    every candidate basis K into K @ kernel(g K - K) and K @ kernel(g K + K),
+    its +1 and -1 eigenspaces inside span K; empty parts are dropped.  The
+    candidates left with one column are returned, in (+1, -1) sign-pattern
+    order.  Distinct sign patterns meet only in 0, so no line is returned
+    twice.  Raises on a non-involution input."""
     mats, d = _unwrap(images)
-    exact = mats[0].exact
-    ident = Matrix.identity(d, exact)
+    ident = Matrix.identity(d, mats[0].exact)
     for m in mats:
         if not (m @ m).eq(ident, tol):
             raise ValueError("common_eigenlines expects involutions")
-    candidates = _eigenspaces(mats[0], tol)
-    for m in mats[1:]:
-        eigs = _eigenspaces(m, tol)
-        new = []
-        for c in candidates:
-            for e in eigs:
-                inter = c.intersect(e, tol)
-                if inter.dim:
-                    new.append(inter)
-        candidates = new
-        if not candidates:
-            return []
-    lines = []
-    seen = []
-    for c in candidates:
-        if c.dim != 1:
-            continue
-        direction = _normalized_direction(c.basis[0], tol)
-        dup = False
-        for s in seen:
-            if all(x.eq(y, tol) for x, y in zip(direction, s)):
-                dup = True
-                break
-        if not dup:
-            seen.append(direction)
-            lines.append(Subspace(d, [Matrix.column(direction)],
-                                  _assume_independent=True))
-    return lines
+    candidates = [ident]
+    for g in mats:
+        split = []
+        for k in candidates:
+            gk = g @ k
+            for part in (kernel(gk - k, tol), kernel(gk + k, tol)):
+                if part.dim:
+                    split.append(k @ part.matrix())
+        candidates = split
+    return [Subspace(d, [Matrix.column(_normalized_direction(k))],
+                     _assume_independent=True)
+            for k in candidates if k.cols == 1]

@@ -144,17 +144,13 @@ class Scalar:
                       self.exact)
 
     def inv(self):
-        return (Scalar.one(self.exact) if self.exact else
-                Scalar.from_float(1.0)) / self
-
-    def conj(self):
-        return Scalar(self.re, -self.im, self.exact)
+        return Scalar.one(self.exact) / self
 
     def pow(self, k):
         """Integer power; negative exponents invert (nonzero base required)."""
         if k < 0:
             return self.inv().pow(-k)
-        out = Scalar.one(self.exact) if self.exact else Scalar.from_float(1.0)
+        out = Scalar.one(self.exact)
         base = self
         while k:
             if k & 1:
@@ -166,9 +162,6 @@ class Scalar:
     __pow__ = pow
 
     # -- predicates ---------------------------------------------------
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
 
     def magnitude(self):
         return math.hypot(float(self.re), float(self.im))
@@ -257,10 +250,6 @@ def scalar_format(x):
                                    sign, im.numerator, im.denominator)
     sign = "-" if math.copysign(1.0, x.im) < 0 else "+"
     return "%r%s%ri" % (x.re, sign, abs(x.im))
-
-
-def scalar_is_zero(x, tol=None):
-    return x.is_zero(tol)
 
 
 # Convenience constructors used throughout the package and tests.

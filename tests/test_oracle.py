@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from twinrep.irreducibility import decide, witness_check
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import (algebra_closure, algebra_dimension,
                             common_eigenlines, is_irreducible_oracle)
@@ -130,6 +131,31 @@ def test_common_eigenlines_a_one_finds_e1():
     assert lines[0].contains(Matrix.basis_vector(3, 1))
 
 
+def test_float_eigenline_lead_is_exactly_one():
+    # the largest entry is the normalised lead; x * x.inv() left 5.6e-17i here
+    a, b = fl(0.5, -0.25), fl(2.0, 0.5)
+    mats = [g.matrix for g in build_all_generators(RepSpec(1, 5, a, b))]
+    lines = common_eigenlines(mats)
+    assert lines
+    for line in lines:
+        entries = line.basis[0].column_entries()
+        lead = max(entries, key=lambda x: x.magnitude())
+        assert (lead.re, lead.im) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_eigenlines_are_invariant_and_hold_the_witness(n, sign, exact):
+    a, b = (ex(sign), ex(2, 1)) if exact else (fl(float(sign)), fl(2.0, 1.0))
+    images = reduced_generators(n, a, b)
+    lines = common_eigenlines(images)
+    assert all(witness_check(images, line) for line in lines)
+    witness = decide(n, a, b).witness
+    assert witness.dim == 1
+    assert any(line.contains(witness.basis[0]) for line in lines)
+
+
 def test_common_eigenlines_rejects_non_involution():
     shear = Matrix([[ex(1), ex(1)], [ex(0), ex(1)]])
     with pytest.raises(ValueError):
@@ -137,8 +163,8 @@ def test_common_eigenlines_rejects_non_involution():
 
 
 def test_common_eigenlines_dedups():
-    # two diagonal involutions share the coordinate lines; each line must
-    # appear once even though it lies in several eigenspace intersections
+    # two diagonal involutions share the coordinate lines; each must appear
+    # exactly once
     d1 = Matrix([[ex(1), ex(0)], [ex(0), ex(-1)]])
     d2 = Matrix([[ex(-1), ex(0)], [ex(0), ex(1)]])
     lines = common_eigenlines([d1, d2])

@@ -5,7 +5,7 @@ import pytest
 
 from twinrep.scalars import (BackendMismatchError, Scalar, ScalarError,
                              Tolerance, default_tolerance, ex, fl,
-                             scalar_format, scalar_is_zero, scalar_parse,
+                             scalar_format, scalar_parse,
                              set_default_eps)
 from conftest import rand_exact, rng_for
 
@@ -86,11 +86,11 @@ def test_float_eq_is_relative():
 
 
 def test_is_zero_and_tolerance():
-    assert scalar_is_zero(ex(0, 0))
-    assert not scalar_is_zero(ex(0, Fraction(1, 10 ** 9)))  # exact is exact
-    assert scalar_is_zero(fl(1e-12))
-    assert not scalar_is_zero(fl(1e-6))
-    assert scalar_is_zero(fl(1e-6), Tolerance(1e-3))
+    assert ex(0, 0).is_zero()
+    assert not ex(0, Fraction(1, 10 ** 9)).is_zero()  # exact is exact
+    assert fl(1e-12).is_zero()
+    assert not fl(1e-6).is_zero()
+    assert fl(1e-6).is_zero(Tolerance(1e-3))
 
 
 def test_set_default_eps():
