@@ -1,4 +1,4 @@
-"""The decision procedure: cleared criterion polynomial, root finding, verdicts.
+"""The decision procedure: cleared criterion polynomial, its roots, verdicts.
 
 The criterion for n >= 4 is a rational function
 
@@ -6,14 +6,16 @@ The criterion for n >= 4 is a rational function
 
 with poles at t = 0 and t = -1.  Multiplying by 2t(1+t)^(n-4) clears the
 denominators and yields an integer polynomial with a spurious root at t = 0
-(a = 0 is irreducible via the Delta = -bn/2 branch).  The reduced
-representation is irreducible iff a is not +-1 and not a root of P; n = 3 has
-its own criterion a not in {+-1, +-i sqrt(3)}.
+(a = 0 is irreducible via the Delta = -bn/2 branch).  Since
+8t(1+t^2) + (1-t)^4 = (1+t)^4, the cleared polynomial is
+(1+t)^n - (1-t)^n = (1+t)^n (1 - u^n) with u = (1-t)/(1+t), so its nonzero
+roots are +-i tan(pi k/n) for 1 <= k < n/2.  The reduced representation is
+irreducible iff a is not +-1 and not a root of P; n = 3 has its own
+criterion a not in {+-1, +-i sqrt(3)}.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,45 +24,7 @@ from .linalg import Matrix, Subspace
 from .reduction import (ParameterError, _check_family1, eigvec_w,
                         reduced_generators)
 from .chains import closed_chain_vector
-from .scalars import Scalar, _tol, require_finite
-
-
-# -- integer polynomial helpers (coefficients ascending) ----------------------
-
-def _padd(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _psub(p, q):
-    return _padd(p, [-c for c in q])
-
-
-def _pmul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _ppow(p, k):
-    out = [1]
-    for _ in range(k):
-        out = _pmul(out, p)
-    return out
-
-
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
+from .scalars import Scalar, require_finite
 
 
 @dataclass(frozen=True)
@@ -88,25 +52,19 @@ class ClearedPoly:
             acc = acc * z + c
         return acc
 
-    def deriv_complex(self, z):
-        acc = 0j
-        for i in reversed(range(1, len(self.coeffs))):
-            acc = acc * z + i * self.coeffs[i]
-        return acc
-
 
 def cleared_poly(n):
     """8t(1+t^2)(1+t)^(n-4) + (1-t)^4 [(1+t)^(n-4) - (1-t)^(n-4)].
 
-    Degree is n-1 for even n and n for odd n >= 5 (the bracket's leading
-    terms cancel only when n-4 is even)."""
+    As 8t(1+t^2) + (1-t)^4 = (1+t)^4, this equals (1+t)^n - (1-t)^n, whose
+    coefficients are 2 C(n, k) at odd k and 0 at even k.  Degree is n-1 for
+    even n and n for odd n >= 5 (the top terms cancel only when n is even)."""
     if n < 4:
         raise ParameterError("cleared_poly needs n >= 4")
-    up = _ppow([1, 1], n - 4)
-    down = _ppow([1, -1], n - 4)
-    term1 = _pmul(_pmul([0, 8], [1, 0, 1]), up)
-    term2 = _pmul(_ppow([1, -1], 4), _psub(up, down))
-    return ClearedPoly(n, tuple(_ptrim(_padd(term1, term2))))
+    coeffs = [2 * math.comb(n, k) if k % 2 else 0 for k in range(n + 1)]
+    if n % 2 == 0:
+        coeffs.pop()
+    return ClearedPoly(n, tuple(coeffs))
 
 
 def eval_P(n, a):
@@ -125,82 +83,35 @@ def eval_P(n, a):
         u.pow(4) / (two * a) * (one - (u / (one + a)).pow(n - 4))
 
 
-class RootFindingError(ArithmeticError):
-    pass
+def roots_of_P(n):
+    """All nonzero roots of the cleared polynomial, as float scalars in
+    ascending order of imaginary part.
 
-
-def roots_of_P(n, tol=None):
-    """All nonzero complex roots of the cleared polynomial, as float scalars.
-
-    Durand-Kerner from perturbed roots of unity on the Cauchy bound circle,
-    then Newton polish; the zero root (spurious, a = 0 is irreducible) is
-    deflated before iteration.  Deterministic for fixed n.
+    The cleared polynomial is (1+t)^n (1 - u^n) with u = (1-t)/(1+t), so its
+    roots are t = -i tan(pi k/n) for the n-th roots of unity u = e^(2 pi i k/n):
+    k = 0 is the spurious root 0 and u = -1 has no finite t.  The nonzero
+    roots are therefore +-i tan(pi k/n) for 1 <= k < n/2, all simple.
     """
-    poly = cleared_poly(n)
-    coeffs = list(poly.coeffs)
-    mult0 = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        mult0 += 1
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = [radius * cmath.exp(2j * math.pi * k / deg + 0.4j) for k in range(deg)]
-
-    def peval(x):
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * x + c
-        return acc
-
-    target = 1e-13
-    for _ in range(500):
-        worst = 0.0
-        for k in range(deg):
-            num = peval(z[k])
-            worst = max(worst, abs(num))
-            den = 1.0 + 0j
-            for j in range(deg):
-                if j != k:
-                    den *= z[k] - z[j]
-            if den != 0:
-                z[k] = z[k] - num / den
-        if worst <= target:
-            break
-
-    # Newton polish on the full cleared polynomial
-    for k in range(deg):
-        x = z[k]
-        for _ in range(50):
-            fx = poly.eval_complex(x)
-            dfx = poly.deriv_complex(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(x)):
-                break
-        z[k] = x
-
-    scale = max(abs(c) for c in poly.coeffs)
-    eps = max(_tol(tol).eps, 1e-13)
-    bad = max(abs(poly.eval_complex(x)) / scale for x in z)
-    if bad > eps:
-        raise RootFindingError(
-            "root finding did not converge for n=%d (worst residual %.3g)"
-            % (n, bad))
-    z.sort(key=lambda x: (round(x.real, 10), round(x.imag, 10)))
-    return [Scalar.from_complex(x) for x in z]
+    if n < 4:
+        raise ParameterError("roots_of_P needs n >= 4")
+    ys = [math.tan(math.pi * k / n) for k in range(1, (n + 1) // 2)]
+    return [Scalar.from_float(0.0, y) for y in sorted([-y for y in ys] + ys)]
 
 
 def root_residual(n, a):
-    """|cleared poly at a| / max coefficient, for diagnostics."""
-    poly = cleared_poly(n)
-    scale = max(abs(c) for c in poly.coeffs)
-    return abs(poly.eval_complex(a.to_complex())) / scale
+    """Backward error of a as a root of the cleared polynomial p,
+    |p(a)| / sum |c_i||a|^i (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 5), or 0.0 when that sum is 0.  For |a| > 1 both sums
+    are divided by |a|^degree, which keeps the ratio and avoids overflow."""
+    coeffs = cleared_poly(n).coeffs
+    z = a.to_complex()
+    if abs(z) > 1:
+        z, coeffs = 1 / z, coeffs[::-1]
+    value, scale = 0j, 0.0
+    for c in reversed(coeffs):
+        value = value * z + c
+        scale = scale * abs(z) + abs(c)
+    return abs(value) / scale if scale else 0.0
 
 
 # -- verdicts -----------------------------------------------------------------

@@ -31,8 +31,9 @@ class Tolerance:
     __slots__ = ("eps",)
 
     def __init__(self, eps=DEFAULT_EPS):
-        if not eps > 0:
-            raise ScalarError("tolerance eps must be positive, got %r" % (eps,))
+        if not 0 < eps < math.inf:
+            raise ScalarError("tolerance eps must be positive and finite, got %r"
+                              % (eps,))
         self.eps = float(eps)
 
     def __repr__(self):

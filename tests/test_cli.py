@@ -160,6 +160,11 @@ def test_env_eps_override(monkeypatch):
     code, _, err = run(["decide", "--n", "4", "--a", "1.0+0.0i",
                         "--b", "1.0+0.0i"])
     assert code == EXIT_ERROR and "TWINREP_EPS" in err
+    # an infinite eps used to pass and then report "b must be nonzero"
+    monkeypatch.setenv("TWINREP_EPS", "inf")
+    code, _, err = run(["decide", "--n", "5", "--a", "2.0+0.0i",
+                        "--b", "1.0+0.0i"])
+    assert code == EXIT_ERROR and "invalid TWINREP_EPS" in err
 
 
 def test_malformed_scalar_is_error_exit():

@@ -18,6 +18,27 @@ def test_cleared_poly_frozen_small_cases():
     assert cleared_poly(5).coeffs == (0, 10, 0, 20, 0, 2)
 
 
+def _unsimplified_cleared_coeffs(n):
+    # 8t(1+t^2)(1+t)^m + (1-t)^4 [(1+t)^m - (1-t)^m] with m = n - 4, expanded
+    # term by term, so that cleared_poly's (1+t)^n - (1-t)^n form is checked
+    m = n - 4
+    coeffs = [0] * (n + 1)
+    for k in range(m + 1):
+        coeffs[k + 1] += 8 * math.comb(m, k)
+        coeffs[k + 3] += 8 * math.comb(m, k)
+        odd_part = (1 - (-1) ** k) * math.comb(m, k)
+        for i in range(5):
+            coeffs[i + k] += (-1) ** i * math.comb(4, i) * odd_part
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_cleared_poly_matches_unsimplified_construction():
+    for n in range(4, 61):
+        assert cleared_poly(n).coeffs == _unsimplified_cleared_coeffs(n), n
+
+
 def test_cleared_poly_degree_parity():
     # even n: the bracket's top terms cancel, degree n-1; odd n: degree n
     for n in range(4, 12):
@@ -73,20 +94,34 @@ def test_roots_n4_are_plus_minus_i():
 
 
 def test_roots_residuals_and_determinism():
-    for n in range(4, 9):
+    for n in range(4, 121):
         roots = roots_of_P(n)
         assert roots  # nonempty for every n >= 4
+        ims = [r.im for r in roots]
+        assert ims == sorted(ims), n  # ascending imaginary part
+        assert ims == [-y for y in reversed(ims)], n  # mirror pairs
         for r in roots:
-            assert root_residual(n, r) <= 1e-10
+            assert r.re == 0.0 and math.isfinite(r.im), (n, r)
+            assert root_residual(n, r) <= 1e-12, (n, r)
             assert abs(r.to_complex()) > 1e-10  # zero was deflated
         again = roots_of_P(n)
         assert all(x.re == y.re and x.im == y.im for x, y in zip(roots, again))
 
 
 def test_roots_count_matches_degree():
-    for n in range(4, 9):
+    for n in range(4, 121):
         p = cleared_poly(n)
         assert len(roots_of_P(n)) == p.degree - 1  # minus the zero root
+    with pytest.raises(ParameterError):
+        roots_of_P(3)
+
+
+def test_root_residual_is_backward_error():
+    # n=4: p(t) = 8t + 8t^3, so at t = 2 both |p| and sum |c_i||t|^i are 80
+    assert root_residual(4, fl(2.0)) == 1.0
+    assert root_residual(4, ex(0)) == 0.0
+    # sum |c_i||t|^i overflows a double here unless it is scaled by |t|^-deg
+    assert root_residual(400, roots_of_P(400)[-1]) <= 1e-12
 
 
 def test_decide_a_one():

@@ -93,6 +93,13 @@ def test_is_zero_and_tolerance():
     assert fl(1e-6).is_zero(Tolerance(1e-3))
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+def test_tolerance_rejects_non_positive_or_infinite(eps):
+    # an infinite eps made every float is_zero true
+    with pytest.raises(ScalarError, match="eps"):
+        Tolerance(eps)
+
+
 def test_set_default_eps():
     old = default_tolerance().eps
     try:
