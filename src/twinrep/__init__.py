@@ -1,10 +1,9 @@
 """Homogeneous 2-local representations of the twin group: construction,
 reduction, and irreducibility decisions with independent oracle validation."""
 
-from .scalars import (Scalar, Tolerance, scalar_parse, scalar_format,
-                      set_default_eps, default_tolerance)
-from .linalg import (Matrix, Subspace, mat_det, mat_inverse, mat_rank,
-                     rank_with_gap, kernel)
+from .scalars import (Scalar, scalar_parse, scalar_format, set_default_eps,
+                      default_eps)
+from .linalg import Matrix, Subspace, mat_det, mat_inverse, mat_rank, kernel
 from .reps import (RepSpec, GeneratorImage, BlockClass, build_block,
                    build_generator, build_all_generators, verify_relations,
                    classify_block)
@@ -16,14 +15,12 @@ from .chains import (chain_vectors, closed_chain_vector, closure_check,
 from .irreducibility import (ClearedPoly, Verdict, cleared_poly, eval_P,
                              roots_of_P, decide, witness_check,
                              IRREDUCIBLE, REDUCIBLE)
-from .oracle import (algebra_dimension, algebra_closure, is_irreducible_oracle,
-                     common_eigenlines)
+from .oracle import algebra_dimension, algebra_closure, common_eigenlines
 
 __all__ = [
-    "Scalar", "Tolerance", "scalar_parse", "scalar_format",
-    "set_default_eps", "default_tolerance",
-    "Matrix", "Subspace", "mat_det", "mat_inverse", "mat_rank",
-    "rank_with_gap", "kernel",
+    "Scalar", "scalar_parse", "scalar_format", "set_default_eps",
+    "default_eps",
+    "Matrix", "Subspace", "mat_det", "mat_inverse", "mat_rank", "kernel",
     "RepSpec", "GeneratorImage", "BlockClass", "build_block",
     "build_generator", "build_all_generators", "verify_relations",
     "classify_block",
@@ -33,8 +30,7 @@ __all__ = [
     "det_closed_form", "delta", "delta_direct",
     "ClearedPoly", "Verdict", "cleared_poly", "eval_P", "roots_of_P",
     "decide", "witness_check", "IRREDUCIBLE", "REDUCIBLE",
-    "algebra_dimension", "algebra_closure", "is_irreducible_oracle",
-    "common_eigenlines",
+    "algebra_dimension", "algebra_closure", "common_eigenlines",
 ]
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ def chain_vectors(n, a, b):
     return ChainBundle(n, a, b, f, tuple(chain), w)
 
 
-def closure_check(bundle, tol=None):
+def closure_check(bundle):
     """Verify every identity that keeps W = <e_1, v_1..v_{n-3}> stable under
     S_1, S_2 (on v_j, j >= 2) and S_k, k >= 3.  Returns failure strings."""
     n, a, b = bundle.n, bundle.a, bundle.b
@@ -81,7 +81,7 @@ def closure_check(bundle, tol=None):
     s = {j: build_S(n, a, b, j) for j in range(1, n)}
 
     def check(name, got, want):
-        if not got.eq(want, tol):
+        if not got.eq(want):
             failures.append(name)
 
     check("S1 e1 != -e1", s[1] @ e1, -e1)
@@ -138,23 +138,6 @@ def det_closed_form(xs, y1, y2):
     return acc
 
 
-def s2v1_closed(n, a, b):
-    """Closed form of S_2 v_1, the one chain image that can leave W."""
-    _check_family1(a, b, forbid=(1, -1))
-    if n < 4:
-        raise ParameterError("needs n >= 4")
-    exact = a.exact
-    one = Scalar.one(exact)
-    two = one + one
-    u = one - a
-    entries = [-u.pow(n - 1) / (two * b.pow(n - 4)),
-               (one + a * a) * b / two,
-               u.pow(3) / two + a + one]
-    for j in range(4, n):
-        entries.append(u.pow(j) / (two * b.pow(j - 3)))
-    return Matrix.column(entries)
-
-
 def delta_matrix(n, a, b):
     """(S_2 v_1 | e_1 | v_1 | ... | v_{n-3}) assembled column by column."""
     exact = a.exact
@@ -165,8 +148,8 @@ def delta_matrix(n, a, b):
     return Matrix.from_columns(cols)
 
 
-def delta_direct(n, a, b, tol=None):
-    return mat_det(delta_matrix(n, a, b), tol)
+def delta_direct(n, a, b):
+    return mat_det(delta_matrix(n, a, b))
 
 
 def delta(n, a, b):
@@ -191,20 +174,3 @@ def delta(n, a, b):
         u.pow(4) / (two * a) * (one - (u / p).pow(n - 4))
     return -b / two * p.pow(n - 4) * bracket
 
-
-def delta_intermediate(n, a, b):
-    """The pre-geometric-sum form: -b/2 [4(1+a^2)(1+a)^(n-4)
-    + sum_{k=4}^{n-1} (1-a)^k (1+a)^(n-1-k)]; empty sum at n = 4."""
-    _check_family1(a, b, forbid=(1, -1))
-    if n < 4:
-        raise ParameterError("needs n >= 4")
-    exact = a.exact
-    one = Scalar.one(exact)
-    two = one + one
-    four = two + two
-    u = one - a
-    p = one + a
-    acc = four * (one + a * a) * p.pow(n - 4)
-    for k in range(4, n):
-        acc = acc + u.pow(k) * p.pow(n - 1 - k)
-    return -b / two * acc

@@ -2,7 +2,9 @@
 
 Subcommands: gen, verify, reduce, delta, decide, roots, oracle, sweep.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 irreducible /
-success, 10 reducible, 2 error.  TWINREP_EPS overrides the float tolerance.
+success, 10 reducible, 2 error.  Every call installs the float tolerance
+from TWINREP_EPS, or the default when it is unset.  A stdout closed early
+(`twinrep sweep ... | head`) ends the call quietly with exit code 2.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import json
 import os
 import sys
 
-from .scalars import (ScalarError, Scalar, scalar_parse, scalar_format,
-                      set_default_eps)
+from .scalars import (DEFAULT_EPS, ScalarError, Scalar, scalar_parse,
+                      scalar_format, set_default_eps)
 from .linalg import Matrix
 from .reps import RepSpec, build_all_generators, build_generator, verify_relations
 from .reduction import basis_b_bundle, reduced_generators, reduction_bundle
@@ -287,17 +289,22 @@ def build_parser():
 
 
 def main(argv=None):
-    eps = os.environ.get("TWINREP_EPS")
-    if eps is not None:
-        try:
-            set_default_eps(float(eps))
-        except (TypeError, ValueError) as exc:
-            print("invalid TWINREP_EPS: %s" % exc, file=sys.stderr)
-            return EXIT_ERROR
+    try:
+        set_default_eps(float(os.environ.get("TWINREP_EPS", DEFAULT_EPS)))
+    except ValueError as exc:
+        print("invalid TWINREP_EPS: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the exit-time flush
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

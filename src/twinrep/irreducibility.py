@@ -132,7 +132,7 @@ class Verdict:
         return self.status == REDUCIBLE
 
 
-def witness_check(images, w, tol=None):
+def witness_check(images, w):
     """True iff every generator image maps every witness basis vector back
     into the witness span."""
     for img in images:
@@ -140,7 +140,7 @@ def witness_check(images, w, tol=None):
         if m.cols != w.ambient_dim:
             raise ParameterError("witness/image dimension mismatch")
         for x in w.basis:
-            if not w.contains(m @ x, tol):
+            if not w.contains(m @ x):
                 return False
     return True
 
@@ -150,19 +150,19 @@ def _t3_special_points():
     return [Scalar.from_float(0.0, s3), Scalar.from_float(0.0, -s3)]
 
 
-def _decide_t3(a, b, tol):
+def _decide_t3(a, b):
     exact = a.exact
     one = Scalar.one(exact)
-    if a.eq(one, tol):
+    if a.eq(one):
         # the eigenbasis {v_1, v_2} degenerates at a = 1; the invariant line
         # there is <e_1> (the s_1 image fixes it and the block fixes e_1)
         witness = Subspace(2, [Matrix.basis_vector(2, 1, exact)])
         return Verdict(REDUCIBLE, "a=1", witness)
     reason = None
-    if a.eq(-one, tol):
+    if a.eq(-one):
         reason = "a=-1"
     elif not exact:
-        if any(a.eq(s, tol) for s in _t3_special_points()):
+        if any(a.eq(s) for s in _t3_special_points()):
             reason = "T3-special"
     if reason is None:
         return Verdict(IRREDUCIBLE, "T3-criterion")
@@ -172,7 +172,7 @@ def _decide_t3(a, b, tol):
     return Verdict(REDUCIBLE, reason, Subspace(2, [v1]))
 
 
-def decide(n, a, b, tol=None):
+def decide(n, a, b):
     """Verdict for the reduced family-1 representation of dimension n-1.
 
     Every Reducible verdict carries an explicit invariant-subspace witness in
@@ -187,34 +187,34 @@ def decide(n, a, b, tol=None):
     exact = a.exact
     one = Scalar.one(exact)
     if n == 3:
-        verdict = _decide_t3(a, b, tol)
-    elif a.eq(one, tol):
+        verdict = _decide_t3(a, b)
+    elif a.eq(one):
         verdict = Verdict(REDUCIBLE, "a=1",
                           Subspace(n - 1, [Matrix.basis_vector(n - 1, 1, exact)]))
-    elif a.eq(-one, tol):
+    elif a.eq(-one):
         two = one + one
         entries = [(b / two).pow(n - 1 - k) for k in range(1, n)]
         verdict = Verdict(REDUCIBLE, "a=-1",
                           Subspace(n - 1, [Matrix.column(entries)]))
-    elif a.is_zero(tol):
+    elif a.is_zero():
         # Delta = -bn/2 != 0: no proper invariant subspace through e_1
         verdict = Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
     else:
         p = eval_P(n, a)
         diag = {"abs_P": p.magnitude()}
-        if p.is_zero(tol):
+        if p.is_zero():
             # W = <w, v_1, ..., v_{n-3}> in standard coordinates (the chain
             # lives in basis B; transporting by P fixes the v_k and sends
             # e_1 to w)
             vecs = [eigvec_w(n, a, b)]
             vecs += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
-            witness = Subspace.span(n - 1, vecs, tol)
+            witness = Subspace.span(n - 1, vecs)
             verdict = Verdict(REDUCIBLE, "root-of-P", witness, diag)
         else:
             verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
     if verdict.reducible:
         images = reduced_generators(n, a, b)
-        if not witness_check(images, verdict.witness, tol):
+        if not witness_check(images, verdict.witness):
             raise ArithmeticError(
                 "internal error: witness failed the invariance check "
                 "(n=%d, reason=%s)" % (n, verdict.reason))

@@ -2,9 +2,10 @@
 
 Exact matrices are eliminated over the field of Gaussian rationals (first
 nonzero pivot); float matrices use partial pivoting, with zero decisions made
-against the scalar tolerance.  Float rank computations additionally report a
-"rank gap": the ratio of the smallest accepted pivot to the largest rejected
-one, so callers can assert that a rank decision was not borderline.
+against the one process-wide float tolerance, read at call time from
+`scalars.default_eps`.  Float eliminations additionally record a "rank gap":
+the ratio of the smallest accepted pivot to the largest rejected one, so
+callers can assert that a rank decision was not borderline.
 `_eliminate` is the only elimination loop: determinant, rank, kernel,
 inverse, span pruning and membership each make one call to it.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import BackendMismatchError, Scalar, _tol
+from .scalars import BackendMismatchError, Scalar, default_eps
 
 
 class DimensionError(ValueError):
@@ -176,10 +177,10 @@ class Matrix:
             out.append(new)
         return Matrix(out)
 
-    def eq(self, other, tol=None):
+    def eq(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        return all(a.eq(b, tol) for r1, r2 in zip(self.data, other.data)
+        return all(a.eq(b) for r1, r2 in zip(self.data, other.data)
                    for a, b in zip(r1, r2))
 
     def __eq__(self, other):
@@ -189,9 +190,9 @@ class Matrix:
 
     __hash__ = None
 
-    def is_identity(self, tol=None):
+    def is_identity(self):
         return self.rows == self.cols and self.eq(
-            Matrix.identity(self.rows, self.exact), tol)
+            Matrix.identity(self.rows, self.exact))
 
     def max_magnitude(self):
         return max(x.magnitude() for row in self.data for x in row)
@@ -228,7 +229,7 @@ class EliminationResult:
         return len(self.pivot_cols)
 
 
-def _eliminate(m, tol=None):
+def _eliminate(m):
     """Row echelon form.  Exact: first nonzero pivot.  Float: partial pivoting,
     pivot accepted when its magnitude exceeds eps * max(1, matrix scale)."""
     a = [list(row) for row in m.data]
@@ -256,9 +257,7 @@ def _eliminate(m, tol=None):
             r += 1
         return EliminationResult(a, pivot_cols, sign, math.inf)
 
-    eps = _tol(tol).eps
-    scale = max(1.0, m.max_magnitude())
-    thresh = eps * scale
+    thresh = default_eps() * max(1.0, m.max_magnitude())
     min_acc, max_rej = math.inf, 0.0
     r = 0
     for c in range(ncols):
@@ -288,10 +287,10 @@ def _eliminate(m, tol=None):
     return EliminationResult(a, pivot_cols, sign, gap)
 
 
-def mat_det(a, tol=None):
+def mat_det(a):
     if a.rows != a.cols:
         raise DimensionError("determinant of non-square matrix")
-    res = _eliminate(a, tol)
+    res = _eliminate(a)
     if res.rank < a.rows:
         return Scalar.zero(a.exact)
     det = Scalar.one(a.exact)
@@ -302,7 +301,7 @@ def mat_det(a, tol=None):
     return det
 
 
-def mat_inverse(a, tol=None):
+def mat_inverse(a):
     """Inverse read off the reduced echelon form of (A | I); raises
     SingularMatrixError naming the first column of A without a pivot."""
     if a.rows != a.cols:
@@ -310,7 +309,7 @@ def mat_inverse(a, tol=None):
     n = a.rows
     aug = Matrix([row + idrow for row, idrow in
                   zip(a.data, Matrix.identity(n, a.exact).data)])
-    rref, pivot_cols = _rref(aug, tol)
+    rref, pivot_cols = _rref(aug)
     # pivot columns increase, so the first one out of place names the gap
     missing = next((c for c, p in enumerate(pivot_cols) if c != p), n)
     if missing < n:
@@ -319,18 +318,13 @@ def mat_inverse(a, tol=None):
     return Matrix([row[n:] for row in rref])
 
 
-def mat_rank(a, tol=None):
-    return _eliminate(a, tol).rank
+def mat_rank(a):
+    return _eliminate(a).rank
 
 
-def rank_with_gap(a, tol=None):
-    res = _eliminate(a, tol)
-    return res.rank, res.rank_gap
-
-
-def _rref(m, tol=None):
+def _rref(m):
     """Reduced row echelon form (pivots normalized and cleared upward)."""
-    res = _eliminate(m, tol)
+    res = _eliminate(m)
     a = res.rows
     for k in reversed(range(len(res.pivot_cols))):
         c = res.pivot_cols[k]
@@ -344,9 +338,9 @@ def _rref(m, tol=None):
     return a, res.pivot_cols
 
 
-def kernel(a, tol=None):
+def kernel(a):
     """Basis of {x : Ax = 0}; rank + dim kernel = cols."""
-    rref, pivot_cols = _rref(a, tol)
+    rref, pivot_cols = _rref(a)
     free = [c for c in range(a.cols) if c not in pivot_cols]
     zero = Scalar.zero(a.exact)
     one = Scalar.one(a.exact)
@@ -363,26 +357,26 @@ def kernel(a, tol=None):
 class Subspace:
     """Span of a list of independent column vectors in C^ambient_dim."""
 
-    def __init__(self, ambient_dim, basis, tol=None, _assume_independent=False):
+    def __init__(self, ambient_dim, basis, _assume_independent=False):
         basis = list(basis)
         for v in basis:
             if v.cols != 1 or v.rows != ambient_dim:
                 raise DimensionError("basis vectors must be %d-by-1" % ambient_dim)
         if basis and not _assume_independent:
-            if mat_rank(Matrix.from_columns(basis), tol) != len(basis):
+            if mat_rank(Matrix.from_columns(basis)) != len(basis):
                 raise ValueError("basis vectors are linearly dependent")
         self.ambient_dim = ambient_dim
         self.basis = basis
 
     @classmethod
-    def span(cls, ambient_dim, vectors, tol=None):
+    def span(cls, ambient_dim, vectors):
         """Prune an arbitrary generating list down to an independent basis.
 
         Keeps each vector that is independent of the ones before it: the
         pivot columns of one elimination of the vectors side by side."""
         vectors = list(vectors)
         if vectors:
-            pivots = _eliminate(Matrix.from_columns(vectors), tol).pivot_cols
+            pivots = _eliminate(Matrix.from_columns(vectors)).pivot_cols
             vectors = [vectors[c] for c in pivots]
         return cls(ambient_dim, vectors, _assume_independent=True)
 
@@ -395,10 +389,10 @@ class Subspace:
             raise ValueError("zero subspace has no basis matrix")
         return Matrix.from_columns(self.basis)
 
-    def contains(self, x, tol=None):
+    def contains(self, x):
         if x.cols != 1 or x.rows != self.ambient_dim:
             raise DimensionError("vector/subspace dimension mismatch")
         if not self.basis:
-            return all(x.data[i][0].is_zero(tol) for i in range(x.rows))
+            return all(x.data[i][0].is_zero() for i in range(x.rows))
         stacked = Matrix.from_columns(self.basis + [x])
-        return mat_rank(stacked, tol) == self.dim
+        return mat_rank(stacked) == self.dim

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import DimensionError, Matrix, Subspace, kernel
-from .scalars import Scalar, _tol
+from .scalars import Scalar, default_eps
 
 
 def _unwrap(images):
@@ -62,8 +62,8 @@ class _FloatSpan:
 
     zero = 0j
 
-    def __init__(self, eps):
-        self.eps = eps
+    def __init__(self):
+        self.eps = default_eps()
         self.rows = []  # (pivot index, row)
         self.min_acc = math.inf
         self.max_rej = 0.0
@@ -191,7 +191,7 @@ class _ExactSpan:
                        for i in range(0, d * d, d)])
 
 
-def algebra_closure(images, tol=None):
+def algebra_closure(images):
     """Basis of the unital algebra generated by the images.
 
     Left-only closure: the identity is the first basis element, and every
@@ -205,7 +205,7 @@ def algebra_closure(images, tol=None):
     the largest rejected one (inf when nothing is rejected)."""
     mats, d = _unwrap(images)
     full = d * d
-    span = _ExactSpan() if mats[0].exact else _FloatSpan(_tol(tol).eps)
+    span = _ExactSpan() if mats[0].exact else _FloatSpan()
     gens = [[[(k, c) for k, c in enumerate(row) if c != span.zero]
              for row in span.lift(m)] for m in mats]
     ident = span.lift(Matrix.identity(d, mats[0].exact))
@@ -222,14 +222,8 @@ def algebra_closure(images, tol=None):
     return ClosureResult(len(basis), basis, span.gap)
 
 
-def algebra_dimension(images, tol=None):
-    return algebra_closure(images, tol).dim
-
-
-def is_irreducible_oracle(images, tol=None):
-    """Burnside: irreducible iff the generated algebra is all of d x d."""
-    mats, d = _unwrap(images)
-    return algebra_dimension(mats, tol) == d * d
+def algebra_dimension(images):
+    return algebra_closure(images).dim
 
 
 def _normalized_direction(v):
@@ -246,7 +240,7 @@ def _normalized_direction(v):
     return out
 
 
-def common_eigenlines(images, tol=None):
+def common_eigenlines(images):
     """All lines fixed (up to sign) by every involution in the list.
 
     Starts from the whole space, basis matrix I.  Each generator g splits
@@ -258,14 +252,14 @@ def common_eigenlines(images, tol=None):
     mats, d = _unwrap(images)
     ident = Matrix.identity(d, mats[0].exact)
     for m in mats:
-        if not (m @ m).eq(ident, tol):
+        if not (m @ m).eq(ident):
             raise ValueError("common_eigenlines expects involutions")
     candidates = [ident]
     for g in mats:
         split = []
         for k in candidates:
             gk = g @ k
-            for part in (kernel(gk - k, tol), kernel(gk + k, tol)):
+            for part in (kernel(gk - k), kernel(gk + k)):
                 if part.dim:
                     split.append(k @ part.matrix())
         candidates = split

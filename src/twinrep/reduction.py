@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .reps import GeneratorImage, RepSpec, build_block, build_generator
+from .reps import GeneratorImage, RepSpec, build_block
 from .scalars import Scalar
 
 
@@ -190,9 +190,3 @@ def basis_b_bundle(n, a, b):
     return BasisBBundle(n, a, b, eigvec_w(n, a, b), p, pinv,
                         tuple(build_S(n, a, b, j) for j in range(1, n)))
 
-
-def conjugated_full_gen(n, a, b, k):
-    """Q^-1 xi_1(s_k) Q, before deleting the first row and column."""
-    q, qinv = build_Q(n, a, b)
-    full = build_generator(RepSpec(1, n, a, b), k).matrix
-    return qinv @ full @ q

@@ -92,7 +92,7 @@ def build_all_generators(spec):
     return [build_generator(spec, k) for k in range(1, spec.n)]
 
 
-def verify_relations(images, tol=None):
+def verify_relations(images):
     """Check the twin-group relations on a list of generator images.
 
     Returns a list of human-readable failure strings; an empty list means the
@@ -108,14 +108,14 @@ def verify_relations(images, tol=None):
             return failures
     ident = Matrix.identity(d, images[0].matrix.exact)
     for img in images:
-        if not (img.matrix @ img.matrix).eq(ident, tol):
+        if not (img.matrix @ img.matrix).eq(ident):
             failures.append("s%d^2 != I" % img.index)
     for x in images:
         for y in images:
             if y.index - x.index > 1:
                 ab = x.matrix @ y.matrix
                 ba = y.matrix @ x.matrix
-                if not ab.eq(ba, tol):
+                if not ab.eq(ba):
                     failures.append("s%d s%d != s%d s%d"
                                     % (x.index, y.index, y.index, x.index))
     return failures
@@ -130,7 +130,7 @@ class BlockClass:
     sign: Optional[int] = None
 
 
-def classify_block(m, tol=None):
+def classify_block(m):
     """Classify a 2x2 block into its family, recovering parameters.
 
     b != 0 forces family 1 (d = -a by the involution equations); with b = 0
@@ -142,18 +142,18 @@ def classify_block(m, tol=None):
         raise ValueError("classify_block wants a 2x2 matrix")
     exact = m.exact
     ident = Matrix.identity(2, exact)
-    if not (m @ m).eq(ident, tol):
+    if not (m @ m).eq(ident):
         return BlockClass("invalid")
     a, b = m.data[0]
     c, d = m.data[1]
     one = Scalar.one(exact)
-    if not b.is_zero(tol):
+    if not b.is_zero():
         return BlockClass("family1", a=a, b=b)
-    if m.eq(-ident, tol):
+    if m.eq(-ident):
         return BlockClass("family3")
-    if m.eq(ident, tol):
+    if m.eq(ident):
         return BlockClass("trivial")
-    if (a + d).is_zero(tol) and (a * a - one).is_zero(tol):
-        sign = 1 if a.eq(one, tol) else -1
+    if (a + d).is_zero() and (a * a - one).is_zero():
+        sign = 1 if a.eq(one) else -1
         return BlockClass("family2", c=c, sign=sign)
     return BlockClass("invalid")

@@ -1,10 +1,11 @@
-"""Complex scalars with two backends: exact Gaussian rationals and tolerance-tagged floats.
+"""Complex scalars with two backends: exact Gaussian rationals and floats.
 
 Exact scalars store real and imaginary parts as `fractions.Fraction`, so field
 arithmetic is bit-exact at arbitrary precision.  Float scalars store a pair of
-doubles and compare under a relative tolerance.  Matrices built from these
-scalars must never mix backends; every operation here raises
-`BackendMismatchError` on a mixed pair.
+doubles and compare under one process-wide tolerance eps (relative in `eq`,
+absolute in `is_zero`): 1e-9 by default, replaced only by `set_default_eps`
+(the CLI's TWINREP_EPS).  Matrices built from these scalars must never mix
+backends; every operation here raises `BackendMismatchError` on a mixed pair.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 
 DEFAULT_EPS = 1e-9
+_eps = DEFAULT_EPS  # the one float tolerance; set only by set_default_eps
 
 
 class ScalarError(ValueError):
@@ -25,36 +27,20 @@ class BackendMismatchError(ScalarError):
     pass
 
 
-class Tolerance:
-    """Float-mode comparison tolerance.  Ignored by the exact backend."""
-
-    __slots__ = ("eps",)
-
-    def __init__(self, eps=DEFAULT_EPS):
-        if not 0 < eps < math.inf:
-            raise ScalarError("tolerance eps must be positive and finite, got %r"
-                              % (eps,))
-        self.eps = float(eps)
-
-    def __repr__(self):
-        return "Tolerance(%g)" % self.eps
-
-
-_default_tolerance = Tolerance(DEFAULT_EPS)
-
-
 def set_default_eps(eps):
-    """Install a new global float tolerance (used by the CLI for TWINREP_EPS)."""
-    global _default_tolerance
-    _default_tolerance = Tolerance(eps)
+    """Install the process-wide float tolerance (the CLI's TWINREP_EPS).
+    A rejected value leaves the previous one in force."""
+    global _eps
+    if not 0 < eps < math.inf:
+        raise ScalarError("tolerance eps must be positive and finite, got %r"
+                          % (eps,))
+    _eps = float(eps)
 
 
-def default_tolerance():
-    return _default_tolerance
-
-
-def _tol(tol):
-    return _default_tolerance if tol is None else tol
+def default_eps():
+    """The float tolerance in force now; read it at call time, since a
+    `from .scalars import _eps` would copy the binding."""
+    return _eps
 
 
 class Scalar:
@@ -167,17 +153,17 @@ class Scalar:
     def magnitude(self):
         return math.hypot(float(self.re), float(self.im))
 
-    def is_zero(self, tol=None):
+    def is_zero(self):
         if self.exact:
             return self.re == 0 and self.im == 0
-        return self.magnitude() <= _tol(tol).eps
+        return self.magnitude() <= _eps
 
-    def eq(self, other, tol=None):
+    def eq(self, other):
         self._check(other)
         if self.exact:
             return self.re == other.re and self.im == other.im
         d = math.hypot(self.re - other.re, self.im - other.im)
-        return d <= _tol(tol).eps * max(1.0, self.magnitude(), other.magnitude())
+        return d <= _eps * max(1.0, self.magnitude(), other.magnitude())
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

@@ -1,12 +1,21 @@
 """Shared random-draw helpers for the test suite.
 
-All randomness is seeded per test, so failures reproduce exactly.
+All randomness is seeded per test, so failures reproduce exactly, and every
+test starts and ends under the default float tolerance.
 """
 
 import random
 from fractions import Fraction
 
-from twinrep.scalars import Scalar
+import pytest
+
+from twinrep.scalars import DEFAULT_EPS, Scalar, set_default_eps
+
+
+@pytest.fixture(autouse=True)
+def _restore_default_eps():
+    yield
+    set_default_eps(DEFAULT_EPS)
 
 
 def rand_fraction(rng, lo=-5, hi=5, max_den=4):

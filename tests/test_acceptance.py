@@ -16,11 +16,11 @@ from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
 from twinrep.linalg import Matrix, Subspace, mat_det
 from twinrep.oracle import algebra_closure, algebra_dimension
 from twinrep.reduction import (build_P, build_Q, build_S, build_reduced_gen,
-                               conjugated_full_gen, invariant_vector,
-                               reduced_generators)
+                               invariant_vector, reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators, verify_relations
-from twinrep.scalars import Scalar, Tolerance, ex, fl
+from twinrep.scalars import Scalar, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
+from helpers import conjugated_full_gen
 
 
 def _report(number, label, body):
@@ -147,26 +147,25 @@ def test_criterion_07_chain():
 def test_criterion_08_t3_criterion():
     def body():
         start = time.perf_counter()
-        tol = Tolerance(1e-9)
         b = fl(2.0)
         s3 = math.sqrt(3.0)
         special = [fl(1.0), fl(-1.0), fl(0.0, s3), fl(0.0, -s3)]
         for a in special:
             gens = reduced_generators(3, a, b)
-            res = algebra_closure(gens, tol)
+            res = algebra_closure(gens)
             assert res.dim < 4, a
             assert res.rank_gap >= 1e3, (a, res.rank_gap)
-            assert decide(3, a, b, tol).status == REDUCIBLE, a
+            assert decide(3, a, b).status == REDUCIBLE, a
         for j in range(20):
             base = special[j % 4]
             angle = 2.0 * math.pi * j / 20.0
             a = fl(base.re + 1e-3 * math.cos(angle),
                    base.im + 1e-3 * math.sin(angle))
             gens = reduced_generators(3, a, b)
-            res = algebra_closure(gens, tol)
+            res = algebra_closure(gens)
             assert res.dim == 4, (j, res.dim)
             assert res.rank_gap >= 1e3, (j, res.rank_gap)
-            assert decide(3, a, b, tol).status == IRREDUCIBLE, j
+            assert decide(3, a, b).status == IRREDUCIBLE, j
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, "took %.2fs" % elapsed
     _report(8, "T3 criterion", body)

@@ -1,10 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from twinrep.cli import EXIT_ERROR, EXIT_OK, EXIT_REDUCIBLE, main
 from twinrep.linalg import Matrix
-from twinrep.scalars import DEFAULT_EPS, set_default_eps
 
 EX = lambda v: "%s+0/1*i" % v  # exact literal shorthand for the tests
 
@@ -16,10 +18,6 @@ def run(argv, env_eps=None, monkeypatch=None):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
-
-
-def teardown_function(_):
-    set_default_eps(DEFAULT_EPS)  # some tests install a custom tolerance
 
 
 def test_gen_json_round_trip_bit_exact():
@@ -165,6 +163,39 @@ def test_env_eps_override(monkeypatch):
     code, _, err = run(["decide", "--n", "5", "--a", "2.0+0.0i",
                         "--b", "1.0+0.0i"])
     assert code == EXIT_ERROR and "invalid TWINREP_EPS" in err
+
+
+def test_unset_env_eps_restores_default(monkeypatch):
+    # a tolerance from TWINREP_EPS must not outlive its own call
+    argv = ["decide", "--n", "5", "--a", "0.0+1e-6i", "--b", "1.0+0.0i"]
+    reasons = []
+    for env_eps in (None, "1e-3", None):
+        if env_eps is None:
+            monkeypatch.delenv("TWINREP_EPS", raising=False)
+        code, out, _ = run(argv, env_eps, monkeypatch)
+        assert code == EXIT_OK
+        reasons.append(json.loads(out)["reason"])
+    assert reasons == ["generic", "a=0", "generic"]
+
+
+def test_closed_stdout_exits_quietly():
+    # 14800 CSV rows overflow the pipe long before the sweep ends
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TWINREP_EPS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twinrep.cli", "sweep", "--n-min", "4",
+         "--n-max", "40", "--b", "1.0+0.0i", "--re-min", "0.5", "--re-max",
+         "2", "--re-steps", "20", "--im-min", "0.5", "--im-max", "2",
+         "--im-steps", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"n,re_a,im_a")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_ERROR
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_malformed_scalar_is_error_exit():

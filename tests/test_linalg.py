@@ -1,10 +1,10 @@
 import pytest
 
 from twinrep.linalg import (DimensionError, Matrix, SingularMatrixError,
-                            Subspace, kernel, mat_det, mat_inverse, mat_rank,
-                            rank_with_gap)
+                            Subspace, kernel, mat_det, mat_inverse, mat_rank)
 from twinrep.scalars import BackendMismatchError, Scalar, ex, fl
 from conftest import rand_exact, rng_for
+from helpers import rank_with_gap
 
 
 def rand_matrix(rng, rows, cols):

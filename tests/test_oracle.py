@@ -4,12 +4,12 @@ import pytest
 
 from twinrep.irreducibility import decide, witness_check
 from twinrep.linalg import Matrix, mat_rank
-from twinrep.oracle import (algebra_closure, algebra_dimension,
-                            common_eigenlines, is_irreducible_oracle)
+from twinrep.oracle import algebra_closure, algebra_dimension, common_eigenlines
 from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
+from helpers import is_irreducible_oracle
 
 
 def test_identity_alone_gives_dimension_one():

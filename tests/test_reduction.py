@@ -3,12 +3,12 @@ import pytest
 from twinrep.linalg import Matrix, mat_inverse
 from twinrep.reduction import (ParameterError, basis_b_bundle, build_P,
                                build_Q, build_S, build_reduced_gen,
-                               conjugated_full_gen, eigvec_w,
-                               invariant_vector, reduced_generators,
-                               reduction_bundle)
+                               eigvec_w, invariant_vector,
+                               reduced_generators, reduction_bundle)
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import Scalar, ex, fl
 from conftest import rand_family1_params, rng_for
+from helpers import conjugated_full_gen
 
 
 def test_invariant_vector_fixed_by_all_generators():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from twinrep.scalars import (BackendMismatchError, Scalar, ScalarError,
-                             Tolerance, default_tolerance, ex, fl,
-                             scalar_format, scalar_parse,
-                             set_default_eps)
+from twinrep.irreducibility import decide
+from twinrep.linalg import Matrix, mat_rank
+from twinrep.oracle import algebra_closure
+from twinrep.scalars import (DEFAULT_EPS, BackendMismatchError, Scalar,
+                             ScalarError, default_eps, ex, fl, scalar_format,
+                             scalar_parse, set_default_eps)
 from conftest import rand_exact, rng_for
 
 
@@ -82,7 +84,8 @@ def test_float_eq_is_relative():
     big = fl(1e12)
     assert big.eq(fl(1e12 + 1.0))  # 1 part in 1e12 << 1e-9 relative
     assert not fl(1.0).eq(fl(1.0 + 1e-6))
-    assert fl(1.0).eq(fl(1.0 + 1e-6), Tolerance(1e-5))
+    set_default_eps(1e-5)
+    assert fl(1.0).eq(fl(1.0 + 1e-6))
 
 
 def test_is_zero_and_tolerance():
@@ -90,24 +93,38 @@ def test_is_zero_and_tolerance():
     assert not ex(0, Fraction(1, 10 ** 9)).is_zero()  # exact is exact
     assert fl(1e-12).is_zero()
     assert not fl(1e-6).is_zero()
-    assert fl(1e-6).is_zero(Tolerance(1e-3))
+    set_default_eps(1e-3)
+    assert fl(1e-6).is_zero()
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
 def test_tolerance_rejects_non_positive_or_infinite(eps):
     # an infinite eps made every float is_zero true
+    set_default_eps(1e-3)
     with pytest.raises(ScalarError, match="eps"):
-        Tolerance(eps)
+        set_default_eps(eps)
+    assert default_eps() == 1e-3
+    assert fl(1e-6).is_zero()
 
 
 def test_set_default_eps():
-    old = default_tolerance().eps
-    try:
-        set_default_eps(1e-3)
-        assert fl(1.0).eq(fl(1.0 + 1e-5))
-    finally:
-        set_default_eps(old)
+    # one process-wide eps reaches every float gate: scalar comparison,
+    # elimination pivots, the Burnside closure's dependence test, and
+    # decide's a = 0 branch together with eval_P's pole test
+    near_singular = Matrix([[fl(1.0), fl(0.0)], [fl(0.0), fl(1e-6)]])
+    # I and diag(1, 1 + 1e-6) are independent by a relative 1e-6
+    nearly_scalar = Matrix([[fl(1.0), fl(0.0)], [fl(0.0), fl(1.0 + 1e-6)]])
+    set_default_eps(1e-3)
+    assert fl(1.0).eq(fl(1.0 + 1e-5))
+    assert mat_rank(near_singular) == 1
+    assert algebra_closure([nearly_scalar]).dim == 1
+    set_default_eps(DEFAULT_EPS)
     assert not fl(1.0).eq(fl(1.0 + 1e-5))
+    assert mat_rank(near_singular) == 2
+    assert algebra_closure([nearly_scalar]).dim == 2
+    assert decide(5, fl(1e-10), fl(1.0)).reason == "a=0"
+    set_default_eps(1e-12)
+    assert decide(5, fl(1e-10), fl(1.0)).reason == "generic"
 
 
 def test_json_round_trip():
