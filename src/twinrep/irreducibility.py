@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, kernel
 from .reduction import (ParameterError, _check_family1, eigvec_w,
                         reduced_generators)
 from .chains import closed_chain_vector
-from .scalars import Scalar, require_finite
+from .scalars import Scalar, default_eps, require_finite
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,47 @@ class Verdict:
 
 
 def witness_check(images, w):
-    """True iff every generator image maps every witness basis vector back
-    into the witness span."""
-    for img in images:
-        m = img.matrix if hasattr(img, "matrix") else img
-        if m.cols != w.ambient_dim:
-            raise ParameterError("witness/image dimension mismatch")
-        for x in w.basis:
-            if not w.contains(m @ x):
-                return False
+    """True iff every generator image maps span(w) into itself.
+
+    Works through the annihilator: the rows phi of kernel(B^T), for the basis
+    matrix B, cut out span(w), so g maps span(w) into itself iff Phi g B = 0.
+    Exact mode asks for exact zeros.  Float mode first scales each basis
+    vector so its largest entry has modulus 1, then needs every entry
+    r = phi . (g x) to pass |r| <= eps ||phi||_2 ||g x||_2, tested as
+    `not (|r| <= bound < inf)` so NaN and overflow fail.  |r| / ||phi||_2 is
+    the distance of g x from ker phi: the bound caps it at eps ||g x||_2."""
+    mats = [img.matrix if hasattr(img, "matrix") else img for img in images]
+    if any(m.cols != w.ambient_dim for m in mats):
+        raise ParameterError("witness/image dimension mismatch")
+    if w.dim in (0, w.ambient_dim):
+        return True
+    exact = w.basis[0].exact
+    b = Matrix.from_columns(w.basis if exact else [
+        v.scale(Scalar.from_float(1.0 / v.max_magnitude())) for v in w.basis])
+    # sparse {index: entry} vectors: a line's phi has at most 2 entries
+    nonzeros = lambda xs: {i: x for i, x in enumerate(xs)
+                           if not (x.re == 0 and x.im == 0)}
+    norm2 = lambda v: 0.0 if exact else math.hypot(
+        *(x.magnitude() for x in v.values()))
+    phis = [nonzeros(v.column_entries()) for v in kernel(b.transpose()).basis]
+    tols = [default_eps() * norm2(phi) for phi in phis]
+    zero = Scalar.zero(exact)
+    for m in mats:
+        gb = m @ b
+        for j in range(gb.cols):
+            gx = nonzeros(gb.column_entries(j))
+            gx_norm = norm2(gx)
+            for phi, tol in zip(phis, tols):
+                r = sum((x * gx[i] for i, x in phi.items() if i in gx), zero)
+                if not (r.is_zero() if exact else
+                        r.magnitude() <= tol * gx_norm < math.inf):
+                    return False
     return True
+
+
+def _line(v):
+    """<v>, for a v with an entry equal to 1."""
+    return Subspace(v.rows, [v], _assume_independent=True)
 
 
 def _t3_special_points():
@@ -156,8 +187,8 @@ def _decide_t3(a, b):
     if a.eq(one):
         # the eigenbasis {v_1, v_2} degenerates at a = 1; the invariant line
         # there is <e_1> (the s_1 image fixes it and the block fixes e_1)
-        witness = Subspace(2, [Matrix.basis_vector(2, 1, exact)])
-        return Verdict(REDUCIBLE, "a=1", witness)
+        return Verdict(REDUCIBLE, "a=1",
+                       _line(Matrix.basis_vector(2, 1, exact)))
     reason = None
     if a.eq(-one):
         reason = "a=-1"
@@ -169,15 +200,16 @@ def _decide_t3(a, b):
     # <v_1> with v_1 = (2b/(a-1)^2, 1)^T is invariant at a = -1, +-i sqrt(3)
     two = one + one
     v1 = Matrix.column([two * b / (a - one).pow(2), one])
-    return Verdict(REDUCIBLE, reason, Subspace(2, [v1]))
+    return Verdict(REDUCIBLE, reason, _line(v1))
 
 
 def decide(n, a, b):
     """Verdict for the reduced family-1 representation of dimension n-1.
 
     Every Reducible verdict carries an explicit invariant-subspace witness in
-    standard coordinates, re-verified against the generator images before it
-    is returned.
+    standard coordinates, re-verified by `witness_check` (one annihilator
+    product per generator image, exact or under the relative float bound
+    there) before it is returned.
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
@@ -190,12 +222,12 @@ def decide(n, a, b):
         verdict = _decide_t3(a, b)
     elif a.eq(one):
         verdict = Verdict(REDUCIBLE, "a=1",
-                          Subspace(n - 1, [Matrix.basis_vector(n - 1, 1, exact)]))
+                          _line(Matrix.basis_vector(n - 1, 1, exact)))
     elif a.eq(-one):
         two = one + one
         entries = [(b / two).pow(n - 1 - k) for k in range(1, n)]
         verdict = Verdict(REDUCIBLE, "a=-1",
-                          Subspace(n - 1, [Matrix.column(entries)]))
+                          _line(Matrix.column(entries)))
     elif a.is_zero():
         # Delta = -bn/2 != 0: no proper invariant subspace through e_1
         verdict = Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
@@ -205,10 +237,11 @@ def decide(n, a, b):
         if p.is_zero():
             # W = <w, v_1, ..., v_{n-3}> in standard coordinates (the chain
             # lives in basis B; transporting by P fixes the v_k and sends
-            # e_1 to w)
+            # e_1 to w).  Independent by construction: the top n-2 rows are
+            # lower triangular with diagonal w_1, -b, ..., -b, all nonzero.
             vecs = [eigvec_w(n, a, b)]
             vecs += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
-            witness = Subspace.span(n - 1, vecs)
+            witness = Subspace(n - 1, vecs, _assume_independent=True)
             verdict = Verdict(REDUCIBLE, "root-of-P", witness, diag)
         else:
             verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)

@@ -3,18 +3,15 @@
 Exact matrices are eliminated over the field of Gaussian rationals (first
 nonzero pivot); float matrices use partial pivoting, with zero decisions made
 against the one process-wide float tolerance, read at call time from
-`scalars.default_eps`.  Float eliminations additionally record a "rank gap":
-the ratio of the smallest accepted pivot to the largest rejected one, so
-callers can assert that a rank decision was not borderline.
-`_eliminate` is the only elimination loop: determinant, rank, kernel,
-inverse, span pruning and membership each make one call to it.
+`scalars.default_eps`.  `_eliminate` is the only elimination loop:
+determinant, rank, kernel, inverse and span pruning each make one call to it.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 """
 
 from __future__ import annotations
 
-import math
+from typing import NamedTuple
 
 from .scalars import BackendMismatchError, Scalar, default_eps
 
@@ -213,85 +210,52 @@ class Matrix:
         return m
 
 
-class EliminationResult:
-    """Echelon data shared by det/rank/kernel: pivots, sign, and float rank gap."""
-
-    __slots__ = ("rows", "pivot_cols", "sign", "rank_gap")
-
-    def __init__(self, rows, pivot_cols, sign, rank_gap):
-        self.rows = rows
-        self.pivot_cols = pivot_cols
-        self.sign = sign
-        self.rank_gap = rank_gap
-
-    @property
-    def rank(self):
-        return len(self.pivot_cols)
+class EliminationResult(NamedTuple):
+    """Echelon data shared by det/rank/kernel: rows, pivot columns, sign."""
+    rows: list
+    pivot_cols: list
+    sign: int
 
 
 def _eliminate(m):
     """Row echelon form.  Exact: first nonzero pivot.  Float: partial pivoting,
     pivot accepted when its magnitude exceeds eps * max(1, matrix scale)."""
     a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
+    nrows, ncols, exact = m.rows, m.cols, m.exact
+    thresh = None if exact else default_eps() * max(1.0, m.max_magnitude())
     pivot_cols = []
     sign = 1
-    if m.exact:
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
-            if p is None:
-                continue
-            if p != r:
-                a[r], a[p] = a[p], a[r]
-                sign = -sign
-            inv = a[r][c].inv()
-            for i in range(r + 1, nrows):
-                if a[i][c].is_zero():
-                    continue
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivot_cols.append(c)
-            r += 1
-        return EliminationResult(a, pivot_cols, sign, math.inf)
-
-    thresh = default_eps() * max(1.0, m.max_magnitude())
-    min_acc, max_rej = math.inf, 0.0
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        mags = [(a[i][c].magnitude(), i) for i in range(r, nrows)]
-        best_mag, p = max(mags)
-        if best_mag <= thresh:
-            max_rej = max(max_rej, best_mag)
+        if exact:
+            p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
+        else:
+            best_mag, p = max([(a[i][c].magnitude(), i) for i in range(r, nrows)])
+            if best_mag <= thresh:
+                p = None
+        if p is None:
             continue
-        min_acc = min(min_acc, best_mag)
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
         inv = a[r][c].inv()
         for i in range(r + 1, nrows):
+            if exact and a[i][c].is_zero():
+                continue
             f = a[i][c] * inv
             a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivot_cols.append(c)
         r += 1
-    if max_rej == 0.0:
-        gap = math.inf
-    elif min_acc == math.inf:
-        gap = 0.0
-    else:
-        gap = min_acc / max_rej
-    return EliminationResult(a, pivot_cols, sign, gap)
+    return EliminationResult(a, pivot_cols, sign)
 
 
 def mat_det(a):
     if a.rows != a.cols:
         raise DimensionError("determinant of non-square matrix")
     res = _eliminate(a)
-    if res.rank < a.rows:
+    if len(res.pivot_cols) < a.rows:
         return Scalar.zero(a.exact)
     det = Scalar.one(a.exact)
     for i in range(a.rows):
@@ -319,7 +283,7 @@ def mat_inverse(a):
 
 
 def mat_rank(a):
-    return _eliminate(a).rank
+    return len(_eliminate(a).pivot_cols)
 
 
 def _rref(m):

@@ -3,7 +3,7 @@ and thin wrappers over package internals, kept here because nothing in the
 package calls them.
 """
 
-from twinrep.linalg import Matrix, _eliminate
+from twinrep.linalg import Matrix
 from twinrep.oracle import _unwrap, algebra_dimension
 from twinrep.reduction import build_Q
 from twinrep.reps import RepSpec, build_generator
@@ -43,13 +43,6 @@ def conjugated_full_gen(n, a, b, k):
     q, qinv = build_Q(n, a, b)
     full = build_generator(RepSpec(1, n, a, b), k).matrix
     return qinv @ full @ q
-
-
-def rank_with_gap(a):
-    """Rank and float rank gap (smallest accepted over largest rejected
-    pivot) of one elimination."""
-    res = _eliminate(a)
-    return res.rank, res.rank_gap
 
 
 def is_irreducible_oracle(images):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     decide, eval_P, root_residual, roots_of_P,
                                     witness_check)
+from twinrep.chains import closed_chain_vector
 from twinrep.linalg import Matrix, Subspace
-from twinrep.reduction import ParameterError, reduced_generators
+from twinrep.reduction import ParameterError, eigvec_w, reduced_generators
 from twinrep.scalars import Scalar, ScalarError, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
 
@@ -156,12 +158,39 @@ def test_decide_generic_irreducible():
 
 
 def test_decide_at_root_gives_witness():
-    for n in (4, 5, 6):
+    # n = 11, 13 and 15..20 include the roots whose true witnesses the old
+    # rank-per-image check rejected ("witness failed")
+    for n in (4, 5, 6, 11, 13, *range(15, 21)):
         for r in roots_of_P(n):
             v = decide(n, r, fl(1.0))
-            assert v.status == REDUCIBLE and v.reason == "root-of-P"
+            assert v.status == REDUCIBLE and v.reason == "root-of-P", (n, r)
             assert v.witness.dim == n - 2
             assert witness_check(reduced_generators(n, r, fl(1.0)), v.witness)
+    # at b = 2 - i the entries of w span ten orders of magnitude at n = 31;
+    # unless each basis vector is scaled first, kernel(B^T) comes out too big
+    for r in roots_of_P(31)[12:18]:
+        v = decide(31, r, fl(2.0, -1.0))
+        assert v.reason == "root-of-P" and v.witness.dim == 29, r
+    # a = +-i is an exact root of P exactly when 4 | n (tan(pi/4) = 1)
+    for n in range(4, 25, 4):
+        for a in (ex(0, 1), ex(0, -1)):
+            v = decide(n, a, ex(1))
+            assert v.status == REDUCIBLE and v.reason == "root-of-P", (n, a)
+            assert v.witness.dim == n - 2
+
+
+def test_decide_near_root_never_fails_its_witness():
+    # just off a root, decide may answer root-of-P or generic, but the
+    # eval_P zero gate and the witness check must agree: no raise
+    for n in range(4, 13):
+        for r in roots_of_P(n):
+            for delta in (1e-9, 1e-11):
+                for k in range(4):
+                    a = r * Scalar.from_complex(
+                        1 + delta * cmath.exp(0.5j * math.pi * k + 0.3j))
+                    v = decide(n, a, fl(1.0))
+                    if v.reducible:
+                        assert v.reason == "root-of-P" and v.witness.dim == n - 2
 
 
 def test_decide_t3_special_points():
@@ -196,6 +225,20 @@ def test_witness_check_rejects_non_invariant():
     gens = reduced_generators(4, ex(2), ex(1))
     bogus = Subspace(3, [Matrix.basis_vector(3, 2)])
     assert not witness_check(gens, bogus)
+    # <w, v_1, ..., v_{n-3}> built at a(1 + delta) instead of at the root a
+    # is off by about a relative delta, above eps = 1e-9 (the true witness
+    # stays below 1e-14).  A bound in ||g||_inf ||x||_2 in place of ||g x||_2
+    # accepts some delta = 1e-8 cases: g_1 has entries near 1e20 at n = 24.
+    for n in (5, 11, 16, 24):
+        for r in roots_of_P(n):
+            gens = reduced_generators(n, r, fl(1.0))
+            for delta in (1e-4, 1e-6, 1e-8):
+                a = r * fl(1.0 + delta)
+                vecs = [eigvec_w(n, a, fl(1.0))]
+                vecs += [closed_chain_vector(n, a, fl(1.0), k)
+                         for k in range(1, n - 2)]
+                w = Subspace(n - 1, vecs, _assume_independent=True)
+                assert not witness_check(gens, w), (n, r, delta)
 
 
 def test_verdict_reducible_property():
