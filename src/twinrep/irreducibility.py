@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import Matrix, Subspace, kernel
-from .reduction import (ParameterError, _check_family1, eigvec_w,
-                        reduced_generators)
+from .reduction import (ParameterError, _check_family1, _reduced_gen_rows,
+                        eigvec_w)
 from .chains import closed_chain_vector
 from .scalars import Scalar, default_eps, require_finite
 
@@ -38,13 +38,6 @@ class ClearedPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def eval_exact(self, a):
-        acc = Scalar.zero(a.exact)
-        mk = Scalar.from_rational if a.exact else Scalar.from_float
-        for c in reversed(self.coeffs):
-            acc = acc * a + mk(c)
-        return acc
 
     def eval_complex(self, z):
         acc = 0j
@@ -141,30 +134,45 @@ def witness_check(images, w):
     vector so its largest entry has modulus 1, then needs every entry
     r = phi . (g x) to pass |r| <= eps ||phi||_2 ||g x||_2, tested as
     `not (|r| <= bound < inf)` so NaN and overflow fail.  |r| / ||phi||_2 is
-    the distance of g x from ker phi: the bound caps it at eps ||g x||_2."""
-    mats = [img.matrix if hasattr(img, "matrix") else img for img in images]
-    if any(m.cols != w.ambient_dim for m in mats):
-        raise ParameterError("witness/image dimension mismatch")
+    the distance of g x from ker phi: the bound caps it at eps ||g x||_2.
+
+    An image may also be {row: {column: entry}} over the rows where it
+    differs from the identity, as `decide` passes it; a phi that reads none of
+    them keeps phi . x, so a line witness costs O(n) per image, not O(n^2)."""
+    # sparse {index: entry} vectors: a line's phi has at most 2 entries
+    nonzeros = lambda pairs: {i: x for i, x in pairs if x.re or x.im}
+    patches = []
+    for img in images:
+        if not isinstance(img, dict):
+            m = getattr(img, "matrix", img)
+            if (m.rows, m.cols) != (w.ambient_dim,) * 2:
+                raise ParameterError("witness/image dimension mismatch")
+            img = {i: dict(enumerate(row)) for i, row in enumerate(m.data)}
+        patches.append({i: nonzeros(row.items()) for i, row in img.items()})
     if w.dim in (0, w.ambient_dim):
         return True
     exact = w.basis[0].exact
     b = Matrix.from_columns(w.basis if exact else [
         v.scale(Scalar.from_float(1.0 / v.max_magnitude())) for v in w.basis])
-    # sparse {index: entry} vectors: a line's phi has at most 2 entries
-    nonzeros = lambda xs: {i: x for i, x in enumerate(xs)
-                           if not (x.re == 0 and x.im == 0)}
+    xs = [nonzeros(enumerate(b.column_entries(j))) for j in range(b.cols)]
     norm2 = lambda v: 0.0 if exact else math.hypot(
         *(x.magnitude() for x in v.values()))
-    phis = [nonzeros(v.column_entries()) for v in kernel(b.transpose()).basis]
-    tols = [default_eps() * norm2(phi) for phi in phis]
     zero = Scalar.zero(exact)
-    for m in mats:
-        gb = m @ b
-        for j in range(gb.cols):
-            gx = nonzeros(gb.column_entries(j))
+    dot = lambda u, v: sum((x * v[i] for i, x in u.items() if i in v), zero)
+    phis = [nonzeros(enumerate(v.column_entries()))
+            for v in kernel(b.transpose()).basis]
+    tols = [default_eps() * norm2(phi) for phi in phis]
+    unchanged = [[zero if exact else dot(phi, x) for x in xs] for phi in phis]
+    for rows in filter(None, patches):
+        reads = [any(i in rows for i in phi) for phi in phis]
+        for j, x in enumerate(xs):
+            gx = nonzeros((i, dot(rows[i], x) if i in rows else x.get(i, zero))
+                          for i in range(w.ambient_dim))
             gx_norm = norm2(gx)
-            for phi, tol in zip(phis, tols):
-                r = sum((x * gx[i] for i, x in phi.items() if i in gx), zero)
+            for phi, tol, r0, read in zip(phis, tols, unchanged, reads):
+                if exact and not read:
+                    continue  # phi . (g x) = phi . x = 0
+                r = dot(phi, gx) if read else r0[j]
                 if not (r.is_zero() if exact else
                         r.magnitude() <= tol * gx_norm < math.inf):
                     return False
@@ -246,7 +254,7 @@ def decide(n, a, b):
         else:
             verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
     if verdict.reducible:
-        images = reduced_generators(n, a, b)
+        images = [_reduced_gen_rows(n, a, b, k) for k in range(1, n)]
         if not witness_check(images, verdict.witness):
             raise ArithmeticError(
                 "internal error: witness failed the invariance check "

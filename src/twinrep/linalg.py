@@ -59,11 +59,6 @@ class Matrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols, exact=True):
-        z = Scalar.zero(exact)
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def column(cls, entries):
         return cls([[x] for x in entries])
 
@@ -110,11 +105,6 @@ class Matrix:
     def transpose(self):
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def delete_row_col(self, i, j):
-        data = [[x for c, x in enumerate(row) if c != j]
-                for r, row in enumerate(self.data) if r != i]
-        return Matrix(data)
 
     def to_float(self):
         if not self.exact:
@@ -186,10 +176,6 @@ class Matrix:
         return self.eq(other)
 
     __hash__ = None
-
-    def is_identity(self):
-        return self.rows == self.cols and self.eq(
-            Matrix.identity(self.rows, self.exact))
 
     def max_magnitude(self):
         return max(x.magnitude() for row in self.data for x in row)

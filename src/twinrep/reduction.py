@@ -67,21 +67,27 @@ def build_reduced_gen(n, a, b, k):
     (-1, (a-1)^2/(-b), ..., (a-1)^(n-1)/(-b)^(n-2)), for k >= 2 the block
     I_{k-2} (+) M (+) I_{n-k-1}.
     """
+    zero, rows = Scalar.zero(a.exact), _reduced_gen_rows(n, a, b, k)
+    unit = Matrix.identity(n - 1, a.exact).data
+    return Matrix([[rows[i].get(j, zero) for j in range(n - 1)] if i in rows
+                   else unit[i] for i in range(n - 1)])
+
+
+def _reduced_gen_rows(n, a, b, k):
+    """The rows in which `build_reduced_gen` differs from the identity, as
+    {row: {column: entry}} (0-based, entries not listed are 0): rows k-2 and
+    k-1 (the block) for k >= 2, every row for k = 1.  O(n) to build."""
     _check_family1(a, b)
     if not 1 <= k <= n - 1:
         raise ParameterError("generator index %d out of range for n=%d" % (k, n))
-    exact = a.exact
+    one = Scalar.one(a.exact)
     if k >= 2:
-        m = build_block(RepSpec(1, n, a, b))
-        left = Matrix.identity(k - 2, exact) if k > 2 else None
-        right = Matrix.identity(n - k - 1, exact) if k < n - 1 else None
-        return Matrix.block_diag(left, m, right)
-    one = Scalar.one(exact)
-    data = [list(row) for row in Matrix.identity(n - 1, exact).data]
-    data[0][0] = -one
+        m = build_block(RepSpec(1, n, a, b)).data
+        return {k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]} for r in (0, 1)}
+    rows = {0: {0: -one}}
     for j in range(2, n):  # row j of the paper's display, 0-based row j-1
-        data[j - 1][0] = (a - one).pow(j) / (-b).pow(j - 1)
-    return Matrix(data)
+        rows[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1), j - 1: one}
+    return rows
 
 
 def reduced_generators(n, a, b):

@@ -137,6 +137,8 @@ class Scalar:
         """Integer power; negative exponents invert (nonzero base required)."""
         if k < 0:
             return self.inv().pow(-k)
+        if self.exact and self.im == 0:  # a rational: Fraction's own power
+            return Scalar(self.re ** k, self.im, True)
         out = Scalar.one(self.exact)
         base = self
         while k:

@@ -38,6 +38,30 @@ def delta_intermediate(n, a, b):
     return -b / two * acc
 
 
+def zeros(rows, cols, exact=True):
+    return Matrix([[Scalar.zero(exact)] * cols for _ in range(rows)])
+
+
+def is_identity(m):
+    return m.rows == m.cols and m.eq(Matrix.identity(m.rows, m.exact))
+
+
+def delete_row_col(m, i, j):
+    """m without row i and column j (0-based)."""
+    return Matrix([[x for c, x in enumerate(row) if c != j]
+                   for r, row in enumerate(m.data) if r != i])
+
+
+def eval_exact(poly, a):
+    """The cleared polynomial `poly` (a ClearedPoly) at a, by Horner in a's
+    own backend."""
+    acc = Scalar.zero(a.exact)
+    mk = Scalar.from_rational if a.exact else Scalar.from_float
+    for c in reversed(poly.coeffs):
+        acc = acc * a + mk(c)
+    return acc
+
+
 def conjugated_full_gen(n, a, b, k):
     """Q^-1 xi_1(s_k) Q, before deleting the first row and column."""
     q, qinv = build_Q(n, a, b)

@@ -9,9 +9,11 @@ from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     witness_check)
 from twinrep.chains import closed_chain_vector
 from twinrep.linalg import Matrix, Subspace
-from twinrep.reduction import ParameterError, eigvec_w, reduced_generators
+from twinrep.reduction import (ParameterError, _reduced_gen_rows, eigvec_w,
+                               reduced_generators)
 from twinrep.scalars import Scalar, ScalarError, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
+from helpers import eval_exact
 
 
 def test_cleared_poly_frozen_small_cases():
@@ -64,14 +66,14 @@ def test_clearing_identity_random_exact():
             one = Scalar.one()
             two = one + one
             factor = two * a * (one + a).pow(n - 4)
-            assert p.eval_exact(a).eq(factor * eval_P(n, a)), n
+            assert eval_exact(p, a).eq(factor * eval_P(n, a)), n
 
 
 def test_cleared_poly_nonzero_at_plus_minus_one():
     for n in range(4, 9):
         p = cleared_poly(n)
-        assert not p.eval_exact(ex(1)).is_zero()
-        assert not p.eval_exact(ex(-1)).is_zero()
+        assert not eval_exact(p, ex(1)).is_zero()
+        assert not eval_exact(p, ex(-1)).is_zero()
 
 
 def test_eval_P_frozen_value():
@@ -239,6 +241,23 @@ def test_witness_check_rejects_non_invariant():
                          for k in range(1, n - 2)]
                 w = Subspace(n - 1, vecs, _assume_independent=True)
                 assert not witness_check(gens, w), (n, r, delta)
+
+
+def test_witness_check_row_patches_match_dense():
+    # decide passes each image as the rows where it differs from the
+    # identity; that must answer as the dense images do, for line and
+    # hyperplane witnesses, at their own point (True) and at 2a (False)
+    cases = [(n, a, b) for n in (3, 4, 7, 12) for a, b in (
+        (ex(1), ex(2)), (ex(-1), ex(1, 1)), (fl(1.0), fl(1.0)),
+        (fl(-1.0), fl(2.0, -1.0)))]
+    cases += [(n, r, fl(1.0)) for n in (6, 11) for r in roots_of_P(n)]
+    cases += [(8, ex(0, 1), ex(3)), (12, ex(0, -1), ex(1))]
+    for n, a, b in cases:
+        w = decide(n, a, b).witness
+        for a2, want in ((a, True), (a + a, False)):
+            rows = [_reduced_gen_rows(n, a2, b, k) for k in range(1, n)]
+            assert witness_check(rows, w) is want, (n, a, a2)
+            assert witness_check(reduced_generators(n, a2, b), w) is want
 
 
 def test_verdict_reducible_property():
