@@ -12,6 +12,14 @@ denominators and yields an integer polynomial with a spurious root at t = 0
 roots are +-i tan(pi k/n) for 1 <= k < n/2.  The reduced representation is
 irreducible iff a is not +-1 and not a root of P; n = 3 has its own
 criterion a not in {+-1, +-i sqrt(3)}.
+
+An exact a = p/q, with p a Gaussian integer and q a positive integer, is
+decided on plain ints: P(a) = N/D with N = (q+p)^n - (q-p)^n, so a is a
+root iff N = 0, and |P(a)| is reported from correctly rounded int/int
+quotients.  By Niven's theorem (Irrational Numbers, 1956, Cor. 3.12)
+tan(pi k/n) is rational only at 0 and +-1, so the only exact roots are +-i,
+at 4 | n; the tests cross-check N = 0 against that.  A float a is decided
+by |P(a)| <= eps, with P evaluated by `eval_P`.
 """
 
 from __future__ import annotations
@@ -74,6 +82,46 @@ def eval_P(n, a):
     u = one - a
     return four * (one + a * a) + \
         u.pow(4) / (two * a) * (one - (u / (one + a)).pow(n - 4))
+
+
+def _exact_P(n, a):
+    """(|P(a)|, P(a) == 0) for an exact a off the poles 0 and -1, on plain
+    Gaussian integers.
+
+    With a = p/q, q the lcm of the two denominators, P(a) = N/D for
+    N = (q+p)^n - (q-p)^n and D = 2 p q^3 (q+p)^(n-4).  The parts of P are
+    Re(N conj D)/|D|^2 and Im(N conj D)/|D|^2, and an int/int true division
+    is correctly rounded, as `Fraction.__float__` is: |P| is the float
+    `eval_P(n, a).magnitude()` gives.  A part too large for a float makes
+    |P| too large as well, so it reads inf."""
+    def power(xr, xi, k):  # (xr + xi i)^k by repeated squaring
+        out_r, out_i = 1, 0
+        while True:
+            if k & 1:
+                out_r, out_i = out_r * xr - out_i * xi, out_r * xi + out_i * xr
+            k >>= 1
+            if not k:
+                return out_r, out_i
+            xr, xi = xr * xr - xi * xi, 2 * xr * xi
+
+    re, im = a.re, a.im
+    q = math.lcm(re.denominator, im.denominator)
+    pr = re.numerator * (q // re.denominator)
+    pi = im.numerator * (q // im.denominator)
+    hr, hi = power(q + pr, pi, n - 4)
+    fr, fi = power(q + pr, pi, 4)
+    br, bi = power(q - pr, -pi, n)
+    nr, ni = hr * fr - hi * fi - br, hr * fi + hi * fr - bi
+    if not (nr or ni):
+        return 0.0, True
+    c = 2 * q ** 3
+    dr, di = c * (pr * hr - pi * hi), c * (pr * hi + pi * hr)
+    d2 = dr * dr + di * di
+    try:
+        return math.hypot((nr * dr + ni * di) / d2,
+                          (ni * dr - nr * di) / d2), False
+    except OverflowError:
+        return math.inf, False
 
 
 def roots_of_P(n):
@@ -240,9 +288,13 @@ def decide(n, a, b):
         # Delta = -bn/2 != 0: no proper invariant subspace through e_1
         verdict = Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
     else:
-        p = eval_P(n, a)
-        diag = {"abs_P": p.magnitude()}
-        if p.is_zero():
+        if exact:
+            abs_p, root = _exact_P(n, a)
+        else:
+            p = eval_P(n, a)
+            abs_p, root = p.magnitude(), p.is_zero()
+        diag = {"abs_P": abs_p}
+        if root:
             # W = <w, v_1, ..., v_{n-3}> in standard coordinates (the chain
             # lives in basis B; transporting by P fixes the v_k and sends
             # e_1 to w).  Independent by construction: the top n-2 rows are

@@ -65,6 +65,8 @@ DEFAULT_CASES = [
                            "--b", EX("1/1"), "--emit-witness"]),
     ("decide_exact_t3", ["decide", "--n", "3", "--a", EX("2/1"),
                          "--b", EX("1/1")]),
+    ("decide_exact_huge_a", ["decide", "--n", "5",
+                             "--a", EX("%d/1" % 10 ** 200), "--b", EX("1/1")]),
     ("decide_float_t3_special", ["decide", "--n", "3",
                                  "--a", "0.0+%ri" % math.sqrt(3.0),
                                  "--b", "1.0+0.0i", "--emit-witness"]),

@@ -130,6 +130,15 @@ def test_sweep_csv():
     assert "Reducible,a=1" in lines[2]
 
 
+def test_sweep_exact_point_beyond_float_range():
+    # |P| overflows a float at a = 10^200: the row reads Irreducible/generic
+    code, out, _ = run(["sweep", "--n-min", "5", "--n-max", "8",
+                        "--b", EX("1/1"), "--a-list", EX("%d/1" % 10 ** 200)])
+    assert code == EXIT_OK
+    assert all(",Irreducible,generic," in line
+               for line in out.strip().splitlines()[1:])
+
+
 def test_sweep_grid_and_cap():
     code, out, _ = run(["sweep", "--n-min", "4", "--b", "1.0+0.0i",
                         "--re-min", "2.0", "--re-max", "3.0", "--re-steps", "3"])

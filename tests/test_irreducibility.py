@@ -223,6 +223,53 @@ def test_decide_rejects_non_finite_input(a, b):
         decide(6, a, b)
 
 
+def test_exact_decide_matches_eval_P_bit_for_bit():
+    # exact decide evaluates P on Gaussian integers; its |P| must be the
+    # float eval_P gives, and it must answer Reducible iff eval_P is 0.
+    # +-i at 4 | n > 24 is left out only because its witness is slow.
+    rng = rng_for(7007)
+    cases = [(n, ex(0, s)) for n in range(4, 61) for s in (1, -1)
+             if n % 4 or n <= 24]
+    cases += [(n, ex(0, 1 + Fraction(1, 10 ** 30))) for n in (4, 8, 17, 60)]
+    cases += [(n, ex(Fraction(1, 10 ** 200))) for n in (4, 9, 60)]
+    while len(cases) < 5000:
+        a = ex(Fraction(rng.randint(-90, 90), rng.randint(1, 40)),
+               Fraction(rng.randint(-90, 90), rng.randint(1, 40)))
+        if not (a.is_zero() or a.eq(ex(1)) or a.eq(ex(-1))):
+            cases.append((rng.randint(4, 60), a))
+    for n, a in cases:
+        v = decide(n, a, ex(1))
+        p = eval_P(n, a)
+        assert v.diagnostics["abs_P"].hex() == p.magnitude().hex(), (n, a)
+        assert v.reducible == p.is_zero(), (n, a)
+
+
+def test_exact_roots_are_plus_minus_i_by_niven():
+    # Niven (Irrational Numbers, 1956, Cor. 3.12): tan(pi k/n) is rational
+    # only at 0 and +-1, so the only Gaussian-rational roots i tan(pi k/n)
+    # of P are +-i, at 4 | n.  The points are every a = (p_re + p_im i)/q of
+    # height max(|p_re|, |p_im|, q) <= 12, in lowest terms.
+    h = 12
+    points = {(Fraction(pr, q), Fraction(pi, q)) for q in range(1, h + 1)
+              for pr in range(-h, h + 1) for pi in range(-h, h + 1)}
+    b = ex(1)
+    for re, im in points:
+        a = ex(re, im)
+        plus_minus_i = re == 0 and abs(im) == 1
+        for n in range(4, 41):
+            root = decide(n, a, b).reason == "root-of-P"
+            assert root == (plus_minus_i and n % 4 == 0), (n, a)
+
+
+def test_exact_decide_survives_abs_P_beyond_float_range():
+    # |P| beyond the float range reads inf, and the verdict stands
+    for n, a in ((5, ex(10 ** 200)), (8, ex(10 ** 200)),
+                 (5, ex(Fraction(1, 10 ** 400) - 1))):
+        v = decide(n, a, ex(1))
+        assert (v.status, v.reason) == (IRREDUCIBLE, "generic"), (n, a)
+        assert v.diagnostics["abs_P"] == math.inf
+
+
 def test_witness_check_rejects_non_invariant():
     gens = reduced_generators(4, ex(2), ex(1))
     bogus = Subspace(3, [Matrix.basis_vector(3, 2)])
