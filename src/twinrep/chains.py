@@ -17,16 +17,13 @@ from .reduction import ParameterError, _check_family1, build_S
 from .scalars import Scalar
 
 
-def _e(n, k, exact):
-    return Matrix.basis_vector(n, k, exact)
-
-
 def closed_chain_vector(n, a, b, k):
     """v_k = -b e_{k+1} + (1+a) e_{k+2} in C^(n-1)."""
     if not 1 <= k <= n - 3:
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
     one = Scalar.one(a.exact)
-    return _e(n - 1, k + 1, a.exact).scale(-b) + _e(n - 1, k + 2, a.exact).scale(one + a)
+    return (Matrix.basis_vector(n - 1, k + 1, a.exact).scale(-b)
+            + Matrix.basis_vector(n - 1, k + 2, a.exact).scale(one + a))
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,14 @@ def chain_vectors(n, a, b):
 
     In exact mode the result reproduces the closed form bit-exactly.
     """
-    _check_family1(a, b, forbid=(1, -1))
+    _check_family1(a, b, not_pm1=True)
     if n < 4:
         raise ParameterError("chain_vectors needs n >= 4")
     exact = a.exact
     one = Scalar.one(exact)
     two = one + one
     s2 = build_S(n, a, b, 2)
-    e1 = _e(n - 1, 1, exact)
+    e1 = Matrix.basis_vector(n - 1, 1, exact)
     f = s2 @ e1 - e1.scale((a * a + one) / two)
     s3 = build_S(n, a, b, 3)
     scale1 = (one - a).pow(n - 3) / (b.pow(n - 4) * (one + a).pow(2))
@@ -77,7 +74,7 @@ def closure_check(bundle):
     one = Scalar.one(exact)
     failures = []
     v = {k + 1: vec for k, vec in enumerate(bundle.v_chain)}
-    e1 = _e(n - 1, 1, exact)
+    e1 = Matrix.basis_vector(n - 1, 1, exact)
     s = {j: build_S(n, a, b, j) for j in range(1, n)}
 
     def check(name, got, want):
@@ -143,7 +140,7 @@ def delta_matrix(n, a, b):
     exact = a.exact
     s2 = build_S(n, a, b, 2)
     v1 = closed_chain_vector(n, a, b, 1)
-    cols = [s2 @ v1, _e(n - 1, 1, exact)]
+    cols = [s2 @ v1, Matrix.basis_vector(n - 1, 1, exact)]
     cols += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
     return Matrix.from_columns(cols)
 
@@ -158,7 +155,7 @@ def delta(n, a, b):
     a = 0 is its own branch (-b n / 2); otherwise
     -b/2 (1+a)^(n-4) [4(1+a^2) + (1-a)^4/(2a) (1 - ((1-a)/(1+a))^(n-4))].
     """
-    _check_family1(a, b, forbid=(1, -1))
+    _check_family1(a, b, not_pm1=True)
     if n < 4:
         raise ParameterError("delta needs n >= 4")
     exact = a.exact

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .scalars import (DEFAULT_EPS, ScalarError, Scalar, scalar_parse,
                       scalar_format, set_default_eps)
-from .linalg import Matrix
 from .reps import RepSpec, build_all_generators, build_generator, verify_relations
-from .reduction import basis_b_bundle, reduced_generators, reduction_bundle
+from .reduction import build_S, reduced_generators
 from .chains import delta as delta_closed, delta_direct
 from .irreducibility import (REDUCIBLE, cleared_poly, decide, roots_of_P,
                              root_residual)
@@ -101,13 +101,11 @@ def _cmd_reduce(args):
     a = _scalar_arg(args.a, args.backend)
     b = _scalar_arg(args.b, args.backend)
     if args.basis == "B":
-        bundle = basis_b_bundle(args.n, a, b)
-        gens = [{"index": j + 1, "matrix": m.to_json()}
-                for j, m in enumerate(bundle.S)]
+        # S_1 at least, so that build_S rejects n < 3 as it rejects a = +-1
+        mats = [build_S(args.n, a, b, j) for j in range(1, max(args.n, 2))]
     else:
-        bundle = reduction_bundle(args.n, a, b)
-        gens = [{"index": g.index, "matrix": g.matrix.to_json()}
-                for g in bundle.reduced_gens]
+        mats = [g.matrix for g in reduced_generators(args.n, a, b)]
+    gens = [{"index": j, "matrix": m.to_json()} for j, m in enumerate(mats, 1)]
     _emit({"n": args.n, "basis": args.basis, "generators": gens})
     return EXIT_OK
 
@@ -207,8 +205,11 @@ def _cmd_sweep(args):
             a_n = a if a.exact == b.exact else a.to_float()
             b_n = b if a_n.exact == b.exact else b.to_float()
             verdict = decide(n, a_n, b_n)
-            phat = ("%.6e" % abs(poly.eval_complex(a.to_complex()))
-                    if poly is not None else "")
+            phat = ""
+            if poly is not None:
+                # a is finite: a nan is inf * 0 after the Horner sum overflowed
+                p = abs(poly.eval_complex(a.to_complex()))
+                phat = "%.6e" % (math.inf if math.isnan(p) else p)
             row = "%d,%r,%r,%s,%s,%s" % (n, float(a.re), float(a.im),
                                          verdict.status, verdict.reason, phat)
             if args.with_oracle:

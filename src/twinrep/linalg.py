@@ -1,10 +1,10 @@
-"""Dense linear algebra over Scalar: products, inverse, determinant, rank, kernel.
+"""Dense linear algebra over Scalar: products, determinant, rank, kernel.
 
 Exact matrices are eliminated over the field of Gaussian rationals (first
 nonzero pivot); float matrices use partial pivoting, with zero decisions made
 against the one process-wide float tolerance, read at call time from
 `scalars.default_eps`.  `_eliminate` is the only elimination loop:
-determinant, rank, kernel, inverse and span pruning each make one call to it.
+determinant, rank, kernel and span pruning each make one call to it.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 """
@@ -18,12 +18,6 @@ from .scalars import BackendMismatchError, Scalar, default_eps
 
 class DimensionError(ValueError):
     pass
-
-
-class SingularMatrixError(ValueError):
-    def __init__(self, message, pivot_col=None):
-        super().__init__(message)
-        self.pivot_col = pivot_col
 
 
 class Matrix:
@@ -106,11 +100,6 @@ class Matrix:
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def to_float(self):
-        if not self.exact:
-            return self
-        return Matrix([[x.to_float() for x in row] for row in self.data])
-
     def __repr__(self):
         return "Matrix(%dx%d %s)" % (self.rows, self.cols, self.backend)
 
@@ -186,15 +175,6 @@ class Matrix:
         return {"rows": self.rows, "cols": self.cols, "backend": self.backend,
                 "data": [[x.to_json() for x in row] for row in self.data]}
 
-    @classmethod
-    def from_json(cls, obj):
-        m = cls([[Scalar.from_json(x) for x in row] for row in obj["data"]])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise DimensionError("JSON rows/cols disagree with data")
-        if m.backend != obj["backend"]:
-            raise BackendMismatchError("JSON backend tag disagrees with data")
-        return m
-
 
 class EliminationResult(NamedTuple):
     """Echelon data shared by det/rank/kernel: rows, pivot columns, sign."""
@@ -249,23 +229,6 @@ def mat_det(a):
     if res.sign < 0:
         det = -det
     return det
-
-
-def mat_inverse(a):
-    """Inverse read off the reduced echelon form of (A | I); raises
-    SingularMatrixError naming the first column of A without a pivot."""
-    if a.rows != a.cols:
-        raise DimensionError("inverse of non-square matrix")
-    n = a.rows
-    aug = Matrix([row + idrow for row, idrow in
-                  zip(a.data, Matrix.identity(n, a.exact).data)])
-    rref, pivot_cols = _rref(aug)
-    # pivot columns increase, so the first one out of place names the gap
-    missing = next((c for c, p in enumerate(pivot_cols) if c != p), n)
-    if missing < n:
-        raise SingularMatrixError("singular matrix: no pivot in column %d"
-                                  % missing, pivot_col=missing)
-    return Matrix([row[n:] for row in rref])
 
 
 def mat_rank(a):

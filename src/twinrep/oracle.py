@@ -9,11 +9,12 @@ Two detectors validate every verdict the decision procedure produces:
   satisfies gV <= V for every generator g, so it holds every word and is the
   whole algebra; the loop stops as soon as dim V = d^2.  The kernel works on
   plain numbers (`complex`, or `(Fraction, Fraction)` pairs) with
-  forward-only elimination and builds `Matrix` objects only for the returned
-  basis.  Float mode calls a candidate dependent when its residual is at
-  most eps times the candidate's own largest entry.  Rank over the exact
-  Gaussian-rational subfield equals rank over C, so exact-mode answers are
-  valid verdicts over C.
+  forward-only elimination, and returns each accepted element as the word
+  of generator indices that produced it, not as a matrix.  Float mode calls
+  a candidate dependent when its residual is at most eps times the
+  candidate's own largest entry.  Rank over the exact Gaussian-rational
+  subfield equals rank over C, so exact-mode answers are valid verdicts
+  over C.
 * Common eigenline enumeration for involutions: every one-dimensional
   invariant subspace of a family of involutions is a common +-1 eigenvector.
   Each generator splits every candidate subspace, held as a basis matrix K,
@@ -48,7 +49,7 @@ def _unwrap(images):
 @dataclass
 class ClosureResult:
     dim: int
-    basis: list  # matrices spanning the generated algebra
+    words: list  # generator-index tuples spanning the algebra; () is I
     rank_gap: float  # float mode: min accepted / max rejected relative residual
 
 
@@ -106,11 +107,6 @@ class _FloatSpan:
         row[pivot] = 1.0
         self.rows.append((pivot, row))
         return True
-
-    @staticmethod
-    def to_matrix(v, d):
-        return Matrix([[Scalar.from_complex(z) for z in v[i:i + d]]
-                       for i in range(0, d * d, d)])
 
     @property
     def gap(self):
@@ -185,20 +181,16 @@ class _ExactSpan:
                                        if (xr or xi) and j != pivot]))
         return True
 
-    @staticmethod
-    def to_matrix(v, d):
-        return Matrix([[Scalar.from_rational(xr, xi) for xr, xi in v[i:i + d]]
-                       for i in range(0, d * d, d)])
-
 
 def algebra_closure(images):
-    """Basis of the unital algebra generated by the images.
+    """Dimension and basis, as words, of the unital algebra the images generate.
 
     Left-only closure: the identity is the first basis element, and every
     accepted element v enqueues g @ v for each generator g, so at most
     1 + len(images) * d^2 candidates are tested.  The accepted span holds I
     and is mapped into itself by every generator, hence holds every word;
-    the loop stops early once it reaches d^2.  Exact mode tests dependence
+    the loop stops early once it reaches d^2.  Word () is I, and accepting
+    images[k] @ v records (k,) + word(v).  Exact mode tests dependence
     exactly and reports an infinite rank_gap.  Float mode rejects a candidate
     whose residual after elimination is at most eps times the candidate's
     largest entry; rank_gap is the smallest accepted relative residual over
@@ -210,20 +202,17 @@ def algebra_closure(images):
              for row in span.lift(m)] for m in mats]
     ident = span.lift(Matrix.identity(d, mats[0].exact))
     span.insert([x for row in ident for x in row])
+    words = [()]
     i = 0
-    while i < len(span.rows) < full:
+    while i < len(words) < full:
         v = span.rows[i][1]
-        for g in gens:
-            span.insert(span.left_mul(g, v, d))
-            if len(span.rows) == full:
-                break
+        for k, g in enumerate(gens):
+            if span.insert(span.left_mul(g, v, d)):
+                words.append((k,) + words[i])
+                if len(words) == full:
+                    break
         i += 1
-    basis = [span.to_matrix(row[1], d) for row in span.rows]
-    return ClosureResult(len(basis), basis, span.gap)
-
-
-def algebra_dimension(images):
-    return algebra_closure(images).dim
+    return ClosureResult(len(words), words, span.gap)
 
 
 def _normalized_direction(v):

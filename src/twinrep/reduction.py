@@ -12,8 +12,6 @@ updates (Sherman-Morrison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Matrix
 from .reps import GeneratorImage, RepSpec, build_block
 from .scalars import Scalar
@@ -23,16 +21,18 @@ class ParameterError(ValueError):
     pass
 
 
-def _check_family1(a, b, forbid=()):
+def _check_family1(a, b, not_pm1=False):
+    """Reject mixed backends and b = 0, and a = +-1 when `not_pm1` is set."""
     if a.exact != b.exact:
         raise ParameterError("a and b must share a backend")
     if b.is_zero():
         raise ParameterError("b must be nonzero")
-    one = Scalar.one(a.exact)
-    if 1 in forbid and a.eq(one):
-        raise ParameterError("a = 1 is not allowed here")
-    if -1 in forbid and a.eq(-one):
-        raise ParameterError("a = -1 is not allowed here")
+    if not_pm1:
+        one = Scalar.one(a.exact)
+        if a.eq(one):
+            raise ParameterError("a = 1 is not allowed here")
+        if a.eq(-one):
+            raise ParameterError("a = -1 is not allowed here")
 
 
 def invariant_vector(n, a, b):
@@ -91,7 +91,11 @@ def _reduced_gen_rows(n, a, b, k):
 
 
 def reduced_generators(n, a, b):
-    """All n-1 reduced generator images, as GeneratorImage records."""
+    """All n-1 reduced generator images, as GeneratorImage records (none at
+    n = 1)."""
+    _check_family1(a, b)
+    if n < 1:
+        raise ParameterError("reduced_generators needs n >= 1")
     return [GeneratorImage(k, build_reduced_gen(n, a, b, k))
             for k in range(1, n)]
 
@@ -99,7 +103,7 @@ def reduced_generators(n, a, b):
 def eigvec_w(n, a, b):
     """The -1 eigenvector of the reduced s_1 image (n >= 3, a not in {1,-1}):
     w_1 = 2 b^(n-2) / (1-a)^(n-1), w_j = (b/(1-a))^(n-j-1) for j >= 2."""
-    _check_family1(a, b, forbid=(1, -1))
+    _check_family1(a, b, not_pm1=True)
     if n < 3:
         raise ParameterError("eigvec_w needs n >= 3")
     one = Scalar.one(a.exact)
@@ -136,7 +140,9 @@ def build_S(n, a, b, j):
     image of s_j times P (asserted in the test suite, bit-exactly in exact
     mode).
     """
-    _check_family1(a, b, forbid=(1, -1))
+    _check_family1(a, b, not_pm1=True)
+    if n < 3:
+        raise ParameterError("build_S needs n >= 3")
     if not 1 <= j <= n - 1:
         raise ParameterError("generator index %d out of range for n=%d" % (j, n))
     exact = a.exact
@@ -161,38 +167,3 @@ def build_S(n, a, b, j):
         data[row - 1][0] = p * b.pow(n - row - 1) / (two * u.pow(n - row - 2))
         data[row - 1][1] = -u.pow(row) / (two * b.pow(row - 2))
     return Matrix(data)
-
-
-@dataclass(frozen=True)
-class ReductionBundle:
-    n: int
-    a: Scalar
-    b: Scalar
-    v: Matrix
-    Q: Matrix
-    Qinv: Matrix
-    reduced_gens: tuple
-
-
-@dataclass(frozen=True)
-class BasisBBundle:
-    n: int
-    a: Scalar
-    b: Scalar
-    w: Matrix
-    P: Matrix
-    Pinv: Matrix
-    S: tuple  # S_1 ... S_{n-1}
-
-
-def reduction_bundle(n, a, b):
-    q, qinv = build_Q(n, a, b)
-    return ReductionBundle(n, a, b, invariant_vector(n, a, b), q, qinv,
-                           tuple(reduced_generators(n, a, b)))
-
-
-def basis_b_bundle(n, a, b):
-    p, pinv = build_P(n, a, b)
-    return BasisBBundle(n, a, b, eigvec_w(n, a, b), p, pinv,
-                        tuple(build_S(n, a, b, j) for j in range(1, n)))
-

@@ -70,10 +70,6 @@ class Scalar:
         return cls(float(re), float(im), False)
 
     @classmethod
-    def from_complex(cls, z):
-        return cls(float(z.real), float(z.imag), False)
-
-    @classmethod
     def zero(cls, exact=True):
         return cls.from_rational(0) if exact else cls.from_float(0.0)
 
@@ -148,8 +144,6 @@ class Scalar:
             k >>= 1
         return out
 
-    __pow__ = pow
-
     # -- predicates ---------------------------------------------------
 
     def magnitude(self):
@@ -187,14 +181,6 @@ class Scalar:
             return {"re": [str(self.re.numerator), str(self.re.denominator)],
                     "im": [str(self.im.numerator), str(self.im.denominator)]}
         return {"re": self.re, "im": self.im}
-
-    @classmethod
-    def from_json(cls, obj):
-        re_, im_ = obj["re"], obj["im"]
-        if isinstance(re_, list):
-            return cls.from_rational(Fraction(int(re_[0]), int(re_[1])),
-                                     Fraction(int(im_[0]), int(im_[1])))
-        return cls.from_float(re_, im_)
 
 
 _EXACT_RE = re.compile(

@@ -3,11 +3,13 @@ and thin wrappers over package internals, kept here because nothing in the
 package calls them.
 """
 
-from twinrep.linalg import Matrix
-from twinrep.oracle import _unwrap, algebra_dimension
+from fractions import Fraction
+
+from twinrep.linalg import DimensionError, Matrix, _rref
+from twinrep.oracle import _unwrap, algebra_closure
 from twinrep.reduction import build_Q
 from twinrep.reps import RepSpec, build_generator
-from twinrep.scalars import Scalar
+from twinrep.scalars import BackendMismatchError, Scalar
 
 
 def s2v1_closed(n, a, b):
@@ -72,4 +74,61 @@ def conjugated_full_gen(n, a, b, k):
 def is_irreducible_oracle(images):
     """Burnside: irreducible iff the generated algebra is all of d x d."""
     mats, d = _unwrap(images)
-    return algebra_dimension(mats) == d * d
+    return algebra_closure(mats).dim == d * d
+
+
+def word_matrix(images, word):
+    """images[k1] @ ... @ images[km] for word (k1, ..., km); I for ()."""
+    mats, d = _unwrap(images)
+    out = Matrix.identity(d, mats[0].exact)
+    for k in reversed(word):
+        out = mats[k] @ out
+    return out
+
+
+class SingularMatrixError(ValueError):
+    def __init__(self, message, pivot_col=None):
+        super().__init__(message)
+        self.pivot_col = pivot_col
+
+
+def mat_inverse(a):
+    """Inverse read off the reduced echelon form of (A | I); raises
+    SingularMatrixError naming the first column of A without a pivot.  The
+    reference for the closed-form Sherman-Morrison inverses of Q and P."""
+    if a.rows != a.cols:
+        raise DimensionError("inverse of non-square matrix")
+    n = a.rows
+    aug = Matrix([row + idrow for row, idrow in
+                  zip(a.data, Matrix.identity(n, a.exact).data)])
+    rref, pivot_cols = _rref(aug)
+    # pivot columns increase, so the first one out of place names the gap
+    missing = next((c for c, p in enumerate(pivot_cols) if c != p), n)
+    if missing < n:
+        raise SingularMatrixError("singular matrix: no pivot in column %d"
+                                  % missing, pivot_col=missing)
+    return Matrix([row[n:] for row in rref])
+
+
+def from_complex(z):
+    """Float scalar from a Python complex."""
+    return Scalar.from_float(z.real, z.imag)
+
+
+def scalar_from_json(obj):
+    """Inverse of `Scalar.to_json`."""
+    re_, im_ = obj["re"], obj["im"]
+    if isinstance(re_, list):
+        return Scalar.from_rational(Fraction(int(re_[0]), int(re_[1])),
+                                    Fraction(int(im_[0]), int(im_[1])))
+    return Scalar.from_float(re_, im_)
+
+
+def matrix_from_json(obj):
+    """Inverse of `Matrix.to_json`; checks the shape and backend tags."""
+    m = Matrix([[scalar_from_json(x) for x in row] for row in obj["data"]])
+    if m.rows != obj["rows"] or m.cols != obj["cols"]:
+        raise DimensionError("JSON rows/cols disagree with data")
+    if m.backend != obj["backend"]:
+        raise BackendMismatchError("JSON backend tag disagrees with data")
+    return m

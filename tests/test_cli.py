@@ -6,7 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from twinrep.cli import EXIT_ERROR, EXIT_OK, EXIT_REDUCIBLE, main
-from twinrep.linalg import Matrix
+from helpers import matrix_from_json
 
 EX = lambda v: "%s+0/1*i" % v  # exact literal shorthand for the tests
 
@@ -25,10 +25,10 @@ def test_gen_json_round_trip_bit_exact():
                         "--a", EX("2/3"), "--b", EX("1/1"), "--k", "2"])
     assert code == EXIT_OK
     obj = json.loads(out)
-    m = Matrix.from_json(obj["matrix"])
+    m = matrix_from_json(obj["matrix"])
     code2, out2, _ = run(["gen", "--family", "1", "--n", "4",
                           "--a", EX("2/3"), "--b", EX("1/1"), "--k", "2"])
-    m2 = Matrix.from_json(json.loads(out2)["matrix"])
+    m2 = matrix_from_json(json.loads(out2)["matrix"])
     assert all(x.re == y.re and x.im == y.im
                for r1, r2 in zip(m.data, m2.data) for x, y in zip(r1, r2))
     assert obj["index"] == 2 and m.rows == 4
@@ -66,7 +66,7 @@ def test_decide_emit_witness():
     assert code == EXIT_REDUCIBLE
     obj = json.loads(out)
     assert len(obj["witness"]) == 1
-    assert Matrix.from_json(obj["witness"][0]).rows == 4
+    assert matrix_from_json(obj["witness"][0]).rows == 4
 
 
 def test_decide_float_backend():
@@ -104,7 +104,29 @@ def test_reduce_both_bases():
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["basis"] == basis and len(obj["generators"]) == 3
-        assert Matrix.from_json(obj["generators"][0]["matrix"]).rows == 3
+        assert matrix_from_json(obj["generators"][0]["matrix"]).rows == 3
+
+
+def test_reduce_rejects_what_the_reduction_rejects():
+    # std: the reduced representation exists from n = 1 (with no generator);
+    # B: the eigenbasis needs w, so n >= 3 and a != +-1
+    def code(n, basis, a="2/1"):
+        return run(["reduce", "--n", str(n), "--a=" + EX(a), "--b", EX("1/1"),
+                    "--basis", basis])[0]
+    assert [code(n, "std") for n in (0, 1, 2)] == [EXIT_ERROR, EXIT_OK, EXIT_OK]
+    assert [code(n, "B") for n in (0, 1, 2, 3)] == [EXIT_ERROR] * 3 + [EXIT_OK]
+    assert code(4, "B", "1/1") == code(4, "B", "-1/1") == EXIT_ERROR
+    code_b0, _, err = run(["reduce", "--n", "1", "--a", EX("2/1"),
+                           "--b", EX("0/1")])
+    assert code_b0 == EXIT_ERROR and "b must be nonzero" in err
+
+
+def test_reduce_basis_b_does_not_need_w():
+    # w_1 divides by (1-a)^(n-1) = -1e-10, which the float zero test calls 0;
+    # no S_j divides by it, so the S matrices are emitted
+    code, out, _ = run(["reduce", "--n", "6", "--a", "1.01+0.0i",
+                        "--b", "1.0+0.0i", "--basis", "B"])
+    assert code == EXIT_OK and len(json.loads(out)["generators"]) == 5
 
 
 def test_oracle_reduced_and_full():
@@ -135,8 +157,11 @@ def test_sweep_exact_point_beyond_float_range():
     code, out, _ = run(["sweep", "--n-min", "5", "--n-max", "8",
                         "--b", EX("1/1"), "--a-list", EX("%d/1" % 10 ** 200)])
     assert code == EXIT_OK
-    assert all(",Irreducible,generic," in line
-               for line in out.strip().splitlines()[1:])
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(",Irreducible,generic," in line for line in rows)
+    # the overflowing Horner sum used to print nan for n = 5..8
+    assert all(line.rsplit(",", 1)[1] == "inf" for line in rows)
 
 
 def test_sweep_grid_and_cap():

@@ -13,7 +13,7 @@ from twinrep.reduction import (ParameterError, _reduced_gen_rows, eigvec_w,
                                reduced_generators)
 from twinrep.scalars import Scalar, ScalarError, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import eval_exact
+from helpers import eval_exact, from_complex
 
 
 def test_cleared_poly_frozen_small_cases():
@@ -188,7 +188,7 @@ def test_decide_near_root_never_fails_its_witness():
         for r in roots_of_P(n):
             for delta in (1e-9, 1e-11):
                 for k in range(4):
-                    a = r * Scalar.from_complex(
+                    a = r * from_complex(
                         1 + delta * cmath.exp(0.5j * math.pi * k + 0.3j))
                     v = decide(n, a, fl(1.0))
                     if v.reducible:

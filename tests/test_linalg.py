@@ -1,10 +1,11 @@
 import pytest
 
-from twinrep.linalg import (DimensionError, Matrix, SingularMatrixError,
-                            Subspace, kernel, mat_det, mat_inverse, mat_rank)
+from twinrep.linalg import (DimensionError, Matrix, Subspace, kernel, mat_det,
+                            mat_rank)
 from twinrep.scalars import BackendMismatchError, Scalar, ex, fl
 from conftest import rand_exact, rng_for
-from helpers import delete_row_col, is_identity, zeros
+from helpers import (SingularMatrixError, delete_row_col, is_identity,
+                     mat_inverse, matrix_from_json, zeros)
 
 
 def rand_matrix(rng, rows, cols):
@@ -141,7 +142,7 @@ def test_subspace_contains():
 def test_matrix_json_round_trip_bit_exact():
     rng = rng_for(205)
     m = rand_matrix(rng, 3, 3)
-    again = Matrix.from_json(m.to_json())
+    again = matrix_from_json(m.to_json())
     assert again.eq(m)
     assert all(x.re == y.re and x.im == y.im
                for r1, r2 in zip(m.data, again.data)

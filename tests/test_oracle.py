@@ -4,29 +4,29 @@ import pytest
 
 from twinrep.irreducibility import decide, witness_check
 from twinrep.linalg import Matrix, mat_rank
-from twinrep.oracle import algebra_closure, algebra_dimension, common_eigenlines
+from twinrep.oracle import algebra_closure, common_eigenlines
 from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
-from helpers import is_irreducible_oracle
+from helpers import is_irreducible_oracle, word_matrix
 
 
 def test_identity_alone_gives_dimension_one():
-    assert algebra_dimension([Matrix.identity(2)]) == 1
+    assert algebra_closure([Matrix.identity(2)]).dim == 1
 
 
 def test_generators_of_full_matrix_algebra():
     # the permutation and a projector generate all of 2x2
     swap = Matrix([[ex(0), ex(1)], [ex(1), ex(0)]])
     proj = Matrix([[ex(1), ex(0)], [ex(0), ex(0)]])
-    assert algebra_dimension([swap, proj]) == 4
+    assert algebra_closure([swap, proj]).dim == 4
     assert is_irreducible_oracle([swap, proj])
 
 
 def test_diagonal_algebra_is_reducible():
     d1 = Matrix([[ex(1), ex(0)], [ex(0), ex(-1)]])
-    assert algebra_dimension([d1]) == 2
+    assert algebra_closure([d1]).dim == 2
     assert not is_irreducible_oracle([d1])
 
 
@@ -36,11 +36,11 @@ def test_oracle_matches_decision_on_reduced_reps():
         a, b = rand_family1_params(rng, avoid=(0, 1, -1))
         gens = reduced_generators(n, a, b)
         d = n - 1
-        assert algebra_dimension(gens) == d * d, n  # generic: irreducible
+        assert algebra_closure(gens).dim == d * d, n  # generic: irreducible
     for n in (3, 4, 5):
         gens = reduced_generators(n, ex(-1), ex(2))
         d = n - 1
-        assert algebra_dimension(gens) < d * d, n  # a = -1: reducible
+        assert algebra_closure(gens).dim < d * d, n  # a = -1: reducible
 
 
 def test_closure_float_gap_is_exposed():
@@ -52,15 +52,19 @@ def test_closure_float_gap_is_exposed():
 
 def test_closure_exact_and_float_agree():
     for a_val in (-1, 3):
-        exact = algebra_dimension(reduced_generators(4, ex(a_val), ex(2)))
-        flt = algebra_dimension(reduced_generators(4, fl(float(a_val)), fl(2.0)))
+        exact = algebra_closure(reduced_generators(4, ex(a_val), ex(2))).dim
+        flt = algebra_closure(
+            reduced_generators(4, fl(float(a_val)), fl(2.0))).dim
         assert exact == flt
 
 
 def test_closure_basis_spans_algebra():
     gens = reduced_generators(3, ex(2), ex(1))
     res = algebra_closure(gens)
-    assert len(res.basis) == res.dim
+    assert len(res.words) == res.dim
+    assert res.words[0] == ()  # the identity comes first
+    basis = [word_matrix(gens, w) for w in res.words]
+    assert mat_rank(Matrix([_flat(m) for m in basis])) == res.dim
     assert res.rank_gap == math.inf  # exact mode has no borderline pivots
 
 
@@ -97,14 +101,16 @@ def _flat(m):
 def test_closure_basis_is_two_sided_algebra(n, a, b, dim):
     gens = [g.matrix for g in reduced_generators(n, a, b)]
     res = algebra_closure(gens)
-    assert res.dim == len(res.basis) == dim
-    assert mat_rank(Matrix([_flat(m) for m in res.basis])) == dim
+    assert res.dim == len(res.words) == dim
+    # the words, multiplied out exactly, are the accepted basis
+    basis = [word_matrix(gens, w) for w in res.words]
+    assert mat_rank(Matrix([_flat(m) for m in basis])) == dim
     # I and every product with a generator, on either side, stay in the span
     extra = [Matrix.identity(n - 1)]
     for g in gens:
-        for m in res.basis:
+        for m in basis:
             extra += [g @ m, m @ g]
-    stacked = Matrix([_flat(m) for m in res.basis + extra])
+    stacked = Matrix([_flat(m) for m in basis + extra])
     assert mat_rank(stacked) == dim
 
 
@@ -173,4 +179,5 @@ def test_common_eigenlines_dedups():
 
 def test_unwrap_accepts_generator_images():
     gens = reduced_generators(3, ex(2), ex(1))
-    assert algebra_dimension(gens) == algebra_dimension([g.matrix for g in gens])
+    assert (algebra_closure(gens).dim
+            == algebra_closure([g.matrix for g in gens]).dim)

@@ -1,14 +1,14 @@
 import pytest
 
-from twinrep.linalg import Matrix, mat_inverse
-from twinrep.reduction import (ParameterError, basis_b_bundle, build_P,
-                               build_Q, build_S, build_reduced_gen,
-                               eigvec_w, invariant_vector,
-                               reduced_generators, reduction_bundle)
+from twinrep.linalg import Matrix
+from twinrep.reduction import (ParameterError, build_P, build_Q, build_S,
+                               build_reduced_gen, eigvec_w, invariant_vector,
+                               reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import Scalar, ex, fl
 from conftest import rand_family1_params, rng_for
-from helpers import conjugated_full_gen, delete_row_col, is_identity
+from helpers import (conjugated_full_gen, delete_row_col, is_identity,
+                     mat_inverse)
 
 
 def test_invariant_vector_fixed_by_all_generators():
@@ -131,14 +131,12 @@ def test_parameter_errors():
         build_reduced_gen(4, ex(2), ex(1), 4)  # index out of range
     with pytest.raises(ParameterError):
         invariant_vector(4, ex(2), fl(1.0))  # mixed backends
-
-
-def test_bundles():
-    rb = reduction_bundle(4, ex(2), ex(1))
-    assert rb.Q.rows == 4 and len(rb.reduced_gens) == 3
-    assert is_identity(rb.Q @ rb.Qinv)
-    bb = basis_b_bundle(5, ex(2), ex(1))
-    assert len(bb.S) == 4 and is_identity(bb.P @ bb.Pinv)
+    with pytest.raises(ParameterError):
+        reduced_generators(0, ex(2), ex(1))  # needs n >= 1
+    with pytest.raises(ParameterError):
+        reduced_generators(1, ex(2), ex(0))  # b = 0, even with no generator
+    with pytest.raises(ParameterError):
+        build_S(2, ex(2), ex(1), 1)  # needs n >= 3, as w does
 
 
 def test_float_backend_reduction():

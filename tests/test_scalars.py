@@ -10,6 +10,7 @@ from twinrep.scalars import (DEFAULT_EPS, BackendMismatchError, Scalar,
                              ScalarError, default_eps, ex, fl, scalar_format,
                              scalar_parse, set_default_eps)
 from conftest import rand_exact, rng_for
+from helpers import scalar_from_json
 
 
 def test_field_axioms_exact():
@@ -77,7 +78,6 @@ def test_pow_including_negative():
     assert x.pow(0).eq(Scalar.one())
     assert x.pow(3).eq(x * x * x)
     assert (x.pow(-2) * x.pow(2)).eq(Scalar.one())
-    assert (x ** 2).eq(x * x)
 
 
 def test_float_eq_is_relative():
@@ -129,9 +129,9 @@ def test_set_default_eps():
 
 def test_json_round_trip():
     x = ex(Fraction(-7, 3), Fraction(1, 2))
-    assert Scalar.from_json(x.to_json()).eq(x)
+    assert scalar_from_json(x.to_json()).eq(x)
     y = fl(0.25, -3.5)
-    z = Scalar.from_json(y.to_json())
+    z = scalar_from_json(y.to_json())
     assert z.re == y.re and z.im == y.im and not z.exact
 
 
