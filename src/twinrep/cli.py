@@ -45,13 +45,11 @@ def _spec_from_args(args, backend=None):
             raise ScalarError("family 1 needs --a and --b")
         kwargs["a"] = _scalar_arg(args.a, backend)
         kwargs["b"] = _scalar_arg(args.b, backend)
-    elif args.family == 2:
-        if args.c is not None:
-            kwargs["c"] = _scalar_arg(args.c, backend)
-        kwargs["sign"] = args.sign
-        if backend == "float":
-            kwargs["exact"] = False
     else:
+        if args.family == 2:
+            if args.c is not None:
+                kwargs["c"] = _scalar_arg(args.c, backend)
+            kwargs["sign"] = args.sign
         if backend == "float":
             kwargs["exact"] = False
     return RepSpec(**kwargs)

@@ -232,6 +232,10 @@ def _line(v):
     return Subspace(v.rows, [v], _assume_independent=True)
 
 
+# (1, -1) on each backend, keyed by `exact`: decide compares every a to both
+_ONE_MINUS_ONE = {e: (Scalar.one(e), -Scalar.one(e)) for e in (True, False)}
+
+
 def _t3_special_points():
     s3 = math.sqrt(3.0)
     return [Scalar.from_float(0.0, s3), Scalar.from_float(0.0, -s3)]
@@ -239,14 +243,14 @@ def _t3_special_points():
 
 def _decide_t3(a, b):
     exact = a.exact
-    one = Scalar.one(exact)
+    one, minus_one = _ONE_MINUS_ONE[exact]
     if a.eq(one):
         # the eigenbasis {v_1, v_2} degenerates at a = 1; the invariant line
         # there is <e_1> (the s_1 image fixes it and the block fixes e_1)
         return Verdict(REDUCIBLE, "a=1",
                        _line(Matrix.basis_vector(2, 1, exact)))
     reason = None
-    if a.eq(-one):
+    if a.eq(minus_one):
         reason = "a=-1"
     elif not exact:
         if any(a.eq(s) for s in _t3_special_points()):
@@ -273,13 +277,13 @@ def decide(n, a, b):
     require_finite(b)
     _check_family1(a, b)
     exact = a.exact
-    one = Scalar.one(exact)
+    one, minus_one = _ONE_MINUS_ONE[exact]
     if n == 3:
         verdict = _decide_t3(a, b)
     elif a.eq(one):
         verdict = Verdict(REDUCIBLE, "a=1",
                           _line(Matrix.basis_vector(n - 1, 1, exact)))
-    elif a.eq(-one):
+    elif a.eq(minus_one):
         two = one + one
         entries = [(b / two).pow(n - 1 - k) for k in range(1, n)]
         verdict = Verdict(REDUCIBLE, "a=-1",

@@ -8,13 +8,14 @@ Two detectors validate every verdict the decision procedure produces:
   left by every generator.  The accepted span V then contains I and
   satisfies gV <= V for every generator g, so it holds every word and is the
   whole algebra; the loop stops as soon as dim V = d^2.  The kernel works on
-  plain numbers (`complex`, or `(Fraction, Fraction)` pairs) with
-  forward-only elimination, and returns each accepted element as the word
-  of generator indices that produced it, not as a matrix.  Float mode calls
-  a candidate dependent when its residual is at most eps times the
-  candidate's own largest entry.  Rank over the exact Gaussian-rational
-  subfield equals rank over C, so exact-mode answers are valid verdicts
-  over C.
+  plain numbers with forward-only elimination, and returns each accepted
+  element as the word of generator indices that produced it, not as a
+  matrix.  Float mode works on `complex` and calls a candidate dependent
+  when its residual is at most eps times the candidate's own largest entry.
+  Exact mode works on ints mod a prime p = 1 (mod 4), with i sent to a
+  square root of -1 mod p, as the MeatAxe does (R. A. Parker 1984; D. F.
+  Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994).  Its dimension is
+  never above the one over C, so d^2 certifies irreducibility.
 * Common eigenline enumeration for involutions: every one-dimensional
   invariant subspace of a family of involutions is a common +-1 eigenvector.
   Each generator splits every candidate subspace, held as a basis matrix K,
@@ -27,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import DimensionError, Matrix, Subspace, kernel
 from .scalars import Scalar, default_eps
@@ -61,8 +61,6 @@ class _FloatSpan:
     rows are scaled so their largest entry, the pivot, is 1, and are never
     rewritten."""
 
-    zero = 0j
-
     def __init__(self):
         self.eps = default_eps()
         self.rows = []  # (pivot index, row)
@@ -74,18 +72,6 @@ class _FloatSpan:
         out = [[complex(x.re, x.im) for x in row] for row in m.data]
         if not all(cmath.isfinite(z) for row in out for z in row):
             raise ValueError("algebra closure needs finite matrix entries")
-        return out
-
-    @staticmethod
-    def left_mul(g, v, d):
-        """Flattened g @ V, with g given as its nonzero (column, entry)
-        terms per row."""
-        out = []
-        for terms in g:
-            acc = [0j] * d
-            for k, c in terms:
-                acc = [s + c * x for s, x in zip(acc, v[k * d:k * d + d])]
-            out += acc
         return out
 
     def insert(self, v):
@@ -108,78 +94,77 @@ class _FloatSpan:
         self.rows.append((pivot, row))
         return True
 
-    @property
-    def gap(self):
-        if self.max_rej == 0.0:
-            return math.inf
-        return self.min_acc / self.max_rej
+
+# p = 1 (mod 4) with a square root of -1 mod p: the largest such prime
+# below 2^61, then the next one down
+_PRIMES = ((2305843009213693921, 583529827753931384),
+           (2305843009213693693, 966685122347009555))
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+class _ModSpan:
+    """Forward-only row echelon over F_p of flattened Gaussian-rational
+    matrices, i sent to `root`.  A candidate is dependent iff it reduces to
+    exactly 0 mod p; stored rows have pivot 1 and are never rewritten."""
 
+    def __init__(self, p, root):
+        self.p, self.root = p, root
+        self.rows = []  # (pivot index, dense row, off-pivot (index, entry))
 
-class _ExactSpan:
-    """Forward-only row echelon over flattened Gaussian-rational matrices,
-    entries as (re, im) Fraction pairs.  A candidate is dependent iff it
-    reduces to exactly zero; stored rows have pivot 1 and are never
-    rewritten."""
-
-    zero = (_ZERO, _ZERO)
-    gap = math.inf
-
-    def __init__(self):
-        self.rows = []  # (pivot index, dense row, off-pivot (index, re, im))
-
-    @staticmethod
-    def lift(m):
-        return [[(x.re, x.im) for x in row] for row in m.data]
-
-    @staticmethod
-    def left_mul(g, v, d):
-        # the generator images are mostly identity rows, and products by
-        # zero or one are skipped because every Fraction op costs a gcd
-        out = []
-        for terms in g:
-            acc = None
-            for k, (cr, ci) in terms:
-                seg = v[k * d:k * d + d]
-                if ci:
-                    seg = [(cr * xr - ci * xi, cr * xi + ci * xr)
-                           if xr or xi else (xr, xi) for xr, xi in seg]
-                elif cr != 1:
-                    seg = [(cr * xr, cr * xi) for xr, xi in seg]
-                acc = seg if acc is None else [
-                    (sr + xr, si + xi) for (sr, si), (xr, xi) in zip(acc, seg)]
-            out += acc or [(_ZERO, _ZERO)] * d
-        return out
+    def lift(self, m):
+        p = self.p  # pow raises ValueError if p divides a denominator
+        mod = lambda x: x.numerator * pow(x.denominator, -1, p)
+        return [[(mod(x.re) + self.root * mod(x.im)) % p for x in row]
+                for row in m.data]
 
     def insert(self, v):
-        v = list(v)
-        for p, _, nonzero in self.rows:
-            fr, fi = v[p]
-            if fr or fi:
-                v[p] = (_ZERO, _ZERO)
-                for j, yr, yi in nonzero:
-                    xr, xi = v[j]
-                    if yi:
-                        v[j] = (xr - (fr * yr - fi * yi),
-                                xi - (fr * yi + fi * yr))
-                    else:
-                        v[j] = (xr - fr * yr, xi - fi * yr)
-        pivot = next((j for j, (xr, xi) in enumerate(v) if xr or xi), None)
-        if pivot is None:
+        p = self.p
+        for pivot, _, nonzero in self.rows:
+            f = v[pivot] % p
+            if f:
+                # reduced mod p after the loop; `nonzero` skips the pivot
+                v[pivot] = 0
+                for j, y in nonzero:
+                    v[j] -= f * y
+        v = [x % p for x in v]
+        if not any(v):
             return False
-        pr, pi = v[pivot]
-        n2 = pr * pr + pi * pi
-        ir, ii = pr / n2, -pi / n2
-        row = [(xr * ir - xi * ii, xr * ii + xi * ir) if (xr or xi)
-               else (_ZERO, _ZERO) for xr, xi in v]
-        row[pivot] = (_ONE, _ZERO)
-        # the pivot entry is left out: reducing a candidate zeroes it directly
-        self.rows.append((pivot, row, [(j, xr, xi) for j, (xr, xi)
-                                       in enumerate(row)
-                                       if (xr or xi) and j != pivot]))
+        pivot = next(j for j, x in enumerate(v) if x)
+        inv = pow(v[pivot], -1, p)
+        row = [x * inv % p for x in v]
+        self.rows.append((pivot, row, [(j, y) for j, y in enumerate(row)
+                                       if y and j != pivot]))
         return True
+
+
+def _grow(span, lifted, d):
+    """Words of the left-only closure of the lifted images, eliminated in
+    span.  Each image is kept as its nonzero (column, entry) terms per row;
+    they are mostly identity rows, so a unit entry is not multiplied out."""
+    full = d * d
+    gens = [[[(k, c) for k, c in enumerate(row) if c] for row in m]
+            for m in lifted]
+    span.insert([1 if j % (d + 1) == 0 else 0 for j in range(full)])
+    words = [()]
+    i = 0
+    while i < len(words) < full:
+        v = span.rows[i][1]
+        for k, g in enumerate(gens):
+            gv = []  # flattened g @ v
+            for terms in g:
+                acc = None
+                for col, c in terms:
+                    seg = v[col * d:col * d + d]
+                    if c != 1:
+                        seg = [c * x for x in seg]
+                    acc = seg if acc is None else [
+                        s + x for s, x in zip(acc, seg)]
+                gv += acc or [0] * d
+            if span.insert(gv):
+                words.append((k,) + words[i])
+                if len(words) == full:
+                    break
+        i += 1
+    return words
 
 
 def algebra_closure(images):
@@ -190,29 +175,42 @@ def algebra_closure(images):
     1 + len(images) * d^2 candidates are tested.  The accepted span holds I
     and is mapped into itself by every generator, hence holds every word;
     the loop stops early once it reaches d^2.  Word () is I, and accepting
-    images[k] @ v records (k,) + word(v).  Exact mode tests dependence
-    exactly and reports an infinite rank_gap.  Float mode rejects a candidate
-    whose residual after elimination is at most eps times the candidate's
-    largest entry; rank_gap is the smallest accepted relative residual over
-    the largest rejected one (inf when nothing is rejected)."""
+    images[k] @ v records (k,) + word(v).
+
+    Exact mode eliminates over F_p, i -> a square root of -1, with an
+    infinite rank_gap.  Reduction mod p is a ring map on the Gaussian
+    rationals whose denominators p does not divide, so words independent
+    mod p have a minor that is nonzero mod p, hence nonzero: they are
+    independent over Q(i) and over C, and d^2 certifies irreducibility.  A
+    smaller result, or a denominator p divides, reruns the closure under a
+    second prime; the larger result wins, the first prime's words on a tie.
+    ValueError if both primes divide a denominator.
+
+    Float mode rejects a candidate whose residual after elimination is at
+    most eps times the candidate's largest entry; rank_gap is the smallest
+    accepted relative residual over the largest rejected one (inf when
+    nothing is rejected)."""
     mats, d = _unwrap(images)
-    full = d * d
-    span = _ExactSpan() if mats[0].exact else _FloatSpan()
-    gens = [[[(k, c) for k, c in enumerate(row) if c != span.zero]
-             for row in span.lift(m)] for m in mats]
-    ident = span.lift(Matrix.identity(d, mats[0].exact))
-    span.insert([x for row in ident for x in row])
-    words = [()]
-    i = 0
-    while i < len(words) < full:
-        v = span.rows[i][1]
-        for k, g in enumerate(gens):
-            if span.insert(span.left_mul(g, v, d)):
-                words.append((k,) + words[i])
-                if len(words) == full:
-                    break
-        i += 1
-    return ClosureResult(len(words), words, span.gap)
+    if not mats[0].exact:
+        span = _FloatSpan()
+        words = _grow(span, [span.lift(m) for m in mats], d)
+        gap = span.min_acc / span.max_rej if span.max_rej else math.inf
+        return ClosureResult(len(words), words, gap)
+    best = []
+    for prime in _PRIMES:
+        span = _ModSpan(*prime)
+        try:
+            lifted = [span.lift(m) for m in mats]
+        except ValueError:  # the prime divides a denominator
+            continue
+        words = _grow(span, lifted, d)
+        if len(words) > len(best):
+            best = words
+        if len(best) == d * d:
+            break
+    if not best:
+        raise ValueError("both oracle primes divide a denominator")
+    return ClosureResult(len(best), best, math.inf)
 
 
 def _normalized_direction(v):

@@ -119,12 +119,12 @@ class Scalar:
 
     def __truediv__(self, other):
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by %s zero scalar" % other.backend)
         n = other.re * other.re + other.im * other.im
-        return Scalar((self.re * other.re + self.im * other.im) / n,
-                      (self.im * other.re - self.re * other.im) / n,
-                      self.exact)
+        if not n:  # zero, or a float whose squared modulus underflows
+            raise ZeroDivisionError("division by %s zero scalar" % other.backend)
+        q = Scalar((self.re * other.re + self.im * other.im) / n,
+                   (self.im * other.re - self.re * other.im) / n, self.exact)
+        return require_finite(q)  # a float quotient may overflow
 
     def inv(self):
         return Scalar.one(self.exact) / self

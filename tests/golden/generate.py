@@ -78,6 +78,9 @@ DEFAULT_CASES = [
                               "--b", "1.0-2.0i"]),
     ("decide_float_near_one", ["decide", "--n", "4", "--a", "1.000001+0.0i",
                                "--b", "1.0+0.0i"]),
+    # the reduced images divide by (-b)^5 = -1e-10, within eps of zero
+    ("decide_float_am1_small_b", ["decide", "--n", "7", "--a=-1.0+0.0i",
+                                  "--b", "0.01+0.0i"]),
     ("decide_coerced_float", ["decide", "--n", "5", "--a", EX("2/1"),
                               "--b", EX("1/1"), "--backend", "float"]),
     ("decide_b_zero", ["decide", "--n", "4", "--a", EX("2/1"),

@@ -77,6 +77,88 @@ def is_irreducible_oracle(images):
     return algebra_closure(mats).dim == d * d
 
 
+def reference_closure(images):
+    """(dim, words) of the left-only Burnside closure of exact images, with
+    dependence decided over Q(i) itself: forward-only elimination of the
+    flattened products, entries as (re, im) Fraction pairs.  The reference
+    for the modular closure in `algebra_closure`, which must accept the same
+    candidates in the same order."""
+    mats, d = _unwrap(images)
+    zero = (Fraction(0), Fraction(0))
+    gens = [[[(k, (x.re, x.im)) for k, x in enumerate(row) if not x.is_zero()]
+             for row in m.data] for m in mats]
+    rows = []  # (pivot index, dense row with pivot 1, off-pivot entries)
+
+    def left_mul(g, v):
+        out = []
+        for terms in g:
+            acc = [zero] * d
+            for k, (cr, ci) in terms:
+                acc = [(sr + cr * xr - ci * xi, si + cr * xi + ci * xr)
+                       for (sr, si), (xr, xi) in zip(acc, v[k * d:k * d + d])]
+            out += acc
+        return out
+
+    def insert(v):
+        for p, _, nonzero in rows:
+            fr, fi = v[p]
+            if fr or fi:
+                v[p] = zero
+                for j, yr, yi in nonzero:
+                    xr, xi = v[j]
+                    v[j] = (xr - (fr * yr - fi * yi), xi - (fr * yi + fi * yr))
+        pivot = next((j for j, (xr, xi) in enumerate(v) if xr or xi), None)
+        if pivot is None:
+            return False
+        pr, pi = v[pivot]
+        n2 = pr * pr + pi * pi
+        ir, ii = pr / n2, -pi / n2
+        row = [(xr * ir - xi * ii, xr * ii + xi * ir) for xr, xi in v]
+        rows.append((pivot, row, [(j, xr, xi) for j, (xr, xi) in enumerate(row)
+                                  if (xr or xi) and j != pivot]))
+        return True
+
+    insert([(Fraction(int(i == j)), Fraction(0))
+            for i in range(d) for j in range(d)])
+    words = [()]
+    i = 0
+    while i < len(words) < d * d:
+        for k, g in enumerate(gens):
+            if insert(left_mul(g, rows[i][1])):
+                words.append((k,) + words[i])
+                if len(words) == d * d:
+                    break
+        i += 1
+    return len(words), words
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n < 3.18e23 (J. Sorenson and J. Webster, "Strong pseudoprimes to
+    twelve prime bases", Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases or any(n % q == 0 for q in bases):
+        return n in bases
+    if n >= 318665857834031151167461:
+        raise ValueError("is_prime is deterministic only below 3.18e23")
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in bases:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def word_matrix(images, word):
     """images[k1] @ ... @ images[km] for word (k1, ..., km); I for ()."""
     mats, d = _unwrap(images)

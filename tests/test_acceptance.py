@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen end-to-end criteria, one printed verdict line each.
+"""Acceptance suite: fourteen end-to-end criteria, one printed verdict line each.
 
 Each test prints "criterion <k> (<label>): PASS" or "... FAIL (<error>)" so the
 suite output doubles as a checklist.  Tolerances are pinned in the asserts.
@@ -282,3 +282,28 @@ def test_criterion_13_wide_oracle_cross_validation():
                 agrees = (dim == d * d) == (verdict.status == IRREDUCIBLE)
                 assert agrees, (n, a, b, verdict.status, dim)
     _report(13, "wide Burnside cross-validation", body)
+
+
+def test_criterion_14_modular_oracle_cross_validation():
+    # exact decide against the exact (mod-p) closure past the float
+    # closure's reach: a generic draw per n, a = +-1, and the exact roots
+    # a = +-i at 4 | n
+    def body():
+        start = time.perf_counter()
+        rng = rng_for(1014)
+        for n in range(11, 17):
+            d = n - 1
+            draws = [rand_family1_params(rng, avoid=(0, 1, -1))]
+            specials = [ex(1), ex(-1)] + ([ex(0, 1), ex(0, -1)]
+                                          if n % 4 == 0 else [])
+            draws += [(a, rand_exact(rng, nonzero=True)) for a in specials]
+            for i, (a, b) in enumerate(draws):
+                verdict = decide(n, a, b)
+                dim = algebra_closure(reduced_generators(n, a, b)).dim
+                agrees = (dim == d * d) == (verdict.status == IRREDUCIBLE)
+                assert agrees, (n, a, b, verdict.status, dim)
+                # draw 0 is generic; every special point is reducible
+                assert i == 0 or verdict.status == REDUCIBLE, (n, a, b)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60.0, "took %.2fs" % elapsed
+    _report(14, "modular Burnside cross-validation", body)

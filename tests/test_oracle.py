@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from twinrep import oracle
 from twinrep.irreducibility import decide, witness_check
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
@@ -9,7 +11,10 @@ from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
-from helpers import is_irreducible_oracle, word_matrix
+from helpers import (is_irreducible_oracle, is_prime, reference_closure,
+                     word_matrix)
+
+(P1, _), (P2, _) = oracle._PRIMES
 
 
 def test_identity_alone_gives_dimension_one():
@@ -41,6 +46,85 @@ def test_oracle_matches_decision_on_reduced_reps():
         gens = reduced_generators(n, ex(-1), ex(2))
         d = n - 1
         assert algebra_closure(gens).dim < d * d, n  # a = -1: reducible
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_modular_closure_matches_fraction_reference(n):
+    # the same accepted words, in order, as elimination over Q(i) itself
+    rng = rng_for(700 + n)
+    draws = [rand_family1_params(rng, avoid=(0, 1, -1)) for _ in range(2)]
+    draws += [(a, rand_family1_params(rng)[1])
+              for a in (ex(1), ex(-1), ex(0, 1), ex(0, -1))]
+    for a, b in draws:
+        gens = reduced_generators(n, a, b)
+        res = algebra_closure(gens)
+        assert (res.dim, res.words) == reference_closure(gens), (n, a, b)
+        assert res.rank_gap == math.inf
+
+
+def test_oracle_primes_and_roots():
+    assert len(oracle._PRIMES) == 2 and P1 != P2
+    for p, root in oracle._PRIMES:
+        assert is_prime(p) and p % 4 == 1 and p < 2 ** 61, p
+        assert root * root % p == p - 1, p  # root = sqrt(-1) mod p
+
+
+def _primes_used(monkeypatch):
+    """Patch the modular span to record the prime of every closure run."""
+    used = []
+
+    class Recording(oracle._ModSpan):
+        def __init__(self, p, root):
+            used.append(p)
+            super().__init__(p, root)
+
+    monkeypatch.setattr(oracle, "_ModSpan", Recording)
+    return used
+
+
+def test_closure_stops_at_the_first_prime_when_full(monkeypatch):
+    used = _primes_used(monkeypatch)
+    assert algebra_closure(reduced_generators(4, ex(2), ex(1))).dim == 9
+    assert used == [P1]
+
+
+def test_reducible_closure_is_rerun_under_the_second_prime(monkeypatch):
+    used = _primes_used(monkeypatch)
+    gens = reduced_generators(5, ex(-1), ex(2))
+    res = algebra_closure(gens)
+    assert used == [P1, P2]
+    assert (res.dim, res.words) == reference_closure(gens)
+
+
+def test_denominator_divisible_by_the_first_prime_moves_to_the_second(
+        monkeypatch):
+    used = _primes_used(monkeypatch)
+    gens = reduced_generators(4, ex(Fraction(1, P1)), ex(1))
+    assert algebra_closure(gens).dim == 9
+    assert used == [P1, P2]  # P1 failed to lift the images and ran nothing
+
+
+def test_denominator_divisible_by_both_primes_raises():
+    gens = reduced_generators(4, ex(Fraction(1, P1 * P2)), ex(1))
+    with pytest.raises(ValueError, match="both"):
+        algebra_closure(gens)
+
+
+def test_larger_modular_dimension_wins():
+    # diag(1, 1 + P1) is I mod P1 but not over Q, nor mod P2
+    g = Matrix([[ex(1), ex(0)], [ex(0), ex(1 + P1)]])
+    assert algebra_closure([g]).dim == 2
+
+
+def test_tie_keeps_the_first_prime_words():
+    # over Q both diagonal generators lie in span(I, g_0): dim 2 with words
+    # (), (0,).  Mod P1 g_0 is I, so the words are (), (1,); mod P2 g_1 is
+    # I and they are (), (0,).  Equal dimensions: P1's words are kept.
+    g0 = Matrix([[ex(1), ex(0)], [ex(0), ex(1 + P1)]])
+    g1 = Matrix([[ex(1), ex(0)], [ex(0), ex(1 + P2)]])
+    assert reference_closure([g0, g1]) == (2, [(), (0,)])
+    res = algebra_closure([g0, g1])
+    assert (res.dim, res.words) == (2, [(), (1,)])
 
 
 def test_closure_float_gap_is_exposed():

@@ -68,9 +68,22 @@ def test_backend_mismatch_raises():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ex(1) / ex(0)
-    # float: anything within eps of zero is an error, never a NaN
-    with pytest.raises(ZeroDivisionError):
-        fl(1.0) / fl(1e-12)
+    # float: an exact 0.0 is an error, never a NaN, and so is a divisor whose
+    # squared modulus underflows to 0.0
+    for zero in (fl(0.0), fl(0.0, -0.0), fl(1e-170, 1e-170)):
+        with pytest.raises(ZeroDivisionError):
+            fl(1.0) / zero
+    # a quotient that overflows is refused rather than returned as inf
+    with pytest.raises(ScalarError, match="non-finite"):
+        fl(1e300) / fl(1e-10)
+
+
+def test_float_division_by_small_divisor():
+    # a divisor within eps of zero is still a number: (-b)^5 at b = 0.01
+    q = fl(1.0) / fl(1e-10)
+    assert (q.re, q.im) == (1e10, 0.0)
+    q = fl(2.0, 1.0) / fl(0.0, 1e-10)
+    assert abs(q.re - 1e10) <= 1e-6 * 1e10 and abs(q.im + 2e10) <= 1e-6 * 2e10
 
 
 def test_pow_including_negative():
