@@ -10,6 +10,7 @@ from TWINREP_EPS, or the default when it is unset.  A stdout closed early
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 from .scalars import (DEFAULT_EPS, ScalarError, Scalar, scalar_parse,
                       scalar_format, set_default_eps)
 from .reps import RepSpec, build_all_generators, build_generator, verify_relations
-from .reduction import build_S, reduced_generators
+from .reduction import ParameterError, build_S, reduced_generators
 from .chains import delta as delta_closed, delta_direct
 from .irreducibility import (REDUCIBLE, cleared_poly, decide, roots_of_P,
                              root_residual)
@@ -171,37 +172,60 @@ def _cmd_oracle(args):
     return EXIT_OK if irr else EXIT_REDUCIBLE
 
 
-def _grid_points(args):
+def _steps(lo, hi, k):
+    """k evenly spaced values from lo to hi; lo alone when k is 1."""
+    return [lo] if k == 1 else [lo + (hi - lo) * i / (k - 1) for i in range(k)]
+
+
+def _grid_points(args, n_count):
+    """The sweep's a values, once the grid is known to be nonempty and to
+    hold at most --max-points points over its n_count values of n."""
     if args.a_list is not None:
-        texts = [t for t in args.a_list.split(",") if t.strip()]
-        return [scalar_parse(t) for t in texts]
-    pts = []
-    for i in range(args.re_steps):
-        re = (args.re_min if args.re_steps == 1 else
-              args.re_min + (args.re_max - args.re_min) * i / (args.re_steps - 1))
-        for j in range(args.im_steps):
-            im = (args.im_min if args.im_steps == 1 else
-                  args.im_min + (args.im_max - args.im_min) * j / (args.im_steps - 1))
-            pts.append(Scalar.from_float(re, im))
-    return pts
+        points = [scalar_parse(t) for t in args.a_list.split(",") if t.strip()]
+        if not points:
+            raise ParameterError("--a-list names no point")
+        size = len(points)
+    else:
+        for flag, steps in (("--re-steps", args.re_steps),
+                            ("--im-steps", args.im_steps)):
+            if steps < 1:
+                raise ParameterError("%s must be at least 1, got %d"
+                                     % (flag, steps))
+        size = args.re_steps * args.im_steps
+    if n_count * size > args.max_points:
+        raise ScalarError("grid of %d points exceeds cap %d"
+                          % (n_count * size, args.max_points))
+    if args.a_list is None:
+        points = [Scalar.from_float(re, im)
+                  for re in _steps(args.re_min, args.re_max, args.re_steps)
+                  for im in _steps(args.im_min, args.im_max, args.im_steps)]
+    return points
 
 
 def _cmd_sweep(args):
+    """Every argument is checked before the CSV header is written, so a bad
+    grid exits 2 with nothing on stdout."""
     n_max = args.n_max if args.n_max is not None else args.n_min
+    if args.n_min < 3:
+        raise ParameterError("--n-min must be at least 3, got %d" % args.n_min)
+    if n_max < args.n_min:
+        raise ParameterError("--n-max %d is below --n-min %d"
+                             % (n_max, args.n_min))
     b = _scalar_arg(args.b, args.backend)
-    points = _grid_points(args)
-    total = (n_max - args.n_min + 1) * len(points)
-    if total > args.max_points:
-        raise ScalarError("grid of %d points exceeds cap %d" % (total, args.max_points))
+    # each a with the (a, b) pair decide sees: both on one backend
+    points = []
+    for a in _grid_points(args, n_max - args.n_min + 1):
+        a_n = a if a.exact == b.exact else a.to_float()
+        points.append((a, a_n, b if a_n.exact == b.exact else b.to_float()))
+    if any(b_n.is_zero() for _, _, b_n in points):
+        raise ParameterError("b must be nonzero")
     header = "n,re_a,im_a,status,reason,abs_phat"
     if args.with_oracle:
         header += ",algebra_dim"
     sys.stdout.write(header + "\n")
     for n in range(args.n_min, n_max + 1):
         poly = cleared_poly(n) if n >= 4 else None
-        for a in points:
-            a_n = a if a.exact == b.exact else a.to_float()
-            b_n = b if a_n.exact == b.exact else b.to_float()
+        for a, a_n, b_n in points:
             verdict = decide(n, a_n, b_n)
             phat = ""
             if poly is not None:
@@ -217,7 +241,10 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The `twinrep` parser, built on the first call and shared after it:
+    parsing does not change it, and --help reads COLUMNS when it prints."""
     parser = argparse.ArgumentParser(
         prog="twinrep",
         description="Build, reduce and decide irreducibility of the "
@@ -293,8 +320,7 @@ def main(argv=None):
     except ValueError as exc:
         print("invalid TWINREP_EPS: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit

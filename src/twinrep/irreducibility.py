@@ -19,7 +19,10 @@ root iff N = 0, and |P(a)| is reported from correctly rounded int/int
 quotients.  By Niven's theorem (Irrational Numbers, 1956, Cor. 3.12)
 tan(pi k/n) is rational only at 0 and +-1, so the only exact roots are +-i,
 at 4 | n; the tests cross-check N = 0 against that.  A float a is decided
-by |P(a)| <= eps, with P evaluated by `eval_P`.
+by |P(a)| <= eps, with P evaluated by `eval_P`, which runs on plain
+(re, im) pairs and builds a `Scalar` only for its argument's checks and its
+result: the same products and quotients as `Scalar` arithmetic, so |P| is
+bit-identical to the `Scalar` form the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -68,20 +71,60 @@ def cleared_poly(n):
     return ClearedPoly(n, tuple(coeffs))
 
 
+def _cmul(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i), formula for formula as `Scalar.__mul__`."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi, exact):
+    """(ar + ai i)/(br + bi i), formula for formula as `Scalar.__truediv__`,
+    with its ZeroDivisionError and its ScalarError for a non-finite float
+    quotient."""
+    n = br * br + bi * bi
+    if not n:
+        raise ZeroDivisionError("division by %s zero scalar"
+                                % ("exact" if exact else "float"))
+    qr, qi = (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+    if not (exact or (math.isfinite(qr) and math.isfinite(qi))):
+        require_finite(Scalar(qr, qi, exact))
+    return qr, qi
+
+
+def _cpow(xr, xi, k):
+    """(xr + xi i)^k for k >= 0, multiplying as `Scalar.pow` does: by
+    repeated squaring from (1, 0), with `_cmul` for every product.  Int
+    constants keep ints and Fractions exact, and a float op converts them
+    exactly, so a float power is bit-identical to `Scalar.pow`."""
+    out_r, out_i = 1, 0
+    while True:
+        if k & 1:
+            out_r, out_i = _cmul(out_r, out_i, xr, xi)
+        k >>= 1
+        if not k:
+            return out_r, out_i
+        xr, xi = _cmul(xr, xi, xr, xi)
+
+
 def eval_P(n, a):
     """Evaluate the rational criterion directly; a must avoid the poles 0
-    and -1."""
+    and -1.
+
+    The body runs on (re, im) pairs of a's own numbers (Fractions or
+    floats), each step formula for formula and in the order of the `Scalar`
+    expression 4(1 + a a) + (1-a)^4/(2a) (1 - ((1-a)/(1+a))^(n-4)), so a
+    float P is bit-identical to it and raises the same errors."""
     if n < 4:
         raise ParameterError("eval_P needs n >= 4")
-    exact = a.exact
-    one = Scalar.one(exact)
-    two = one + one
-    four = two + two
-    if a.is_zero() or (a + one).is_zero():
+    exact, ar, ai = a.exact, a.re, a.im
+    if a.is_zero() or Scalar(ar + 1, ai, exact).is_zero():
         raise ParameterError("a = 0 and a = -1 are poles of the criterion")
-    u = one - a
-    return four * (one + a * a) + \
-        u.pow(4) / (two * a) * (one - (u / (one + a)).pow(n - 4))
+    ur, ui = 1 - ar, 0 - ai
+    sr, si = _cmul(ar, ai, ar, ai)
+    lr, li = _cmul(4, 0, 1 + sr, 0 + si)
+    fr, fi = _cdiv(*_cpow(ur, ui, 4), *_cmul(2, 0, ar, ai), exact)
+    hr, hi = _cpow(*_cdiv(ur, ui, 1 + ar, 0 + ai, exact), n - 4)
+    rr, ri = _cmul(fr, fi, 1 - hr, 0 - hi)
+    return Scalar(lr + rr, li + ri, exact)
 
 
 def _exact_P(n, a):
@@ -94,28 +137,18 @@ def _exact_P(n, a):
     is correctly rounded, as `Fraction.__float__` is: |P| is the float
     `eval_P(n, a).magnitude()` gives.  A part too large for a float makes
     |P| too large as well, so it reads inf."""
-    def power(xr, xi, k):  # (xr + xi i)^k by repeated squaring
-        out_r, out_i = 1, 0
-        while True:
-            if k & 1:
-                out_r, out_i = out_r * xr - out_i * xi, out_r * xi + out_i * xr
-            k >>= 1
-            if not k:
-                return out_r, out_i
-            xr, xi = xr * xr - xi * xi, 2 * xr * xi
-
     re, im = a.re, a.im
     q = math.lcm(re.denominator, im.denominator)
     pr = re.numerator * (q // re.denominator)
     pi = im.numerator * (q // im.denominator)
-    hr, hi = power(q + pr, pi, n - 4)
-    fr, fi = power(q + pr, pi, 4)
-    br, bi = power(q - pr, -pi, n)
-    nr, ni = hr * fr - hi * fi - br, hr * fi + hi * fr - bi
+    hr, hi = _cpow(q + pr, pi, n - 4)
+    mr, mi = _cmul(hr, hi, *_cpow(q + pr, pi, 4))
+    br, bi = _cpow(q - pr, -pi, n)
+    nr, ni = mr - br, mi - bi
     if not (nr or ni):
         return 0.0, True
     c = 2 * q ** 3
-    dr, di = c * (pr * hr - pi * hi), c * (pr * hi + pi * hr)
+    dr, di = _cmul(c * pr, c * pi, hr, hi)
     d2 = dr * dr + di * di
     try:
         return math.hypot((nr * dr + ni * di) / d2,

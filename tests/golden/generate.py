@@ -112,6 +112,17 @@ DEFAULT_CASES = [
     ("sweep_over_cap", ["sweep", "--n-min", "4", "--b", EX("1/1"),
                         "--re-steps", "10", "--im-steps", "10",
                         "--max-points", "5"]),
+    # a bad grid exits 2 before the CSV header is written
+    ("sweep_n_min_2", ["sweep", "--n-min", "2", "--b", "1.0+0.0i",
+                       "--a-list", "2.0+0.0i"]),
+    ("sweep_b_zero", ["sweep", "--n-min", "4", "--b", "0.0+0.0i",
+                      "--a-list", "2.0+0.0i"]),
+    ("sweep_negative_steps", ["sweep", "--n-min", "4", "--b", "1.0+0.0i",
+                              "--re-steps", "-3"]),
+    ("sweep_n_max_below_min", ["sweep", "--n-min", "5", "--n-max", "4",
+                               "--b", "1.0+0.0i", "--a-list", "2.0+0.0i"]),
+    ("sweep_empty_a_list", ["sweep", "--n-min", "4", "--b", "1.0+0.0i",
+                            "--a-list", ","]),
 ]
 
 # the float cases again under a loose tolerance, plus the invalid ones

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from twinrep.linalg import DimensionError, Matrix, _rref
 from twinrep.oracle import _unwrap, algebra_closure
-from twinrep.reduction import build_Q
+from twinrep.reduction import ParameterError, build_Q
 from twinrep.reps import RepSpec, build_generator
 from twinrep.scalars import BackendMismatchError, Scalar
 
@@ -38,6 +38,23 @@ def delta_intermediate(n, a, b):
     for k in range(4, n):
         acc = acc + u.pow(k) * p.pow(n - 1 - k)
     return -b / two * acc
+
+
+def reference_eval_P(n, a):
+    """P(a) = 4(1+a^2) + (1-a)^4/(2a) (1 - ((1-a)/(1+a))^(n-4)) in `Scalar`
+    arithmetic: the reference for `eval_P`, which runs the same steps on
+    plain (re, im) pairs and must match it bit for bit, errors included."""
+    if n < 4:
+        raise ParameterError("eval_P needs n >= 4")
+    exact = a.exact
+    one = Scalar.one(exact)
+    two = one + one
+    four = two + two
+    if a.is_zero() or (a + one).is_zero():
+        raise ParameterError("a = 0 and a = -1 are poles of the criterion")
+    u = one - a
+    return four * (one + a * a) + \
+        u.pow(4) / (two * a) * (one - (u / (one + a)).pow(n - 4))
 
 
 def zeros(rows, cols, exact=True):

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from twinrep.cli import EXIT_ERROR, EXIT_OK, EXIT_REDUCIBLE, main
+import pytest
+
+from twinrep.cli import EXIT_ERROR, EXIT_OK, EXIT_REDUCIBLE, build_parser, main
 from helpers import matrix_from_json
 
 EX = lambda v: "%s+0/1*i" % v  # exact literal shorthand for the tests
@@ -252,3 +254,43 @@ def test_backend_coercion_flag():
     code, _, err = run(["gen", "--family", "1", "--n", "3", "--a", "0.5+0.0i",
                         "--b", EX("1/1"), "--k", "1", "--backend", "exact"])
     assert code == EXIT_ERROR
+
+
+def _help(parse, argv):
+    """The exit code and stdout of parse(argv) for a --help argv."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue()
+
+
+def test_cached_parser_is_reused_safely(monkeypatch):
+    # the parser is built once per process; no call may leave a mark on it
+    monkeypatch.delenv("TWINREP_EPS", raising=False)
+    bad = ["decide", "--n", "four", "--a", EX("2/1"), "--b", EX("1/1")]
+    good = ["decide", "--n", "5", "--a", EX("2/1"), "--b", EX("1/1")]
+
+    def error_then_decide():
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(bad)
+        return exc.value.code, err.getvalue(), run(good)
+
+    build_parser.cache_clear()
+    fresh = error_then_decide()
+    assert fresh[0] == 2 and "invalid int value" in fresh[1]
+    run(["sweep", "--n-min", "4", "--b", "1.0+0.0i", "--re-steps", "2"])
+    assert error_then_decide() == fresh
+    assert build_parser() is build_parser()
+    # --help reads COLUMNS when it prints, not when the parser was built
+    monkeypatch.setenv("COLUMNS", "200")
+    build_parser.cache_clear()
+    build_parser()
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["sweep", "--help"]):
+            helps[columns, argv[0]] = _help(main, argv)
+            assert helps[columns, argv[0]] == _help(
+                build_parser.__wrapped__().parse_args, argv)
+    assert helps["60", "sweep"] != helps["120", "sweep"]

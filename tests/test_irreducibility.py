@@ -11,9 +11,9 @@ from twinrep.chains import closed_chain_vector
 from twinrep.linalg import Matrix, Subspace
 from twinrep.reduction import (ParameterError, _reduced_gen_rows, eigvec_w,
                                reduced_generators)
-from twinrep.scalars import Scalar, ScalarError, ex, fl
+from twinrep.scalars import Scalar, ScalarError, ex, fl, set_default_eps
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import eval_exact, from_complex
+from helpers import eval_exact, from_complex, reference_eval_P
 
 
 def test_cleared_poly_frozen_small_cases():
@@ -87,6 +87,52 @@ def test_eval_P_poles_raise():
         eval_P(5, ex(-1))
     with pytest.raises(ParameterError):
         eval_P(3, ex(2))
+
+
+def _outcome(f, n, a):
+    """f(n, a) as its parts (float parts as their bits, signed zeros and
+    NaN included), or as (error type, message)."""
+    try:
+        p = f(n, a)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return (p.re, p.im, True) if p.exact else (p.re.hex(), p.im.hex(), False)
+
+
+def test_eval_P_matches_scalar_reference_bit_for_bit():
+    # eval_P runs on plain (re, im) pairs; the Scalar form it replaced must
+    # give the same P, bit for bit in float mode, and the same errors
+    rng = rng_for(4242)
+    cases = []
+    for _ in range(3000):
+        r = 10 ** rng.uniform(-3, 3)
+        t = rng.uniform(0, 2 * math.pi)
+        cases.append((rng.randint(4, 70), fl(r * math.cos(t), r * math.sin(t))))
+    for _ in range(600):
+        # near +-1 powers of (1-a)/(1+a) underflow or overflow; on the real
+        # axis signed zeros show
+        d = 10 ** rng.uniform(-8, -1) * cmath.exp(1j * rng.uniform(0, 7))
+        for z in (1 + d, -1 + d, complex(d.real * 1e3, rng.choice((0.0, -0.0)))):
+            cases.append((rng.randint(4, 70), fl(z.real, z.imag)))
+    for _ in range(300):
+        cases.append((rng.randint(4, 70), rand_exact(rng)))
+    for n in (4, 5, 33, 70):
+        cases += [(n, a) for a in (ex(0), ex(-1), fl(0.0), fl(-1.0),
+                                   fl(1e80), fl(-1e80, 1e80), fl(1e200),
+                                   fl(1e-170))]
+    for n, a in cases:
+        assert _outcome(eval_P, n, a) == _outcome(reference_eval_P, n, a), \
+            (n, a)
+    assert _outcome(eval_P, 5, fl(1e80)) == (ScalarError,
+                                             "non-finite scalar nan-nani")
+    assert _outcome(eval_P, 5, fl(1e-170))[0] is ParameterError
+    # under a tiny eps 1e-170 is no pole, and |2a|^2 underflows to 0
+    set_default_eps(1e-300)
+    for n in (4, 5, 70):
+        for a in (fl(1e-170), fl(0.0, -1e-170), fl(1e-5, 1e-5)):
+            assert _outcome(eval_P, n, a) == _outcome(reference_eval_P, n, a)
+    assert _outcome(eval_P, 5, fl(1e-170)) == (
+        ZeroDivisionError, "division by float zero scalar")
 
 
 def test_roots_n4_are_plus_minus_i():
