@@ -1,11 +1,11 @@
-"""Chain vectors, the bidiagonal-bordered determinant, and the Delta criterion.
+"""Chain vectors and the Delta criterion.
 
 Any invariant subspace of the reduced representation containing e_1 is forced
 to contain the chain v_k = -b e_{k+1} + (1+a) e_{k+2}, k = 1..n-3.  Whether
 the candidate subspace W = <e_1, v_1, ..., v_{n-3}> closes up under the S_2
 action is decided by the determinant Delta = det(S_2 v_1 | e_1 | v_1 | ... |
-v_{n-3}), which has a closed form via the bordered bidiagonal determinant
-implemented in det_closed_form.
+v_{n-3}).  Expanding it as a bordered lower-bidiagonal determinant gives the
+closed form in `delta`; `delta_direct` is the determinant itself.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ def closed_chain_vector(n, a, b, k):
     """v_k = -b e_{k+1} + (1+a) e_{k+2} in C^(n-1)."""
     if not 1 <= k <= n - 3:
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
-    one = Scalar.one(a.exact)
-    return (Matrix.basis_vector(n - 1, k + 1, a.exact).scale(-b)
-            + Matrix.basis_vector(n - 1, k + 2, a.exact).scale(one + a))
+    one, zero = Scalar.one(a.exact), Scalar.zero(a.exact)
+    entry = lambda x, y: -b * x + (one + a) * y  # signed zeros as summed
+    entries = [entry(zero, zero)] * (n - 1)
+    entries[k], entries[k + 1] = entry(one, zero), entry(zero, one)
+    return Matrix.column(entries)
 
 
 @dataclass(frozen=True)
@@ -64,75 +66,6 @@ def chain_vectors(n, a, b):
         chain.append(((sk3 @ chain[-1]) - chain[-1]).scale(step))
     w = Subspace.span(n - 1, [e1] + chain)
     return ChainBundle(n, a, b, f, tuple(chain), w)
-
-
-def closure_check(bundle):
-    """Verify every identity that keeps W = <e_1, v_1..v_{n-3}> stable under
-    S_1, S_2 (on v_j, j >= 2) and S_k, k >= 3.  Returns failure strings."""
-    n, a, b = bundle.n, bundle.a, bundle.b
-    exact = a.exact
-    one = Scalar.one(exact)
-    failures = []
-    v = {k + 1: vec for k, vec in enumerate(bundle.v_chain)}
-    e1 = Matrix.basis_vector(n - 1, 1, exact)
-    s = {j: build_S(n, a, b, j) for j in range(1, n)}
-
-    def check(name, got, want):
-        if not got.eq(want):
-            failures.append(name)
-
-    check("S1 e1 != -e1", s[1] @ e1, -e1)
-    for j, vj in v.items():
-        check("S1 v%d != v%d" % (j, j), s[1] @ vj, vj)
-    for j in range(2, n - 2):
-        check("S2 v%d != v%d" % (j, j), s[2] @ v[j], v[j])
-    for k in range(3, n):
-        for j, vj in v.items():
-            if j == k - 2:
-                check("S%d v%d != -v%d" % (k, j, j), s[k] @ vj, -vj)
-            elif j == k - 1:
-                want = v[k - 2].scale(b) + vj
-                check("S%d v%d != b v%d + v%d" % (k, j, k - 2, j), s[k] @ vj, want)
-            elif j == k - 3:
-                want = vj + v[k - 2].scale((one - a * a) / b)
-                check("S%d v%d != v%d + (1-a^2)/b v%d" % (k, j, j, k - 2),
-                      s[k] @ vj, want)
-            else:
-                check("S%d v%d != v%d" % (k, j, j), s[k] @ vj, vj)
-    return failures
-
-
-def lemma_matrix(xs, y1, y2):
-    """The bordered lower-bidiagonal matrix: first column xs, second column
-    e_1, and column j >= 3 carrying y1 in row j-1 and y2 in row j."""
-    n = len(xs)
-    if n < 2:
-        raise ParameterError("lemma matrix needs n >= 2")
-    exact = xs[0].exact
-    zero = Scalar.zero(exact)
-    one = Scalar.one(exact)
-    data = [[zero] * n for _ in range(n)]
-    for i, x in enumerate(xs):
-        data[i][0] = x
-    data[0][1] = one
-    for j in range(2, n):  # 0-based column j: y1 in row j-1, y2 in row j
-        data[j - 1][j] = y1
-        data[j][j] = y2
-    return Matrix(data)
-
-
-def det_closed_form(xs, y1, y2):
-    """det of lemma_matrix(xs, y1, y2) as the alternating sum
-    sum_{k=2}^{n} (-1)^(k+1) x_k y1^(k-2) y2^(n-k); x_1 never appears."""
-    n = len(xs)
-    if n < 2:
-        raise ParameterError("needs at least 2 entries")
-    exact = xs[0].exact
-    acc = Scalar.zero(exact)
-    for k in range(2, n + 1):
-        term = xs[k - 1] * y1.pow(k - 2) * y2.pow(n - k)
-        acc = acc + term if k % 2 == 1 else acc - term
-    return acc
 
 
 def delta_matrix(n, a, b):

@@ -212,11 +212,13 @@ def _cmd_sweep(args):
         raise ParameterError("--n-max %d is below --n-min %d"
                              % (n_max, args.n_min))
     b = _scalar_arg(args.b, args.backend)
-    # each a with the (a, b) pair decide sees: both on one backend
+    # each a as its row prints it (an exact a beyond float range fails
+    # here), and the (a, b) pair decide sees: both on one backend
     points = []
     for a in _grid_points(args, n_max - args.n_min + 1):
         a_n = a if a.exact == b.exact else a.to_float()
-        points.append((a, a_n, b if a_n.exact == b.exact else b.to_float()))
+        points.append((a.to_complex(), a_n,
+                       b if a_n.exact == b.exact else b.to_float()))
     if any(b_n.is_zero() for _, _, b_n in points):
         raise ParameterError("b must be nonzero")
     header = "n,re_a,im_a,status,reason,abs_phat"
@@ -225,14 +227,14 @@ def _cmd_sweep(args):
     sys.stdout.write(header + "\n")
     for n in range(args.n_min, n_max + 1):
         poly = cleared_poly(n) if n >= 4 else None
-        for a, a_n, b_n in points:
+        for z, a_n, b_n in points:
             verdict = decide(n, a_n, b_n)
             phat = ""
             if poly is not None:
-                # a is finite: a nan is inf * 0 after the Horner sum overflowed
-                p = abs(poly.eval_complex(a.to_complex()))
+                # z is finite: a nan is inf * 0 after the Horner sum overflowed
+                p = abs(poly.eval_complex(z))
                 phat = "%.6e" % (math.inf if math.isnan(p) else p)
-            row = "%d,%r,%r,%s,%s,%s" % (n, float(a.re), float(a.im),
+            row = "%d,%r,%r,%s,%s,%s" % (n, z.real, z.imag,
                                          verdict.status, verdict.reason, phat)
             if args.with_oracle:
                 images = reduced_generators(n, a_n, b_n)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace
 from .reduction import (ParameterError, _check_family1, _reduced_gen_rows,
                         eigvec_w)
 from .chains import closed_chain_vector
@@ -206,57 +206,68 @@ class Verdict:
         return self.status == REDUCIBLE
 
 
-def witness_check(images, w):
-    """True iff every generator image maps span(w) into itself.
+def _vanishes(terms, zero, scale=None):
+    """Whether the Scalars `terms` sum to zero: exactly on the exact backend,
+    on floats within eps times `scale`, by default the sum of their moduli
+    (Oettli and Prager's componentwise test); NaN and overflow fail."""
+    total = sum(terms, zero)
+    if zero.exact:
+        return total.is_zero()
+    if scale is None:
+        scale = sum(t.magnitude() for t in terms)
+    return total.magnitude() <= default_eps() * scale < math.inf
 
-    Works through the annihilator: the rows phi of kernel(B^T), for the basis
-    matrix B, cut out span(w), so g maps span(w) into itself iff Phi g B = 0.
-    Exact mode asks for exact zeros.  Float mode first scales each basis
-    vector so its largest entry has modulus 1, then needs every entry
-    r = phi . (g x) to pass |r| <= eps ||phi||_2 ||g x||_2, tested as
-    `not (|r| <= bound < inf)` so NaN and overflow fail.  |r| / ||phi||_2 is
-    the distance of g x from ker phi: the bound caps it at eps ||g x||_2.
 
-    An image may also be {row: {column: entry}} over the rows where it
-    differs from the identity, as `decide` passes it; a phi that reads none of
-    them keeps phi . x, so a line witness costs O(n) per image, not O(n^2)."""
-    # sparse {index: entry} vectors: a line's phi has at most 2 entries
-    nonzeros = lambda pairs: {i: x for i, x in pairs if x.re or x.im}
-    patches = []
-    for img in images:
-        if not isinstance(img, dict):
-            m = getattr(img, "matrix", img)
-            if (m.rows, m.cols) != (w.ambient_dim,) * 2:
-                raise ParameterError("witness/image dimension mismatch")
-            img = {i: dict(enumerate(row)) for i, row in enumerate(m.data)}
-        patches.append({i: nonzeros(row.items()) for i, row in img.items()})
-    if w.dim in (0, w.ambient_dim):
-        return True
+def witness_check(images, w, phi=None):
+    """True iff every generator image g maps span(w) into itself, for the
+    two witness shapes `decide` builds; each g is {row: {column: entry}}
+    over the rows where it differs from the identity.
+
+    A line <x> (phi None) needs g x = lam x at the largest entry x_p; entry
+    i of g x - lam x is r . g x for r = e_i - (x_i/x_p) e_p, at most
+    eps ||r||_2 ||g x||_2 on floats.  A hyperplane needs phi . x = 0 for its
+    basis vectors x and phi g = phi, tested componentwise; vector j has its
+    first nonzero entry in row j, so span(w) = ker phi (dimension
+    ambient - 1), which phi g = phi maps into itself."""
     exact = w.basis[0].exact
-    b = Matrix.from_columns(w.basis if exact else [
-        v.scale(Scalar.from_float(1.0 / v.max_magnitude())) for v in w.basis])
-    xs = [nonzeros(enumerate(b.column_entries(j))) for j in range(b.cols)]
-    norm2 = lambda v: 0.0 if exact else math.hypot(
-        *(x.magnitude() for x in v.values()))
-    zero = Scalar.zero(exact)
-    dot = lambda u, v: sum((x * v[i] for i, x in u.items() if i in v), zero)
-    phis = [nonzeros(enumerate(v.column_entries()))
-            for v in kernel(b.transpose()).basis]
-    tols = [default_eps() * norm2(phi) for phi in phis]
-    unchanged = [[zero if exact else dot(phi, x) for x in xs] for phi in phis]
-    for rows in filter(None, patches):
-        reads = [any(i in rows for i in phi) for phi in phis]
-        for j, x in enumerate(xs):
-            gx = nonzeros((i, dot(rows[i], x) if i in rows else x.get(i, zero))
-                          for i in range(w.ambient_dim))
-            gx_norm = norm2(gx)
-            for phi, tol, r0, read in zip(phis, tols, unchanged, reads):
-                if exact and not read:
-                    continue  # phi . (g x) = phi . x = 0
-                r = dot(phi, gx) if read else r0[j]
-                if not (r.is_zero() if exact else
-                        r.magnitude() <= tol * gx_norm < math.inf):
+    zero, one = Scalar.zero(exact), Scalar.one(exact)
+    xs = [{i: x for i, x in enumerate(v.column_entries()) if x.re or x.im}
+          for v in w.basis]
+    if phi is None:
+        x = xs[0]
+        if w.dim != 1 or not x:
+            return False
+        p = next(iter(x)) if exact else max(x, key=lambda i: x[i].magnitude())
+        for rows in images:
+            gx = dict(x)
+            for i, row in rows.items():
+                gx[i] = sum((g * x[c] for c, g in row.items() if c in x), zero)
+            # with row p unpatched lam = 1, and only the patched rows move
+            lam = gx[p] / x[p] if p in rows else one
+            norm = 0.0 if exact else math.hypot(
+                *(y.magnitude() for y in gx.values()))
+            for i in rows.keys() | (x.keys() if p in rows else {}):
+                xi = x.get(i, zero)
+                scale = None if exact else norm * math.hypot(
+                    1.0, xi.magnitude() / x[p].magnitude())
+                if not _vanishes([gx[i], -(lam * xi)], zero, scale):
                     return False
+        return True
+    phi = {i: f for i, f in enumerate(phi) if f.re or f.im}
+    if (w.dim != w.ambient_dim - 1 or not phi
+            or any(min(x, default=None) != j for j, x in enumerate(xs))
+            or not all(_vanishes([f * x[i] for i, f in phi.items() if i in x],
+                                 zero) for x in xs)):
+        return False
+    for rows in images:
+        # entry c of phi g - phi: phi_i g_ic over the patched rows i, less
+        # phi_c when row c is patched
+        cols = {i: [-phi[i]] for i in rows if i in phi}
+        for i in rows.keys() & phi.keys():
+            for c, g in rows[i].items():
+                cols.setdefault(c, []).append(phi[i] * g)
+        if not all(_vanishes(terms, zero) for terms in cols.values()):
+            return False
     return True
 
 
@@ -269,40 +280,14 @@ def _line(v):
 _ONE_MINUS_ONE = {e: (Scalar.one(e), -Scalar.one(e)) for e in (True, False)}
 
 
-def _t3_special_points():
-    s3 = math.sqrt(3.0)
-    return [Scalar.from_float(0.0, s3), Scalar.from_float(0.0, -s3)]
-
-
-def _decide_t3(a, b):
-    exact = a.exact
-    one, minus_one = _ONE_MINUS_ONE[exact]
-    if a.eq(one):
-        # the eigenbasis {v_1, v_2} degenerates at a = 1; the invariant line
-        # there is <e_1> (the s_1 image fixes it and the block fixes e_1)
-        return Verdict(REDUCIBLE, "a=1",
-                       _line(Matrix.basis_vector(2, 1, exact)))
-    reason = None
-    if a.eq(minus_one):
-        reason = "a=-1"
-    elif not exact:
-        if any(a.eq(s) for s in _t3_special_points()):
-            reason = "T3-special"
-    if reason is None:
-        return Verdict(IRREDUCIBLE, "T3-criterion")
-    # <v_1> with v_1 = (2b/(a-1)^2, 1)^T is invariant at a = -1, +-i sqrt(3)
-    two = one + one
-    v1 = Matrix.column([two * b / (a - one).pow(2), one])
-    return Verdict(REDUCIBLE, reason, _line(v1))
-
-
 def decide(n, a, b):
     """Verdict for the reduced family-1 representation of dimension n-1.
 
     Every Reducible verdict carries an explicit invariant-subspace witness in
-    standard coordinates, re-verified by `witness_check` (one annihilator
-    product per generator image, exact or under the relative float bound
-    there) before it is returned.
+    standard coordinates, re-verified by `witness_check`, with no
+    elimination, before it is returned: a line at a = +-1 and at the n = 3
+    special points, or at a root of P the hyperplane <w, v_1, ..., v_{n-3}>
+    with its annihilator phi_j = (b/(1+a))^j.
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
@@ -311,9 +296,9 @@ def decide(n, a, b):
     _check_family1(a, b)
     exact = a.exact
     one, minus_one = _ONE_MINUS_ONE[exact]
-    if n == 3:
-        verdict = _decide_t3(a, b)
-    elif a.eq(one):
+    phi = None
+    if a.eq(one):
+        # the invariant line <e_1>: s_1 negates it and every block fixes it
         verdict = Verdict(REDUCIBLE, "a=1",
                           _line(Matrix.basis_vector(n - 1, 1, exact)))
     elif a.eq(minus_one):
@@ -321,6 +306,16 @@ def decide(n, a, b):
         entries = [(b / two).pow(n - 1 - k) for k in range(1, n)]
         verdict = Verdict(REDUCIBLE, "a=-1",
                           _line(Matrix.column(entries)))
+    elif n == 3:
+        # off a = +-1, only the float points a = +-i sqrt(3) are reducible,
+        # with the invariant line <(2b/(a-1)^2, 1)^T>
+        s3 = math.sqrt(3.0)
+        if exact or not (a.eq(Scalar.from_float(0.0, s3))
+                         or a.eq(Scalar.from_float(0.0, -s3))):
+            verdict = Verdict(IRREDUCIBLE, "T3-criterion")
+        else:
+            v1 = Matrix.column([(one + one) * b / (a - one).pow(2), one])
+            verdict = Verdict(REDUCIBLE, "T3-special", _line(v1))
     elif a.is_zero():
         # Delta = -bn/2 != 0: no proper invariant subspace through e_1
         verdict = Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
@@ -334,17 +329,22 @@ def decide(n, a, b):
         if root:
             # W = <w, v_1, ..., v_{n-3}> in standard coordinates (the chain
             # lives in basis B; transporting by P fixes the v_k and sends
-            # e_1 to w).  Independent by construction: the top n-2 rows are
-            # lower triangular with diagonal w_1, -b, ..., -b, all nonzero.
+            # e_1 to w).  The top n-2 rows are lower triangular with
+            # diagonal w_1, -b, ..., -b.
             vecs = [eigvec_w(n, a, b)]
             vecs += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
             witness = Subspace(n - 1, vecs, _assume_independent=True)
             verdict = Verdict(REDUCIBLE, "root-of-P", witness, diag)
+            # its annihilator phi_j = (b/(1+a))^j: phi g = phi holds for
+            # s_2..s_{n-1} at every a, and for s_1 iff u^n = 1
+            phi, r = [one], b / (one + a)
+            for _ in range(n - 2):
+                phi.append(phi[-1] * r)
         else:
             verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
     if verdict.reducible:
         images = [_reduced_gen_rows(n, a, b, k) for k in range(1, n)]
-        if not witness_check(images, verdict.witness):
+        if not witness_check(images, verdict.witness, phi):
             raise ArithmeticError(
                 "internal error: witness failed the invariance check "
                 "(n=%d, reason=%s)" % (n, verdict.reason))

@@ -96,10 +96,6 @@ class Matrix:
     def column_entries(self, j=0):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def __repr__(self):
         return "Matrix(%dx%d %s)" % (self.rows, self.cols, self.backend)
 

@@ -1,5 +1,4 @@
-"""Generator images of the three classified families, relation checks, and
-block classification.
+"""Generator images of the three classified families and relation checks.
 
 Every family sends generator s_k to I_{k-1} (+) M (+) I_{n-k-1} for one shared
 2x2 block M satisfying M^2 = I.  Family 1 has M = [[a, b], [(1-a^2)/b, -a]]
@@ -119,41 +118,3 @@ def verify_relations(images):
                     failures.append("s%d s%d != s%d s%d"
                                     % (x.index, y.index, y.index, x.index))
     return failures
-
-
-@dataclass(frozen=True)
-class BlockClass:
-    kind: str  # "family1" | "family2" | "family3" | "trivial" | "invalid"
-    a: Optional[Scalar] = None
-    b: Optional[Scalar] = None
-    c: Optional[Scalar] = None
-    sign: Optional[int] = None
-
-
-def classify_block(m):
-    """Classify a 2x2 block into its family, recovering parameters.
-
-    b != 0 forces family 1 (d = -a by the involution equations); with b = 0
-    the block is -I (family 3), I (trivial), or diag(+-1, -+1) with arbitrary
-    lower-left entry (family 2).  Anything that is not an involution is
-    invalid.
-    """
-    if m.rows != 2 or m.cols != 2:
-        raise ValueError("classify_block wants a 2x2 matrix")
-    exact = m.exact
-    ident = Matrix.identity(2, exact)
-    if not (m @ m).eq(ident):
-        return BlockClass("invalid")
-    a, b = m.data[0]
-    c, d = m.data[1]
-    one = Scalar.one(exact)
-    if not b.is_zero():
-        return BlockClass("family1", a=a, b=b)
-    if m.eq(-ident):
-        return BlockClass("family3")
-    if m.eq(ident):
-        return BlockClass("trivial")
-    if (a + d).is_zero() and (a * a - one).is_zero():
-        sign = 1 if a.eq(one) else -1
-        return BlockClass("family2", c=c, sign=sign)
-    return BlockClass("invalid")

@@ -123,6 +123,9 @@ DEFAULT_CASES = [
                                "--b", "1.0+0.0i", "--a-list", "2.0+0.0i"]),
     ("sweep_empty_a_list", ["sweep", "--n-min", "4", "--b", "1.0+0.0i",
                             "--a-list", ","]),
+    ("sweep_exact_a_beyond_float", ["sweep", "--n-min", "5", "--b", EX("1/1"),
+                                    "--a-list", "%s,%s" % (
+                                        EX("2/1"), EX("%d/1" % 10 ** 400))]),
 ]
 
 # the float cases again under a loose tolerance, plus the invalid ones

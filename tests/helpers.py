@@ -3,13 +3,16 @@ and thin wrappers over package internals, kept here because nothing in the
 package calls them.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from twinrep.linalg import DimensionError, Matrix, _rref
+from twinrep.linalg import DimensionError, Matrix, _rref, kernel
 from twinrep.oracle import _unwrap, algebra_closure
-from twinrep.reduction import ParameterError, build_Q
+from twinrep.reduction import ParameterError, build_Q, build_S
 from twinrep.reps import RepSpec, build_generator
-from twinrep.scalars import BackendMismatchError, Scalar
+from twinrep.scalars import BackendMismatchError, Scalar, default_eps
 
 
 def s2v1_closed(n, a, b):
@@ -231,3 +234,179 @@ def matrix_from_json(obj):
     if m.backend != obj["backend"]:
         raise BackendMismatchError("JSON backend tag disagrees with data")
     return m
+
+
+def annihilator(n, a, b):
+    """phi_j = (b/(1+a))^j for j = 0..n-2, as `decide` builds it for its
+    root-of-P witness: the row that cuts out <w, v_1, ..., v_{n-3}>."""
+    one = Scalar.one(a.exact)
+    phi, r = [one], b / (one + a)
+    for _ in range(n - 2):
+        phi.append(phi[-1] * r)
+    return phi
+
+
+def reference_witness_check(images, w):
+    """True iff every generator image maps span(w) into itself, for any
+    subspace w: the reference for `irreducibility.witness_check`, which
+    checks only the two witness shapes `decide` builds.
+
+    Works through the annihilator: the rows phi of kernel(B^T), for the basis
+    matrix B, cut out span(w), so g maps span(w) into itself iff Phi g B = 0.
+    Exact mode asks for exact zeros.  Float mode first scales each basis
+    vector so its largest entry has modulus 1, then needs every entry
+    r = phi . (g x) to pass |r| <= eps ||phi||_2 ||g x||_2, tested as
+    `not (|r| <= bound < inf)` so NaN and overflow fail.  |r| / ||phi||_2 is
+    the distance of g x from ker phi: the bound caps it at eps ||g x||_2.
+
+    An image is a matrix, a GeneratorImage, or {row: {column: entry}} over
+    the rows where it differs from the identity; a phi that reads none of
+    them keeps phi . x."""
+    # sparse {index: entry} vectors: a line's phi has at most 2 entries
+    nonzeros = lambda pairs: {i: x for i, x in pairs if x.re or x.im}
+    patches = []
+    for img in images:
+        if not isinstance(img, dict):
+            m = getattr(img, "matrix", img)
+            if (m.rows, m.cols) != (w.ambient_dim,) * 2:
+                raise ParameterError("witness/image dimension mismatch")
+            img = {i: dict(enumerate(row)) for i, row in enumerate(m.data)}
+        patches.append({i: nonzeros(row.items()) for i, row in img.items()})
+    if w.dim in (0, w.ambient_dim):
+        return True
+    exact = w.basis[0].exact
+    b = Matrix.from_columns(w.basis if exact else [
+        v.scale(Scalar.from_float(1.0 / v.max_magnitude())) for v in w.basis])
+    xs = [nonzeros(enumerate(b.column_entries(j))) for j in range(b.cols)]
+    norm2 = lambda v: 0.0 if exact else math.hypot(
+        *(x.magnitude() for x in v.values()))
+    zero = Scalar.zero(exact)
+    dot = lambda u, v: sum((x * v[i] for i, x in u.items() if i in v), zero)
+    b_t = Matrix([b.column_entries(j) for j in range(b.cols)])
+    phis = [nonzeros(enumerate(v.column_entries()))
+            for v in kernel(b_t).basis]
+    tols = [default_eps() * norm2(phi) for phi in phis]
+    unchanged = [[zero if exact else dot(phi, x) for x in xs] for phi in phis]
+    for rows in filter(None, patches):
+        reads = [any(i in rows for i in phi) for phi in phis]
+        for j, x in enumerate(xs):
+            gx = nonzeros((i, dot(rows[i], x) if i in rows else x.get(i, zero))
+                          for i in range(w.ambient_dim))
+            gx_norm = norm2(gx)
+            for phi, tol, r0, read in zip(phis, tols, unchanged, reads):
+                if exact and not read:
+                    continue  # phi . (g x) = phi . x = 0
+                r = dot(phi, gx) if read else r0[j]
+                if not (r.is_zero() if exact else
+                        r.magnitude() <= tol * gx_norm < math.inf):
+                    return False
+    return True
+
+
+def closure_check(bundle):
+    """Verify every identity that keeps W = <e_1, v_1..v_{n-3}> of a
+    `chains.ChainBundle` stable under S_1, S_2 (on v_j, j >= 2) and S_k,
+    k >= 3.  Returns failure strings."""
+    n, a, b = bundle.n, bundle.a, bundle.b
+    exact = a.exact
+    one = Scalar.one(exact)
+    failures = []
+    v = {k + 1: vec for k, vec in enumerate(bundle.v_chain)}
+    e1 = Matrix.basis_vector(n - 1, 1, exact)
+    s = {j: build_S(n, a, b, j) for j in range(1, n)}
+
+    def check(name, got, want):
+        if not got.eq(want):
+            failures.append(name)
+
+    check("S1 e1 != -e1", s[1] @ e1, -e1)
+    for j, vj in v.items():
+        check("S1 v%d != v%d" % (j, j), s[1] @ vj, vj)
+    for j in range(2, n - 2):
+        check("S2 v%d != v%d" % (j, j), s[2] @ v[j], v[j])
+    for k in range(3, n):
+        for j, vj in v.items():
+            if j == k - 2:
+                check("S%d v%d != -v%d" % (k, j, j), s[k] @ vj, -vj)
+            elif j == k - 1:
+                want = v[k - 2].scale(b) + vj
+                check("S%d v%d != b v%d + v%d" % (k, j, k - 2, j), s[k] @ vj, want)
+            elif j == k - 3:
+                want = vj + v[k - 2].scale((one - a * a) / b)
+                check("S%d v%d != v%d + (1-a^2)/b v%d" % (k, j, j, k - 2),
+                      s[k] @ vj, want)
+            else:
+                check("S%d v%d != v%d" % (k, j, j), s[k] @ vj, vj)
+    return failures
+
+
+def lemma_matrix(xs, y1, y2):
+    """The bordered lower-bidiagonal matrix: first column xs, second column
+    e_1, and column j >= 3 carrying y1 in row j-1 and y2 in row j."""
+    n = len(xs)
+    if n < 2:
+        raise ParameterError("lemma matrix needs n >= 2")
+    exact = xs[0].exact
+    zero = Scalar.zero(exact)
+    one = Scalar.one(exact)
+    data = [[zero] * n for _ in range(n)]
+    for i, x in enumerate(xs):
+        data[i][0] = x
+    data[0][1] = one
+    for j in range(2, n):  # 0-based column j: y1 in row j-1, y2 in row j
+        data[j - 1][j] = y1
+        data[j][j] = y2
+    return Matrix(data)
+
+
+def det_closed_form(xs, y1, y2):
+    """det of lemma_matrix(xs, y1, y2) as the alternating sum
+    sum_{k=2}^{n} (-1)^(k+1) x_k y1^(k-2) y2^(n-k); x_1 never appears.  The
+    bordered determinant lemma behind the closed form of Delta."""
+    n = len(xs)
+    if n < 2:
+        raise ParameterError("needs at least 2 entries")
+    exact = xs[0].exact
+    acc = Scalar.zero(exact)
+    for k in range(2, n + 1):
+        term = xs[k - 1] * y1.pow(k - 2) * y2.pow(n - k)
+        acc = acc + term if k % 2 == 1 else acc - term
+    return acc
+
+
+@dataclass(frozen=True)
+class BlockClass:
+    kind: str  # "family1" | "family2" | "family3" | "trivial" | "invalid"
+    a: Optional[Scalar] = None
+    b: Optional[Scalar] = None
+    c: Optional[Scalar] = None
+    sign: Optional[int] = None
+
+
+def classify_block(m):
+    """Classify a 2x2 block into its family, recovering parameters.
+
+    b != 0 forces family 1 (d = -a by the involution equations); with b = 0
+    the block is -I (family 3), I (trivial), or diag(+-1, -+1) with arbitrary
+    lower-left entry (family 2).  Anything that is not an involution is
+    invalid.
+    """
+    if m.rows != 2 or m.cols != 2:
+        raise ValueError("classify_block wants a 2x2 matrix")
+    exact = m.exact
+    ident = Matrix.identity(2, exact)
+    if not (m @ m).eq(ident):
+        return BlockClass("invalid")
+    a, b = m.data[0]
+    c, d = m.data[1]
+    one = Scalar.one(exact)
+    if not b.is_zero():
+        return BlockClass("family1", a=a, b=b)
+    if m.eq(-ident):
+        return BlockClass("family3")
+    if m.eq(ident):
+        return BlockClass("trivial")
+    if (a + d).is_zero() and (a * a - one).is_zero():
+        sign = 1 if a.eq(one) else -1
+        return BlockClass("family2", c=c, sign=sign)
+    return BlockClass("invalid")

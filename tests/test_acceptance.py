@@ -8,11 +8,10 @@ import math
 import time
 from fractions import Fraction
 
-from twinrep.chains import (chain_vectors, closed_chain_vector, closure_check,
-                            delta, delta_direct, det_closed_form, lemma_matrix)
+from twinrep.chains import (chain_vectors, closed_chain_vector, delta,
+                            delta_direct)
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
-                                    decide, eval_P, root_residual, roots_of_P,
-                                    witness_check)
+                                    decide, eval_P, root_residual, roots_of_P)
 from twinrep.linalg import Matrix, Subspace, mat_det
 from twinrep.oracle import algebra_closure
 from twinrep.reduction import (build_P, build_Q, build_S, build_reduced_gen,
@@ -20,7 +19,9 @@ from twinrep.reduction import (build_P, build_Q, build_S, build_reduced_gen,
 from twinrep.reps import RepSpec, build_all_generators, verify_relations
 from twinrep.scalars import Scalar, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import conjugated_full_gen, delete_row_col, eval_exact
+from helpers import (closure_check, conjugated_full_gen, delete_row_col,
+                     det_closed_form, eval_exact, lemma_matrix,
+                     reference_witness_check)
 
 
 def _report(number, label, body):
@@ -192,8 +193,8 @@ def test_criterion_09_main_theorem_cross_validation():
                 verdict = decide(n, r, b)
                 assert verdict.status == REDUCIBLE, (n, r)
                 assert verdict.witness.dim == n - 2, (n, r)
-                assert witness_check(reduced_generators(n, r, b),
-                                     verdict.witness), (n, r)
+                assert reference_witness_check(reduced_generators(n, r, b),
+                                               verdict.witness), (n, r)
                 assert _oracle_dim(n, r, b) < d * d, (n, r)
             # a = 1: witness <e_1>; a = -1: witness sum (b/2)^(n-1-k) e_k
             be = ex(2)
@@ -257,11 +258,11 @@ def test_criterion_12_family23_witnesses():
             spec2 = RepSpec(2, n, c=rand_exact(rng), sign=rng.choice((1, -1)))
             images2 = build_all_generators(spec2)
             w = Subspace(n, [Matrix.basis_vector(n, n)])
-            assert witness_check(images2, w), n
+            assert reference_witness_check(images2, w), n
             images3 = build_all_generators(RepSpec(3, n))
             for k in range(1, n + 1):
                 wk = Subspace(n, [Matrix.basis_vector(n, k)])
-                assert witness_check(images3, wk), (n, k)
+                assert reference_witness_check(images3, wk), (n, k)
     _report(12, "second and third family witnesses", body)
 
 

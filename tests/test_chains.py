@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from twinrep.chains import (closed_chain_vector, chain_vectors, closure_check,
-                            delta, delta_direct, delta_matrix,
-                            det_closed_form, lemma_matrix)
+from twinrep.chains import (closed_chain_vector, chain_vectors, delta,
+                            delta_direct, delta_matrix)
 from twinrep.linalg import Matrix, mat_det
 from twinrep.reduction import ParameterError, build_S
 from twinrep.scalars import ex
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import delta_intermediate, s2v1_closed
+from helpers import (closure_check, delta_intermediate, det_closed_form,
+                     lemma_matrix, s2v1_closed)
 
 
 def test_chain_recurrence_matches_closed_form():

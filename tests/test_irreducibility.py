@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twinrep import linalg
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     decide, eval_P, root_residual, roots_of_P,
                                     witness_check)
@@ -13,7 +14,8 @@ from twinrep.reduction import (ParameterError, _reduced_gen_rows, eigvec_w,
                                reduced_generators)
 from twinrep.scalars import Scalar, ScalarError, ex, fl, set_default_eps
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import eval_exact, from_complex, reference_eval_P
+from helpers import (annihilator, eval_exact, from_complex, reference_eval_P,
+                     reference_witness_check)
 
 
 def test_cleared_poly_frozen_small_cases():
@@ -187,7 +189,8 @@ def test_decide_a_minus_one():
         v = decide(n, ex(-1), ex(2))
         assert v.status == REDUCIBLE and v.reason == "a=-1"
         assert v.witness.dim == 1
-        assert witness_check(reduced_generators(n, ex(-1), ex(2)), v.witness)
+        assert reference_witness_check(reduced_generators(n, ex(-1), ex(2)),
+                                       v.witness)
 
 
 def test_decide_a_zero_irreducible():
@@ -205,26 +208,33 @@ def test_decide_generic_irreducible():
         assert "abs_P" in v.diagnostics
 
 
+def _root_cases():
+    """(n, a, b) at roots of P: every float root for n = 4..32, the smallest,
+    a middle and the largest root at n = 40, 48 and 60 (the suite's budget
+    stops the full grid at 32), six roots at n = 31 with b = 2 - i, where the
+    entries of w span ten orders of magnitude, and the exact roots +-i at
+    4 | n <= 40."""
+    cases = [(n, r, fl(1.0)) for n in range(4, 33) for r in roots_of_P(n)]
+    for n in (40, 48, 60):
+        roots = roots_of_P(n)
+        cases += [(n, r, fl(1.0)) for r in (roots[0], roots[n // 4], roots[-1])]
+    cases += [(31, r, fl(2.0, -1.0)) for r in roots_of_P(31)[12:18]]
+    cases += [(n, ex(0, s), ex(1)) for n in range(4, 41, 4) for s in (1, -1)]
+    return cases
+
+
 def test_decide_at_root_gives_witness():
-    # n = 11, 13 and 15..20 include the roots whose true witnesses the old
-    # rank-per-image check rejected ("witness failed")
-    for n in (4, 5, 6, 11, 13, *range(15, 21)):
+    for n, a, b in _root_cases():
+        v = decide(n, a, b)
+        assert v.status == REDUCIBLE and v.reason == "root-of-P", (n, a, b)
+        assert v.witness.dim == n - 2
+    # the general reference re-checks the witnesses at n = 15..20, where
+    # (as at n = 11 and 13, which the row-patch test covers) the old
+    # rank-per-image check rejected true witnesses
+    for n in range(15, 21):
         for r in roots_of_P(n):
-            v = decide(n, r, fl(1.0))
-            assert v.status == REDUCIBLE and v.reason == "root-of-P", (n, r)
-            assert v.witness.dim == n - 2
-            assert witness_check(reduced_generators(n, r, fl(1.0)), v.witness)
-    # at b = 2 - i the entries of w span ten orders of magnitude at n = 31;
-    # unless each basis vector is scaled first, kernel(B^T) comes out too big
-    for r in roots_of_P(31)[12:18]:
-        v = decide(31, r, fl(2.0, -1.0))
-        assert v.reason == "root-of-P" and v.witness.dim == 29, r
-    # a = +-i is an exact root of P exactly when 4 | n (tan(pi/4) = 1)
-    for n in range(4, 25, 4):
-        for a in (ex(0, 1), ex(0, -1)):
-            v = decide(n, a, ex(1))
-            assert v.status == REDUCIBLE and v.reason == "root-of-P", (n, a)
-            assert v.witness.dim == n - 2
+            rows = [_reduced_gen_rows(n, r, fl(1.0), k) for k in range(1, n)]
+            assert reference_witness_check(rows, decide(n, r, fl(1.0)).witness)
 
 
 def test_decide_near_root_never_fails_its_witness():
@@ -271,11 +281,9 @@ def test_decide_rejects_non_finite_input(a, b):
 
 def test_exact_decide_matches_eval_P_bit_for_bit():
     # exact decide evaluates P on Gaussian integers; its |P| must be the
-    # float eval_P gives, and it must answer Reducible iff eval_P is 0.
-    # +-i at 4 | n > 24 is left out only because its witness is slow.
+    # float eval_P gives, and it must answer Reducible iff eval_P is 0
     rng = rng_for(7007)
-    cases = [(n, ex(0, s)) for n in range(4, 61) for s in (1, -1)
-             if n % 4 or n <= 24]
+    cases = [(n, ex(0, s)) for n in range(4, 61) for s in (1, -1)]
     cases += [(n, ex(0, 1 + Fraction(1, 10 ** 30))) for n in (4, 8, 17, 60)]
     cases += [(n, ex(Fraction(1, 10 ** 200))) for n in (4, 9, 60)]
     while len(cases) < 5000:
@@ -316,41 +324,87 @@ def test_exact_decide_survives_abs_P_beyond_float_range():
         assert v.diagnostics["abs_P"] == math.inf
 
 
+def _hyperplane(n, a, b, a_w=None):
+    """<w, v_1, ..., v_{n-3}> built at a, with w itself built at a_w."""
+    vecs = [eigvec_w(n, a if a_w is None else a_w, b)]
+    vecs += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
+    return Subspace(n - 1, vecs, _assume_independent=True)
+
+
 def test_witness_check_rejects_non_invariant():
-    gens = reduced_generators(4, ex(2), ex(1))
-    bogus = Subspace(3, [Matrix.basis_vector(3, 2)])
-    assert not witness_check(gens, bogus)
-    # <w, v_1, ..., v_{n-3}> built at a(1 + delta) instead of at the root a
-    # is off by about a relative delta, above eps = 1e-9 (the true witness
-    # stays below 1e-14).  A bound in ||g||_inf ||x||_2 in place of ||g x||_2
-    # accepts some delta = 1e-8 cases: g_1 has entries near 1e20 at n = 24.
+    rows = [_reduced_gen_rows(4, ex(2), ex(1), k) for k in range(1, 4)]
+    assert not witness_check(rows, Subspace(3, [Matrix.basis_vector(3, 2)]))
+    # the hyperplane witness or its phi built at a(1 + delta) instead of at
+    # the root a is off by about a relative delta, above eps = 1e-9, while
+    # the true witness stays near 1e-16.  A bound in ||phi||_2 ||x||_2 in
+    # place of sum |phi_j||x_j| accepts some delta = 1e-8 cases.
+    b = fl(1.0)
     for n in (5, 11, 16, 24):
         for r in roots_of_P(n):
-            gens = reduced_generators(n, r, fl(1.0))
+            rows = [_reduced_gen_rows(n, r, b, k) for k in range(1, n)]
+            assert witness_check(rows, _hyperplane(n, r, b),
+                                 annihilator(n, r, b)), (n, r)
             for delta in (1e-4, 1e-6, 1e-8):
                 a = r * fl(1.0 + delta)
-                vecs = [eigvec_w(n, a, fl(1.0))]
-                vecs += [closed_chain_vector(n, a, fl(1.0), k)
-                         for k in range(1, n - 2)]
-                w = Subspace(n - 1, vecs, _assume_independent=True)
-                assert not witness_check(gens, w), (n, r, delta)
+                for w, phi in ((_hyperplane(n, r, b, a), annihilator(n, r, b)),
+                               (_hyperplane(n, a, b), annihilator(n, r, b)),
+                               (_hyperplane(n, r, b), annihilator(n, a, b)),
+                               (_hyperplane(n, a, b), annihilator(n, a, b))):
+                    assert not witness_check(rows, w, phi), (n, r, delta)
+    # a basis that phi annihilates is independent only by its shape: a zero
+    # on the diagonal or an entry above it fails, on both backends
+    for a, b in ((ex(0, 1), ex(1)), (roots_of_P(8)[-1], fl(1.0))):
+        rows = [_reduced_gen_rows(8, a, b, k) for k in range(1, 8)]
+        phi = annihilator(8, a, b)
+        basis = _hyperplane(8, a, b).basis
+        assert witness_check(rows, Subspace(7, basis), phi)
+        for k, v in ((1, basis[2]), (2, basis[1])):  # zero diagonal, above
+            bad = basis[:k] + [v] + basis[k + 1:]
+            w = Subspace(7, bad, _assume_independent=True)
+            assert not witness_check(rows, w, phi), (a, k)
 
 
 def test_witness_check_row_patches_match_dense():
-    # decide passes each image as the rows where it differs from the
-    # identity; that must answer as the dense images do, for line and
-    # hyperplane witnesses, at their own point (True) and at 2a (False)
-    cases = [(n, a, b) for n in (3, 4, 7, 12) for a, b in (
+    # witness_check on decide's row patches answers as the general reference
+    # on the dense images (on row patches past n = 12, to save time), for
+    # every witness shape, at its own point (True) and at 2a (False)
+    s3 = math.sqrt(3.0)
+    cases = [(n, a, b) for n in range(3, 25) for a, b in (
         (ex(1), ex(2)), (ex(-1), ex(1, 1)), (fl(1.0), fl(1.0)),
         (fl(-1.0), fl(2.0, -1.0)))]
-    cases += [(n, r, fl(1.0)) for n in (6, 11) for r in roots_of_P(n)]
-    cases += [(8, ex(0, 1), ex(3)), (12, ex(0, -1), ex(1))]
+    cases += [(3, fl(0.0, y), b) for y in (s3, -s3)
+              for b in (fl(1.0), fl(-2.0, 0.5))]
+    cases += [(n, r, fl(1.0)) for n in range(4, 14) for r in roots_of_P(n)]
+    cases += [(n, ex(0, s), ex(1)) for n in range(4, 41, 4) for s in (1, -1)]
+    cases += [(8, ex(0, 1), ex(3))]
     for n, a, b in cases:
-        w = decide(n, a, b).witness
+        v = decide(n, a, b)
+        phi = annihilator(n, a, b) if v.reason == "root-of-P" else None
         for a2, want in ((a, True), (a + a, False)):
             rows = [_reduced_gen_rows(n, a2, b, k) for k in range(1, n)]
-            assert witness_check(rows, w) is want, (n, a, a2)
-            assert witness_check(reduced_generators(n, a2, b), w) is want
+            assert witness_check(rows, v.witness, phi) is want, (n, a, a2)
+            dense = reduced_generators(n, a2, b) if n <= 12 else rows
+            assert reference_witness_check(dense, v.witness) is want, (n, a2)
+
+
+def test_decide_runs_no_elimination(monkeypatch):
+    # every verdict branch, with the one elimination loop made to raise
+    def eliminate(m):
+        raise AssertionError("decide ran an elimination")
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    s3 = math.sqrt(3.0)
+    cases = [(5, ex(2), ex(1)), (5, fl(2.0), fl(1.0)), (5, ex(0), ex(1)),
+             (3, ex(2), ex(1)), (3, fl(0.0, s3), fl(1.0)),
+             (60, roots_of_P(60)[-1], fl(1.0)), (40, ex(0, 1), ex(1))]
+    cases += [(n, a, b) for n in (3, 7) for a, b in (
+        (ex(1), ex(2)), (ex(-1), ex(2)), (fl(1.0), fl(2.0)),
+        (fl(-1.0), fl(2.0)))]
+    reasons = {decide(n, a, b).reason for n, a, b in cases}
+    assert reasons == {"generic", "a=0", "T3-criterion", "T3-special",
+                       "root-of-P", "a=1", "a=-1"}
+    with pytest.raises(AssertionError, match="elimination"):
+        linalg.kernel(Matrix.identity(2))
+    assert not hasattr(Matrix, "transpose")
 
 
 def test_verdict_reducible_property():

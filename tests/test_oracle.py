@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twinrep import oracle
-from twinrep.irreducibility import decide, witness_check
+from twinrep.irreducibility import decide
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
 from twinrep.reduction import reduced_generators
@@ -12,7 +12,7 @@ from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
 from helpers import (is_irreducible_oracle, is_prime, reference_closure,
-                     word_matrix)
+                     reference_witness_check, word_matrix)
 
 (P1, _), (P2, _) = oracle._PRIMES
 
@@ -240,7 +240,7 @@ def test_eigenlines_are_invariant_and_hold_the_witness(n, sign, exact):
     a, b = (ex(sign), ex(2, 1)) if exact else (fl(float(sign)), fl(2.0, 1.0))
     images = reduced_generators(n, a, b)
     lines = common_eigenlines(images)
-    assert all(witness_check(images, line) for line in lines)
+    assert all(reference_witness_check(images, line) for line in lines)
     witness = decide(n, a, b).witness
     assert witness.dim == 1
     assert any(line.contains(witness.basis[0]) for line in lines)

@@ -3,10 +3,10 @@ import pytest
 from twinrep.linalg import Matrix
 from twinrep.reps import (GeneratorImage, RepSpec, RepSpecError, build_block,
                           build_all_generators, build_generator,
-                          classify_block, verify_relations)
+                          verify_relations)
 from twinrep.scalars import ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import is_identity
+from helpers import classify_block, is_identity
 
 
 def rand_spec(rng, family, n):
