@@ -57,7 +57,8 @@ def _spec_from_args(args, backend=None):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    """One line of JSON (RFC 8259): a non-finite float raises ValueError."""
+    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def _add_family_flags(p, family_required=True):
@@ -129,8 +130,11 @@ def _cmd_decide(args):
     a = _scalar_arg(args.a, args.backend)
     b = _scalar_arg(args.b, args.backend)
     verdict = decide(args.n, a, b)
+    diag = dict(verdict.diagnostics)
+    if not math.isfinite(diag.get("abs_P", 0.0)):
+        diag["abs_P"] = None  # an exact |P| beyond float range
     out = {"status": verdict.status, "reason": verdict.reason,
-           "diagnostics": verdict.diagnostics}
+           "diagnostics": diag}
     if args.emit_witness and verdict.witness is not None:
         out["witness"] = [v.to_json() for v in verdict.witness.basis]
     _emit(out)

@@ -35,7 +35,7 @@ from .linalg import Matrix, Subspace
 from .reduction import (ParameterError, _check_family1, _reduced_gen_rows,
                         eigvec_w)
 from .chains import closed_chain_vector
-from .scalars import Scalar, default_eps, require_finite
+from .scalars import Scalar, _cdiv, default_eps, require_finite
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,6 @@ def cleared_poly(n):
 def _cmul(ar, ai, br, bi):
     """(ar + ai i)(br + bi i), formula for formula as `Scalar.__mul__`."""
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi, exact):
-    """(ar + ai i)/(br + bi i), formula for formula as `Scalar.__truediv__`,
-    with its ZeroDivisionError and its ScalarError for a non-finite float
-    quotient."""
-    n = br * br + bi * bi
-    if not n:
-        raise ZeroDivisionError("division by %s zero scalar"
-                                % ("exact" if exact else "float"))
-    qr, qi = (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
-    if not (exact or (math.isfinite(qr) and math.isfinite(qi))):
-        require_finite(Scalar(qr, qi, exact))
-    return qr, qi
 
 
 def _cpow(xr, xi, k):
@@ -343,7 +329,7 @@ def decide(n, a, b):
         else:
             verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
     if verdict.reducible:
-        images = [_reduced_gen_rows(n, a, b, k) for k in range(1, n)]
+        images = _reduced_gen_rows(n, a, b, range(1, n))
         if not witness_check(images, verdict.witness, phi):
             raise ArithmeticError(
                 "internal error: witness failed the invariance check "

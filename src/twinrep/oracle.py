@@ -20,7 +20,15 @@ Two detectors validate every verdict the decision procedure produces:
   invariant subspace of a family of involutions is a common +-1 eigenvector.
   Each generator splits every candidate subspace, held as a basis matrix K,
   into its +1 and -1 parts K @ kernel(g K -+ K); the candidates left with one
-  column are the eigenlines.
+  column are the eigenlines.  This sign tree is written once over a number
+  system.  Float mode runs it on `complex`, step for step as the float
+  `Scalar` kernel, so the lines are bit-identical to it.  Exact mode runs it
+  first over F_p with the closure's primes: a sign pattern's subspace is
+  the kernel of the stacked matrix [g - s I] over the generators g and
+  their signs s, whose rank can only drop mod p, so a pattern empty mod p
+  is empty over Q(i).  The exact tree on `Scalar`s and `linalg.kernel` then
+  runs only along the patterns that survive; at a generic point there are
+  none.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import DimensionError, Matrix, Subspace, kernel
-from .scalars import Scalar, default_eps
+from .scalars import Scalar, _cdiv, default_eps
 
 
 def _unwrap(images):
@@ -53,7 +61,213 @@ class ClosureResult:
     rank_gap: float  # float mode: min accepted / max rejected relative residual
 
 
-class _FloatSpan:
+class _Plain:
+    """Matrices as lists of rows of plain numbers, for the closure spans and
+    the eigenline sign tree.  A subclass fixes the number system: `zero`,
+    `one`, `exact`, `lift`, and the entry steps `threshold`, `pivot`, `inv`,
+    `mul` and `reduce`, which brings a computed row to normal form."""
+
+    def identity(self, d):
+        return [[self.one if i == j else self.zero for j in range(d)]
+                for i in range(d)]
+
+    def matmul(self, a, b):
+        """a @ b as `Matrix.__matmul__` forms it: each entry summed from
+        zero in column order, over the terms where neither factor is 0."""
+        zero_row = [self.zero] * len(b[0])
+        out = []
+        for row in a:
+            acc = zero_row
+            for j, x in enumerate(row):
+                if x:
+                    acc = [s + x * y if y else s for s, y in zip(acc, b[j])]
+            out.append(self.reduce(acc))
+        return out
+
+    def sub(self, a, b):
+        return [self.reduce([x - y for x, y in zip(u, v)])
+                for u, v in zip(a, b)]
+
+    def add(self, a, b):
+        return [self.reduce([x + y for x, y in zip(u, v)])
+                for u, v in zip(a, b)]
+
+    def _axpy(self, u, f, v):
+        return self.reduce([x - f * y for x, y in zip(u, v)])
+
+    def kernel(self, a):
+        """A basis of {x : a x = 0} as the columns of a matrix, or None when
+        it is 0, by the steps of `linalg.kernel`: `_eliminate` with the
+        subclass's pivots, `_rref`'s back substitution, then one basis
+        vector per free column.  Consumes a."""
+        nrows, ncols = len(a), len(a[0])
+        thresh = self.threshold(a)
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            if r == nrows:
+                break
+            p = self.pivot([a[i][c] for i in range(r, nrows)], thresh)
+            if p is None:
+                continue
+            a[r], a[r + p] = a[r + p], a[r]
+            inv = self.inv(a[r][c])
+            for i in range(r + 1, nrows):
+                if self.exact and not a[i][c]:
+                    continue
+                a[i] = self._axpy(a[i], self.mul(a[i][c], inv), a[r])
+            pivots.append(c)
+        if len(pivots) == ncols:  # full column rank: the kernel is 0
+            return None
+        for k in reversed(range(len(pivots))):
+            c = pivots[k]
+            inv = self.inv(a[k][c])
+            a[k] = self.reduce([x * inv for x in a[k]])
+            for i in range(k):
+                if a[i][c]:
+                    a[i] = self._axpy(a[i], a[i][c], a[k])
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = [[self.zero] * len(free) for _ in range(ncols)]
+        for t, f in enumerate(free):
+            basis[f][t] = self.one
+            for k, c in enumerate(pivots):
+                basis[c][t] = -a[k][f]
+        return basis
+
+
+class _Complex(_Plain):
+    """`complex` numbers, step for step as the float `Scalar` kernels: the
+    same product and sum formulas, magnitudes by `math.hypot`, inverses by
+    `Scalar.__truediv__`'s formula, and partial pivoting against eps times
+    the matrix's largest entry (at least 1), as in `linalg._eliminate`.
+    Results are bit-identical to the `Scalar` computation."""
+
+    exact = False
+    zero, one = 0j, 1 + 0j
+
+    def __init__(self):
+        self.eps = default_eps()
+
+    @staticmethod
+    def lift(m):
+        out = [[complex(x.re, x.im) for x in row] for row in m.data]
+        if not all(cmath.isfinite(z) for row in out for z in row):
+            raise ValueError("the oracle needs finite matrix entries")
+        return out
+
+    def eq(self, x, y):
+        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|)."""
+        return (math.hypot(x.real - y.real, x.imag - y.imag)
+                <= self.eps * max(1.0, math.hypot(x.real, x.imag),
+                                  math.hypot(y.real, y.imag)))
+
+    def is_involution(self, g):
+        return _squares_to_identity(
+            [[(j, x) for j, x in enumerate(row) if x] for row in g],
+            self.eq, self.one, self.zero)
+
+    def threshold(self, a):
+        return self.eps * max(1.0, max(math.hypot(z.real, z.imag)
+                                       for row in a for z in row))
+
+    @staticmethod
+    def pivot(column, thresh):
+        """The offset of the largest entry, the last of equals; None when
+        it is at most thresh."""
+        best, p = max([(math.hypot(z.real, z.imag), i)
+                       for i, z in enumerate(column)])
+        return None if best <= thresh else p
+
+    @staticmethod
+    def inv(z):
+        return complex(*_cdiv(1.0, 0.0, z.real, z.imag, False))
+
+    @staticmethod
+    def mul(x, y):
+        return x * y
+
+    @staticmethod
+    def reduce(row):
+        return row
+
+    @staticmethod
+    def line(k):
+        """The entries of a one-column k as Scalars, else None."""
+        if len(k[0]) == 1:
+            return [Scalar(z.real, z.imag, False) for (z,) in k]
+        return None
+
+
+class _Fp(_Plain):
+    """Ints mod a prime p = 1 (mod 4), i sent to `root`, a square root of
+    -1 mod p.  Pivots are first nonzero entries."""
+
+    exact = True
+    zero, one = 0, 1
+
+    def __init__(self, p, root):
+        self.p, self.root = p, root
+
+    def lift(self, m):
+        p = self.p  # pow raises ValueError if p divides a denominator
+        mod = lambda x: x.numerator * pow(x.denominator, -1, p)
+        return [[(mod(x.re) + self.root * mod(x.im)) % p for x in row]
+                for row in m.data]
+
+    @staticmethod
+    def threshold(a):
+        return None
+
+    @staticmethod
+    def pivot(column, thresh):
+        return next((i for i, x in enumerate(column) if x), None)
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def reduce(self, row):
+        p = self.p
+        return [x % p for x in row]
+
+
+class _Gaussian:
+    """Exact Gaussian rationals as `Scalar` matrices, eliminated by
+    `linalg.kernel`: the number system of the exact eigenlines."""
+
+    identity = staticmethod(Matrix.identity)
+
+    @staticmethod
+    def matmul(a, b):
+        return a @ b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def kernel(a):
+        part = kernel(a)
+        return part.matrix() if part.dim else None
+
+    @staticmethod
+    def is_involution(m):
+        return _squares_to_identity(
+            [[(j, x) for j, x in enumerate(row) if x.re or x.im]
+             for row in m.data], Scalar.eq, Scalar.one(), Scalar.zero())
+
+    @staticmethod
+    def line(k):
+        return k.column_entries() if k.cols == 1 else None
+
+
+class _FloatSpan(_Complex):
     """Forward-only row echelon over flattened complex matrices.
 
     A candidate is reduced against the stored rows in insertion order and
@@ -62,17 +276,10 @@ class _FloatSpan:
     rewritten."""
 
     def __init__(self):
-        self.eps = default_eps()
+        super().__init__()
         self.rows = []  # (pivot index, row)
         self.min_acc = math.inf
         self.max_rej = 0.0
-
-    @staticmethod
-    def lift(m):
-        out = [[complex(x.re, x.im) for x in row] for row in m.data]
-        if not all(cmath.isfinite(z) for row in out for z in row):
-            raise ValueError("algebra closure needs finite matrix entries")
-        return out
 
     def insert(self, v):
         mag = max(map(abs, v))
@@ -101,20 +308,14 @@ _PRIMES = ((2305843009213693921, 583529827753931384),
            (2305843009213693693, 966685122347009555))
 
 
-class _ModSpan:
+class _ModSpan(_Fp):
     """Forward-only row echelon over F_p of flattened Gaussian-rational
     matrices, i sent to `root`.  A candidate is dependent iff it reduces to
     exactly 0 mod p; stored rows have pivot 1 and are never rewritten."""
 
     def __init__(self, p, root):
-        self.p, self.root = p, root
+        super().__init__(p, root)
         self.rows = []  # (pivot index, dense row, off-pivot (index, entry))
-
-    def lift(self, m):
-        p = self.p  # pow raises ValueError if p divides a denominator
-        mod = lambda x: x.numerator * pow(x.denominator, -1, p)
-        return [[(mod(x.re) + self.root * mod(x.im)) % p for x in row]
-                for row in m.data]
 
     def insert(self, v):
         p = self.p
@@ -213,43 +414,105 @@ def algebra_closure(images):
     return ClosureResult(len(best), best, math.inf)
 
 
-def _normalized_direction(v):
-    """Entries of v scaled so that its lead entry is exactly 1: the first
+def _normalized_direction(entries):
+    """The entries scaled so that the lead entry is exactly 1: the first
     nonzero entry (exact) or the largest one (float)."""
-    entries = v.column_entries()
-    if v.exact:
+    exact = entries[0].exact
+    if exact:
         idx = next(i for i, x in enumerate(entries) if not x.is_zero())
     else:
         _, idx = max((x.magnitude(), i) for i, x in enumerate(entries))
     inv = entries[idx].inv()
     out = [x * inv for x in entries]
-    out[idx] = Scalar.one(v.exact)
+    out[idx] = Scalar.one(exact)
     return out
+
+
+def _squares_to_identity(rows, eq, one, zero):
+    """m @ m == I, entry by entry under eq, for m given as the nonzero
+    (column, entry) terms of each row; a unit entry is not multiplied
+    out."""
+    for i, terms in enumerate(rows):
+        acc = {}
+        for j, c in terms:
+            for k, y in rows[j]:
+                t = y if c == one else c * y
+                acc[k] = acc[k] + t if k in acc else t
+        if not (eq(acc.pop(i, zero), one)
+                and all(eq(x, zero) for x in acc.values())):
+            return False
+    return True
+
+
+def _sign_tree(num, gens, d, keep=None):
+    """The nonzero leaves (signs, K) of the sign tree over the number
+    system num: the columns of K span {x : g x = s x for each image g and
+    its sign s}, and the leaves come in (+1, -1) sign order.  Each image
+    splits every candidate basis K into K @ kernel(g K - K) and
+    K @ kernel(g K + K), dropping the empty parts; with `keep`, only the
+    sign prefixes it holds are computed."""
+    leaves = [((), num.identity(d))]
+    for g in gens:
+        split = []
+        for signs, k in leaves:
+            gk = num.matmul(g, k)
+            for sign, combine in ((1, num.sub), (-1, num.add)):
+                child = signs + (sign,)
+                if keep is None or child in keep:
+                    part = num.kernel(combine(gk, k))
+                    if part is not None:
+                        split.append((child, num.matmul(k, part)))
+        leaves = split
+    return leaves
+
+
+def _surviving_prefixes(mats, d):
+    """Every prefix of a sign pattern whose common eigenspace is nonzero
+    mod the first oracle prime that lifts the images; None when both
+    primes divide a denominator."""
+    for prime in _PRIMES:
+        fp = _Fp(*prime)
+        try:
+            gens = [fp.lift(m) for m in mats]
+        except ValueError:  # the prime divides a denominator
+            continue
+        return {signs[:j] for signs, _ in _sign_tree(fp, gens, d)
+                for j in range(1, len(signs) + 1)}
+    return None
 
 
 def common_eigenlines(images):
     """All lines fixed (up to sign) by every involution in the list.
 
-    Starts from the whole space, basis matrix I.  Each generator g splits
-    every candidate basis K into K @ kernel(g K - K) and K @ kernel(g K + K),
-    its +1 and -1 eigenspaces inside span K; empty parts are dropped.  The
-    candidates left with one column are returned, in (+1, -1) sign-pattern
-    order.  Distinct sign patterns meet only in 0, so no line is returned
-    twice.  Raises on a non-involution input."""
+    A sign tree starts from the whole space, basis matrix I.  Each generator
+    g splits every candidate basis K into K @ kernel(g K - K) and
+    K @ kernel(g K + K), its +1 and -1 eigenspaces inside span K; empty
+    parts are dropped.  The candidates left with one column are returned,
+    each scaled to a lead entry of 1, in (+1, -1) sign-pattern order.
+    Distinct sign patterns meet only in 0, so no line is returned twice.
+    Raises on a non-involution input, tested exactly on exact input.
+
+    Float input runs the tree on `complex`, with the float `Scalar`
+    kernel's pivots and formulas, so the lines are bit-identical to it.
+    Exact input first runs the tree over F_p (i -> a square root of -1) for
+    the first oracle prime that lifts the images.  The leaf of a sign
+    pattern spans the kernel of the stacked matrix [g - s I] over its
+    images g and signs s; reduction mod p can only lower that matrix's
+    rank, so a pattern empty mod p is empty over Q(i).  The exact tree,
+    on Gaussian-rational `Scalar`s and `linalg.kernel`, then runs only
+    along the patterns that survive mod p: for a generic point there are
+    none.  When both primes divide a denominator nothing is pruned."""
     mats, d = _unwrap(images)
-    ident = Matrix.identity(d, mats[0].exact)
-    for m in mats:
-        if not (m @ m).eq(ident):
-            raise ValueError("common_eigenlines expects involutions")
-    candidates = [ident]
-    for g in mats:
-        split = []
-        for k in candidates:
-            gk = g @ k
-            for part in (kernel(gk - k), kernel(gk + k)):
-                if part.dim:
-                    split.append(k @ part.matrix())
-        candidates = split
-    return [Subspace(d, [Matrix.column(_normalized_direction(k))],
-                     _assume_independent=True)
-            for k in candidates if k.cols == 1]
+    exact = mats[0].exact
+    num = _Gaussian if exact else _Complex()
+    gens = mats if exact else [num.lift(m) for m in mats]
+    if not all(num.is_involution(g) for g in gens):
+        raise ValueError("common_eigenlines expects involutions")
+    keep = _surviving_prefixes(mats, d) if exact else None
+    lines = []
+    for _, k in _sign_tree(num, gens, d, keep):
+        entries = num.line(k)
+        if entries:
+            lines.append(Subspace(d, [Matrix.column(
+                _normalized_direction(entries))], _assume_independent=True))
+    return lines

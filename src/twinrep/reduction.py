@@ -67,27 +67,42 @@ def build_reduced_gen(n, a, b, k):
     (-1, (a-1)^2/(-b), ..., (a-1)^(n-1)/(-b)^(n-2)), for k >= 2 the block
     I_{k-2} (+) M (+) I_{n-k-1}.
     """
-    zero, rows = Scalar.zero(a.exact), _reduced_gen_rows(n, a, b, k)
-    unit = Matrix.identity(n - 1, a.exact).data
-    return Matrix([[rows[i].get(j, zero) for j in range(n - 1)] if i in rows
-                   else unit[i] for i in range(n - 1)])
+    return _patched_identity(n - 1, a.exact,
+                             _reduced_gen_rows(n, a, b, [k])[0])
 
 
-def _reduced_gen_rows(n, a, b, k):
-    """The rows in which `build_reduced_gen` differs from the identity, as
-    {row: {column: entry}} (0-based, entries not listed are 0): rows k-2 and
-    k-1 (the block) for k >= 2, every row for k = 1.  O(n) to build."""
+def _patched_identity(d, exact, rows):
+    """The d x d identity with the rows {row: {column: entry}} put in."""
+    zero, one = Scalar.zero(exact), Scalar.one(exact)
+    return Matrix([[rows[i].get(j, zero) for j in range(d)] if i in rows
+                   else [one if j == i else zero for j in range(d)]
+                   for i in range(d)])
+
+
+def _reduced_gen_rows(n, a, b, ks):
+    """For each k in ks, the rows in which `build_reduced_gen` differs from
+    the identity, as {row: {column: entry}} (0-based, entries not listed
+    are 0): rows k-2 and k-1 (the block) for k >= 2, every row for k = 1.
+    The block is built once for all of ks; O(n) for each k."""
     _check_family1(a, b)
-    if not 1 <= k <= n - 1:
-        raise ParameterError("generator index %d out of range for n=%d" % (k, n))
     one = Scalar.one(a.exact)
-    if k >= 2:
-        m = build_block(RepSpec(1, n, a, b)).data
-        return {k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]} for r in (0, 1)}
-    rows = {0: {0: -one}}
-    for j in range(2, n):  # row j of the paper's display, 0-based row j-1
-        rows[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1), j - 1: one}
-    return rows
+    out, m = [], None
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise ParameterError("generator index %d out of range for n=%d"
+                                 % (k, n))
+        if k == 1:
+            rows = {0: {0: -one}}
+            for j in range(2, n):  # row j of the display, 0-based row j-1
+                rows[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1),
+                               j - 1: one}
+        else:
+            if m is None:
+                m = build_block(RepSpec(1, n, a, b)).data
+            rows = {k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]}
+                    for r in (0, 1)}
+        out.append(rows)
+    return out
 
 
 def reduced_generators(n, a, b):
@@ -96,8 +111,9 @@ def reduced_generators(n, a, b):
     _check_family1(a, b)
     if n < 1:
         raise ParameterError("reduced_generators needs n >= 1")
-    return [GeneratorImage(k, build_reduced_gen(n, a, b, k))
-            for k in range(1, n)]
+    rows = _reduced_gen_rows(n, a, b, range(1, n))
+    return [GeneratorImage(k, _patched_identity(n - 1, a.exact, r))
+            for k, r in enumerate(rows, 1)]
 
 
 def eigvec_w(n, a, b):

@@ -217,6 +217,20 @@ def require_finite(x):
     return x
 
 
+def _cdiv(ar, ai, br, bi, exact):
+    """(ar + ai i)/(br + bi i), formula for formula as `Scalar.__truediv__`,
+    with its ZeroDivisionError and its ScalarError for a non-finite float
+    quotient."""
+    n = br * br + bi * bi
+    if not n:
+        raise ZeroDivisionError("division by %s zero scalar"
+                                % ("exact" if exact else "float"))
+    qr, qi = (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+    if not (exact or (math.isfinite(qr) and math.isfinite(qi))):
+        require_finite(Scalar(qr, qi, exact))
+    return qr, qi
+
+
 def scalar_format(x):
     if x.exact:
         sign = "-" if x.im < 0 else "+"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from twinrep.linalg import DimensionError, Matrix, _rref, kernel
+from twinrep.linalg import DimensionError, Matrix, Subspace, _rref, kernel
 from twinrep.oracle import _unwrap, algebra_closure
 from twinrep.reduction import ParameterError, build_Q, build_S
 from twinrep.reps import RepSpec, build_generator
@@ -410,3 +410,43 @@ def classify_block(m):
         sign = 1 if a.eq(one) else -1
         return BlockClass("family2", c=c, sign=sign)
     return BlockClass("invalid")
+
+
+def reference_common_eigenlines(images):
+    """The `Scalar` sign tree that `oracle.common_eigenlines` must match:
+    starts from the whole space, basis matrix I; each generator g splits
+    every candidate basis K into K @ kernel(g K - K) and
+    K @ kernel(g K + K), empty parts dropped; the one-column candidates,
+    scaled to a lead entry of 1, are the lines, in (+1, -1) sign order."""
+    mats, d = _unwrap(images)
+    ident = Matrix.identity(d, mats[0].exact)
+    for m in mats:
+        if not (m @ m).eq(ident):
+            raise ValueError("common_eigenlines expects involutions")
+    candidates = [ident]
+    for g in mats:
+        split = []
+        for k in candidates:
+            gk = g @ k
+            for part in (kernel(gk - k), kernel(gk + k)):
+                if part.dim:
+                    split.append(k @ part.matrix())
+        candidates = split
+    return [Subspace(d, [Matrix.column(_reference_direction(k))],
+                     _assume_independent=True)
+            for k in candidates if k.cols == 1]
+
+
+def _reference_direction(v):
+    """Entries of v scaled so that its lead entry is exactly 1: the first
+    nonzero entry (exact) or the largest one (float)."""
+    entries = v.column_entries()
+    if v.exact:
+        idx = next(i for i, x in enumerate(entries) if not x.is_zero())
+    else:
+        _, idx = max((x.magnitude(), i) for i, x in enumerate(entries))
+    inv = entries[idx].inv()
+    out = [x * inv for x in entries]
+    out[idx] = Scalar.one(v.exact)
+    return out
+

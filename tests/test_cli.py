@@ -166,6 +166,14 @@ def test_sweep_exact_point_beyond_float_range():
     assert all(line.rsplit(",", 1)[1] == "inf" for line in rows)
 
 
+def test_decide_exact_a_beyond_float_range_prints_null():
+    # |P| overflows a float: it prints null, not the non-JSON Infinity
+    code, out, _ = run(["decide", "--n", "5", "--a", EX("%d/1" % 10 ** 400),
+                        "--b", EX("1/1")])
+    assert code == EXIT_OK
+    assert json.loads(out)["diagnostics"] == {"abs_P": None}
+
+
 def test_sweep_grid_and_cap():
     code, out, _ = run(["sweep", "--n-min", "4", "--b", "1.0+0.0i",
                         "--re-min", "2.0", "--re-max", "3.0", "--re-steps", "3"])

@@ -35,3 +35,18 @@ def test_golden_cli_output(path, monkeypatch):
     assert code == case["exit"]
     assert out.getvalue() == case["stdout"]
     assert err.getvalue() == case["stderr"]
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def test_golden_json_stdout_is_strict():
+    # every JSON line the CLI prints is RFC 8259 JSON: no NaN or Infinity
+    for path in GOLDEN:
+        with open(path, encoding="utf-8") as fh:
+            case = json.load(fh)
+        if case["argv"][0] == "sweep" or "--csv" in case["argv"]:
+            continue  # CSV output
+        for line in case["stdout"].splitlines():
+            json.loads(line, parse_constant=_reject_constant)

@@ -233,7 +233,7 @@ def test_decide_at_root_gives_witness():
     # rank-per-image check rejected true witnesses
     for n in range(15, 21):
         for r in roots_of_P(n):
-            rows = [_reduced_gen_rows(n, r, fl(1.0), k) for k in range(1, n)]
+            rows = _reduced_gen_rows(n, r, fl(1.0), range(1, n))
             assert reference_witness_check(rows, decide(n, r, fl(1.0)).witness)
 
 
@@ -332,7 +332,7 @@ def _hyperplane(n, a, b, a_w=None):
 
 
 def test_witness_check_rejects_non_invariant():
-    rows = [_reduced_gen_rows(4, ex(2), ex(1), k) for k in range(1, 4)]
+    rows = _reduced_gen_rows(4, ex(2), ex(1), range(1, 4))
     assert not witness_check(rows, Subspace(3, [Matrix.basis_vector(3, 2)]))
     # the hyperplane witness or its phi built at a(1 + delta) instead of at
     # the root a is off by about a relative delta, above eps = 1e-9, while
@@ -341,7 +341,7 @@ def test_witness_check_rejects_non_invariant():
     b = fl(1.0)
     for n in (5, 11, 16, 24):
         for r in roots_of_P(n):
-            rows = [_reduced_gen_rows(n, r, b, k) for k in range(1, n)]
+            rows = _reduced_gen_rows(n, r, b, range(1, n))
             assert witness_check(rows, _hyperplane(n, r, b),
                                  annihilator(n, r, b)), (n, r)
             for delta in (1e-4, 1e-6, 1e-8):
@@ -354,7 +354,7 @@ def test_witness_check_rejects_non_invariant():
     # a basis that phi annihilates is independent only by its shape: a zero
     # on the diagonal or an entry above it fails, on both backends
     for a, b in ((ex(0, 1), ex(1)), (roots_of_P(8)[-1], fl(1.0))):
-        rows = [_reduced_gen_rows(8, a, b, k) for k in range(1, 8)]
+        rows = _reduced_gen_rows(8, a, b, range(1, 8))
         phi = annihilator(8, a, b)
         basis = _hyperplane(8, a, b).basis
         assert witness_check(rows, Subspace(7, basis), phi)
@@ -381,7 +381,7 @@ def test_witness_check_row_patches_match_dense():
         v = decide(n, a, b)
         phi = annihilator(n, a, b) if v.reason == "root-of-P" else None
         for a2, want in ((a, True), (a + a, False)):
-            rows = [_reduced_gen_rows(n, a2, b, k) for k in range(1, n)]
+            rows = _reduced_gen_rows(n, a2, b, range(1, n))
             assert witness_check(rows, v.witness, phi) is want, (n, a, a2)
             dense = reduced_generators(n, a2, b) if n <= 12 else rows
             assert reference_witness_check(dense, v.witness) is want, (n, a2)

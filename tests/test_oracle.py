@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinrep import oracle
+from twinrep import linalg, oracle
 from twinrep.irreducibility import decide
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
@@ -11,7 +11,8 @@ from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
-from helpers import (is_irreducible_oracle, is_prime, reference_closure,
+from helpers import (is_irreducible_oracle, is_prime,
+                     reference_common_eigenlines, reference_closure,
                      reference_witness_check, word_matrix)
 
 (P1, _), (P2, _) = oracle._PRIMES
@@ -250,6 +251,93 @@ def test_common_eigenlines_rejects_non_involution():
     shear = Matrix([[ex(1), ex(1)], [ex(0), ex(1)]])
     with pytest.raises(ValueError):
         common_eigenlines([shear])
+
+
+def test_involution_check_is_exact():
+    # g squares to I mod both oracle primes, but not over Q
+    g = Matrix([[ex(1), ex(0)], [ex(P1 * P2), ex(1)]])
+    with pytest.raises(ValueError, match="expects involutions"):
+        common_eigenlines([g])
+
+
+def _lines_json(lines):
+    return [line.basis[0].to_json() for line in lines]
+
+
+def _assert_matches_reference(images):
+    assert (_lines_json(common_eigenlines(images))
+            == _lines_json(reference_common_eigenlines(images)))
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_eigenlines_match_scalar_reference_on_reduced_images(d):
+    # to_json-equal: exact lines equal, float lines bit-identical
+    n = d + 1
+    rng = rng_for(720 + d)
+    points = [rand_family1_params(rng, avoid=(0, 1, -1)) for _ in range(2)]
+    points += [(ex(s), rand_family1_params(rng)[1]) for s in (1, -1)]
+    if n % 4 == 0:
+        points += [(ex(0, s), rand_family1_params(rng)[1]) for s in (1, -1)]
+    for a, b in points:
+        for a, b in ((a, b), (a.to_float(), b.to_float())):
+            _assert_matches_reference(reduced_generators(n, a, b))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_eigenlines_match_scalar_reference_on_full_families(n):
+    for exact in (True, False):
+        conv = (lambda x: x) if exact else (lambda x: x.to_float())
+        specs = [RepSpec(1, n, conv(ex(2, 1)), conv(ex(-1, 3))),
+                 RepSpec(1, n, conv(ex(-1)), conv(ex(1, 1))),
+                 RepSpec(2, n, c=conv(ex(3, -2)), sign=-1),
+                 RepSpec(2, n, sign=1, exact=exact),
+                 RepSpec(3, n, exact=exact)]
+        for spec in specs:
+            _assert_matches_reference(build_all_generators(spec))
+
+
+def _tree_runs(monkeypatch):
+    """Patch the sign tree to record, per run, the prime it runs mod (None
+    for the exact and float trees) and whether it prunes."""
+    runs = []
+    tree = oracle._sign_tree
+
+    def recording(num, gens, d, keep=None):
+        runs.append((getattr(num, "p", None), keep is not None))
+        return tree(num, gens, d, keep)
+
+    monkeypatch.setattr(oracle, "_sign_tree", recording)
+    return runs
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eigenlines_prune_under_the_second_prime(n, monkeypatch):
+    runs = _tree_runs(monkeypatch)
+    for a in (ex(Fraction(1, P1)), ex(-1) + ex(Fraction(1, P1))):
+        runs.clear()
+        _assert_matches_reference(reduced_generators(n, a, ex(1)))
+        assert runs == [(P2, False), (None, True)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eigenlines_unpruned_when_both_primes_divide_a_denominator(
+        n, monkeypatch):
+    runs = _tree_runs(monkeypatch)
+    a = ex(Fraction(1, P1 * P2))
+    _assert_matches_reference(reduced_generators(n, a, ex(1)))
+    assert runs == [(None, False)]
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_generic_eigenlines_run_no_scalar_elimination(d, monkeypatch):
+    def forbidden(m):
+        raise AssertionError("linalg._eliminate called")
+
+    monkeypatch.setattr(linalg, "_eliminate", forbidden)
+    rng = rng_for(740 + d)
+    a, b = rand_family1_params(rng, avoid=(0, 1, -1))
+    for a, b in ((a, b), (a.to_float(), b.to_float())):
+        assert common_eigenlines(reduced_generators(d + 1, a, b)) == []
 
 
 def test_common_eigenlines_dedups():

@@ -58,6 +58,24 @@ def test_reduced_gen_matches_deleted_conjugation():
             assert delete_row_col(full, 0, 0).eq(build_reduced_gen(n, a, b, k))
 
 
+def test_family1_block_is_built_once(monkeypatch):
+    from twinrep import irreducibility, reduction
+    calls = []
+    build = reduction.build_block
+    monkeypatch.setattr(reduction, "build_block",
+                        lambda spec: calls.append(spec) or build(spec))
+    for a, b in ((ex(2, 1), ex(1, -2)), (fl(0.5, -0.25), fl(2.0, 0.5))):
+        calls.clear()
+        gens = reduced_generators(9, a, b)
+        assert len(calls) == 1
+        # the same entries as one generator at a time
+        for k, g in enumerate(gens, 1):
+            assert g.matrix.to_json() == build_reduced_gen(9, a, b, k).to_json()
+    calls.clear()
+    assert irreducibility.decide(8, ex(0, 1), ex(1)).reason == "root-of-P"
+    assert len(calls) == 1
+
+
 def test_reduced_gens_are_involutions():
     rng = rng_for(405)
     for n in (4, 6):
