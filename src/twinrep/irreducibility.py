@@ -35,7 +35,8 @@ from .linalg import Matrix, Subspace
 from .reduction import (ParameterError, _check_family1, _reduced_gen_rows,
                         eigvec_w)
 from .chains import closed_chain_vector
-from .scalars import Scalar, _cdiv, default_eps, require_finite
+from .scalars import (Scalar, _cdiv, _cmul, _cpow, default_eps,
+                      require_finite)
 
 
 @dataclass(frozen=True)
@@ -69,26 +70,6 @@ def cleared_poly(n):
     if n % 2 == 0:
         coeffs.pop()
     return ClearedPoly(n, tuple(coeffs))
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + ai i)(br + bi i), formula for formula as `Scalar.__mul__`."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cpow(xr, xi, k):
-    """(xr + xi i)^k for k >= 0, multiplying as `Scalar.pow` does: by
-    repeated squaring from (1, 0), with `_cmul` for every product.  Int
-    constants keep ints and Fractions exact, and a float op converts them
-    exactly, so a float power is bit-identical to `Scalar.pow`."""
-    out_r, out_i = 1, 0
-    while True:
-        if k & 1:
-            out_r, out_i = _cmul(out_r, out_i, xr, xi)
-        k >>= 1
-        if not k:
-            return out_r, out_i
-        xr, xi = _cmul(xr, xi, xr, xi)
 
 
 def eval_P(n, a):

@@ -15,7 +15,18 @@ Two detectors validate every verdict the decision procedure produces:
   Exact mode works on ints mod a prime p = 1 (mod 4), with i sent to a
   square root of -1 mod p, as the MeatAxe does (R. A. Parker 1984; D. F.
   Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994).  Its dimension is
-  never above the one over C, so d^2 certifies irreducibility.
+  never above the one over C, so d^2 certifies irreducibility.  The
+  closure does not form a product that a relation of its input already
+  puts in the span.  An accepted element v with word (j,) + w is g_j u,
+  for the element u of word w, less a combination of the elements before
+  v, and every generator has already multiplied u and each of those.  So
+  g_k v is in the span when k = j and g_k^2 = I, and when
+  (g_k - I)(g_j - I) = 0, for then g_k g_j u = g_j u + g_k u - u.  These
+  are the twin group's s_k^2 = 1 and far commutation, but each is checked
+  on the input, so the oracle stays independent of the paper: g_k^2 = I
+  in the closure's own number system (mod p, or under the float
+  tolerance), and (g_k - I)(g_j - I) = 0 structurally, by the rows and
+  columns where g_j - I and g_k - I are nonzero not meeting.
 * Common eigenline enumeration for involutions: every one-dimensional
   invariant subspace of a family of involutions is a common +-1 eigenvector.
   Each generator splits every candidate subspace, held as a basis matrix K,
@@ -28,7 +39,8 @@ Two detectors validate every verdict the decision procedure produces:
   their signs s, whose rank can only drop mod p, so a pattern empty mod p
   is empty over Q(i).  The exact tree on `Scalar`s and `linalg.kernel` then
   runs only along the patterns that survive; at a generic point there are
-  none.
+  none.  Whether exact input consists of involutions is tested on Gaussian
+  integers.
 """
 
 from __future__ import annotations
@@ -91,6 +103,10 @@ class _Plain:
     def add(self, a, b):
         return [self.reduce([x + y for x, y in zip(u, v)])
                 for u, v in zip(a, b)]
+
+    def is_involution(self, g):
+        """g @ g == I under the subclass's `eq`."""
+        return _squares_to_identity(_terms(g), self.eq, self.one, self.zero)
 
     def _axpy(self, u, f, v):
         return self.reduce([x - f * y for x, y in zip(u, v)])
@@ -161,11 +177,6 @@ class _Complex(_Plain):
                 <= self.eps * max(1.0, math.hypot(x.real, x.imag),
                                   math.hypot(y.real, y.imag)))
 
-    def is_involution(self, g):
-        return _squares_to_identity(
-            [[(j, x) for j, x in enumerate(row) if x] for row in g],
-            self.eq, self.one, self.zero)
-
     def threshold(self, a):
         return self.eps * max(1.0, max(math.hypot(z.real, z.imag)
                                        for row in a for z in row))
@@ -207,6 +218,9 @@ class _Fp(_Plain):
 
     def __init__(self, p, root):
         self.p, self.root = p, root
+
+    def eq(self, x, y):
+        return (x - y) % self.p == 0
 
     def lift(self, m):
         p = self.p  # pow raises ValueError if p divides a denominator
@@ -258,9 +272,25 @@ class _Gaussian:
 
     @staticmethod
     def is_involution(m):
-        return _squares_to_identity(
-            [[(j, x) for j, x in enumerate(row) if x.re or x.im]
-             for row in m.data], Scalar.eq, Scalar.one(), Scalar.zero())
+        """m @ m == I, tested as G @ G == D^2 I on the Gaussian integers
+        G = D m, D the lcm of the denominators of m's entries."""
+        den = math.lcm(*(x.denominator for row in m.data
+                         for z in row for x in (z.re, z.im)))
+        rows = [[(j, (z.re.numerator * (den // z.re.denominator),
+                      z.im.numerator * (den // z.im.denominator)))
+                 for j, z in enumerate(row) if z.re or z.im]
+                for row in m.data]
+        square = den * den
+        for i, terms in enumerate(rows):
+            acc = {}
+            for j, (cr, ci) in terms:
+                for k, (yr, yi) in rows[j]:
+                    sr, si = acc.get(k, (0, 0))
+                    acc[k] = (sr + cr * yr - ci * yi, si + cr * yi + ci * yr)
+            if (acc.pop(i, (0, 0)) != (square, 0)
+                    or any(x != (0, 0) for x in acc.values())):
+                return False
+        return True
 
     @staticmethod
     def line(k):
@@ -340,16 +370,35 @@ class _ModSpan(_Fp):
 def _grow(span, lifted, d):
     """Words of the left-only closure of the lifted images, eliminated in
     span.  Each image is kept as its nonzero (column, entry) terms per row;
-    they are mostly identity rows, so a unit entry is not multiplied out."""
+    they are mostly identity rows, so a unit entry is not multiplied out.
+
+    A candidate g_k v is not formed when a relation of the input proves it
+    already lies in the span.  An accepted row v of word (j,) + word(u) is
+    a nonzero multiple of g_j u less a combination of the rows before v,
+    and every image has been applied to u and to each of those rows.
+    Hence g_k v is in the span when j = k and g_k^2 = I, and when
+    (g_k - I)(g_j - I) = 0, since then g_k g_j u = g_j u + g_k u - u.  Each
+    relation is checked once, on the lifted terms in the span's own number
+    system, so the closure assumes nothing from the paper: g_k^2 = I under
+    span.eq, and the product structurally, as the rows and columns where
+    g_j - I and g_k - I are nonzero not meeting (then g_j and g_k
+    commute).  A skipped candidate is one the span would reject, so exact
+    dims and words do not change."""
     full = d * d
-    gens = [[[(k, c) for k, c in enumerate(row) if c] for row in m]
-            for m in lifted]
+    gens = [_terms(m) for m in lifted]
+    involution = [span.is_involution(m) for m in lifted]
+    moved = [_moved(g, span.one) for g in gens]
+    disjoint = [[not (s & t) for t in moved] for s in moved]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(full)])
     words = [()]
     i = 0
     while i < len(words) < full:
         v = span.rows[i][1]
+        word = words[i]
         for k, g in enumerate(gens):
+            if word and (involution[k] if word[0] == k else
+                         disjoint[word[0]][k]):
+                continue
             gv = []  # flattened g @ v
             for terms in g:
                 acc = None
@@ -361,11 +410,27 @@ def _grow(span, lifted, d):
                         s + x for s, x in zip(acc, seg)]
                 gv += acc or [0] * d
             if span.insert(gv):
-                words.append((k,) + words[i])
+                words.append((k,) + word)
                 if len(words) == full:
                     break
         i += 1
     return words
+
+
+def _terms(m):
+    """The nonzero (column, entry) terms of each row of m."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _moved(terms, one):
+    """The indices of the rows and columns where g - I is nonzero, for g
+    given by its terms."""
+    out = set()
+    for r, row in enumerate(terms):
+        if row != [(r, one)]:
+            out.add(r)
+            out.update(j for j, _ in row)
+    return out
 
 
 def algebra_closure(images):
@@ -376,7 +441,14 @@ def algebra_closure(images):
     1 + len(images) * d^2 candidates are tested.  The accepted span holds I
     and is mapped into itself by every generator, hence holds every word;
     the loop stops early once it reaches d^2.  Word () is I, and accepting
-    images[k] @ v records (k,) + word(v).
+    images[k] @ v records (k,) + word(v).  A candidate is not tested when a
+    relation of the images proves it is in the span (see `_grow`): g_k v
+    when word(v) is (j,) + word(u) and either j = k and g_k^2 = I, or
+    (g_k - I)(g_j - I) = 0 because g_j - I and g_k - I touch disjoint
+    rows and columns.  v is g_j u less elements that every generator has
+    already multiplied, as has u, so g_k v is in the span.  Both relations
+    are checked on the images, not assumed from the paper, and exact dims
+    and words are those of testing every candidate.
 
     Exact mode eliminates over F_p, i -> a square root of -1, with an
     infinite rank_gap.  Reduction mod p is a ring map on the Gaussian
@@ -390,7 +462,8 @@ def algebra_closure(images):
     Float mode rejects a candidate whose residual after elimination is at
     most eps times the candidate's largest entry; rank_gap is the smallest
     accepted relative residual over the largest rejected one (inf when
-    nothing is rejected)."""
+    nothing is rejected), both over the candidates actually tested, so
+    skipping can only raise it."""
     mats, d = _unwrap(images)
     if not mats[0].exact:
         span = _FloatSpan()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .linalg import Matrix
 from .reps import GeneratorImage, RepSpec, build_block
-from .scalars import Scalar
+from .scalars import Scalar, _cdiv, _cpow
 
 
 class ParameterError(ValueError):
@@ -83,9 +83,13 @@ def _reduced_gen_rows(n, a, b, ks):
     """For each k in ks, the rows in which `build_reduced_gen` differs from
     the identity, as {row: {column: entry}} (0-based, entries not listed
     are 0): rows k-2 and k-1 (the block) for k >= 2, every row for k = 1.
-    The block is built once for all of ks; O(n) for each k."""
+    The block is built once for all of ks; O(n) for each k.  The entries
+    (a-1)^j/(-b)^(j-1) of s_1 are formed on (re, im) pairs with the steps
+    of `Scalar.pow` and `Scalar.__truediv__`, so they equal the `Scalar`
+    expression, bit for bit on floats."""
     _check_family1(a, b)
-    one = Scalar.one(a.exact)
+    exact = a.exact
+    one = Scalar.one(exact)
     out, m = [], None
     for k in ks:
         if not 1 <= k <= n - 1:
@@ -94,8 +98,9 @@ def _reduced_gen_rows(n, a, b, ks):
         if k == 1:
             rows = {0: {0: -one}}
             for j in range(2, n):  # row j of the display, 0-based row j-1
-                rows[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1),
-                               j - 1: one}
+                entry = _cdiv(*_pow(a.re - 1, a.im - 0, j, exact),
+                              *_pow(-b.re, -b.im, j - 1, exact), exact)
+                rows[j - 1] = {0: Scalar(*entry, exact), j - 1: one}
         else:
             if m is None:
                 m = build_block(RepSpec(1, n, a, b)).data
@@ -103,6 +108,14 @@ def _reduced_gen_rows(n, a, b, ks):
                     for r in (0, 1)}
         out.append(rows)
     return out
+
+
+def _pow(xr, xi, k, exact):
+    """(xr + xi i)^k for k >= 1 as `Scalar.pow` forms it: Fraction's own
+    power for an exact real base, else `_cpow`."""
+    if exact and xi == 0:
+        return xr ** k, xi
+    return _cpow(xr, xi, k)
 
 
 def reduced_generators(n, a, b):

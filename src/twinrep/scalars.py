@@ -231,6 +231,26 @@ def _cdiv(ar, ai, br, bi, exact):
     return qr, qi
 
 
+def _cmul(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i), formula for formula as `Scalar.__mul__`."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cpow(xr, xi, k):
+    """(xr + xi i)^k for k >= 0, multiplying as `Scalar.pow` does: by
+    repeated squaring from (1, 0), with `_cmul` for every product.  Int
+    constants keep ints and Fractions exact, and a float op converts them
+    exactly, so a float power is bit-identical to `Scalar.pow`."""
+    out_r, out_i = 1, 0
+    while True:
+        if k & 1:
+            out_r, out_i = _cmul(out_r, out_i, xr, xi)
+        k >>= 1
+        if not k:
+            return out_r, out_i
+        xr, xi = _cmul(xr, xi, xr, xi)
+
+
 def scalar_format(x):
     if x.exact:
         sign = "-" if x.im < 0 else "+"

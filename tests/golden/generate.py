@@ -94,6 +94,11 @@ DEFAULT_CASES = [
     ("oracle_reduced_exact_generic", ["oracle", *F1, "--n", "4",
                                       "--a", EX("2/1"), "--b", EX("1/1"),
                                       "--reduced"]),
+    # float a = -1 at n = 7: the float closure gives 21, not the 36 that a
+    # closure mod p of the images' binary values gives
+    ("oracle_reduced_float_am1_n7", ["oracle", "--reduced", *F1, "--n", "7",
+                                     "--a=-1.0+0.0i", "--b",
+                                     "1.3333333333333333+0.6666666666666666i"]),
     ("oracle_full_f1_float", ["oracle", *F1, "--n", "5", "--a", "0.5-0.25i",
                               "--b", "2.0+0.5i"]),
     ("oracle_f2_reduced_error", ["oracle", "--family", "2", "--n", "4",

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from twinrep.linalg import DimensionError, Matrix, Subspace, _rref, kernel
-from twinrep.oracle import _unwrap, algebra_closure
+from twinrep.oracle import _squares_to_identity, _unwrap, algebra_closure
 from twinrep.reduction import ParameterError, build_Q, build_S
 from twinrep.reps import RepSpec, build_generator
 from twinrep.scalars import BackendMismatchError, Scalar, default_eps
@@ -435,6 +435,16 @@ def reference_common_eigenlines(images):
     return [Subspace(d, [Matrix.column(_reference_direction(k))],
                      _assume_independent=True)
             for k in candidates if k.cols == 1]
+
+
+def reference_is_involution(m):
+    """m @ m == I by `oracle._squares_to_identity` on `Scalar` entries under
+    `Scalar.eq`: the form the exact eigenline oracle's Gaussian-integer
+    check replaced, kept as its reference."""
+    return _squares_to_identity(
+        [[(j, x) for j, x in enumerate(row) if x.re or x.im]
+         for row in m.data], Scalar.eq, Scalar.one(m.exact),
+        Scalar.zero(m.exact))
 
 
 def _reference_direction(v):

@@ -13,7 +13,8 @@ from twinrep.scalars import ex, fl
 from conftest import rand_family1_params, rng_for
 from helpers import (is_irreducible_oracle, is_prime,
                      reference_common_eigenlines, reference_closure,
-                     reference_witness_check, word_matrix)
+                     reference_is_involution, reference_witness_check,
+                     word_matrix)
 
 (P1, _), (P2, _) = oracle._PRIMES
 
@@ -49,18 +50,25 @@ def test_oracle_matches_decision_on_reduced_reps():
         assert algebra_closure(gens).dim < d * d, n  # a = -1: reducible
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_modular_closure_matches_fraction_reference(n):
-    # the same accepted words, in order, as elimination over Q(i) itself
+@pytest.mark.parametrize("n", range(4, 11))
+def test_modular_closure_matches_fraction_reference(n, monkeypatch):
+    # the same accepted words, in order, as elimination over Q(i) itself,
+    # under either prime alone; fewer draws where the reference is slow
     rng = rng_for(700 + n)
-    draws = [rand_family1_params(rng, avoid=(0, 1, -1)) for _ in range(2)]
-    draws += [(a, rand_family1_params(rng)[1])
-              for a in (ex(1), ex(-1), ex(0, 1), ex(0, -1))]
+    special = {8: (ex(0, 1), ex(-1)), 9: (ex(-1),), 10: (ex(1),)}.get(
+        n, (ex(1), ex(-1), ex(0, 1), ex(0, -1)))
+    draws = [rand_family1_params(rng, avoid=(0, 1, -1))
+             for _ in range(2 if n < 8 else 1)]
+    draws += [(a, rand_family1_params(rng)[1]) for a in special]
+    primes = oracle._PRIMES
     for a, b in draws:
         gens = reduced_generators(n, a, b)
-        res = algebra_closure(gens)
-        assert (res.dim, res.words) == reference_closure(gens), (n, a, b)
-        assert res.rank_gap == math.inf
+        want = reference_closure(gens)
+        for prime in primes:
+            monkeypatch.setattr(oracle, "_PRIMES", (prime,))
+            res = algebra_closure(gens)
+            assert (res.dim, res.words) == want, (n, a, b, prime)
+            assert res.rank_gap == math.inf
 
 
 def test_oracle_primes_and_roots():
@@ -126,6 +134,148 @@ def test_tie_keeps_the_first_prime_words():
     assert reference_closure([g0, g1]) == (2, [(), (0,)])
     res = algebra_closure([g0, g1])
     assert (res.dim, res.words) == (2, [(), (1,)])
+
+
+def _hiding(monkeypatch, name):
+    """Hide one relation from `_grow`: no involution, or no two images
+    with disjoint supports."""
+    monkeypatch.setattr(oracle, name, {
+        "_squares_to_identity": lambda *args: False,
+        "_moved": lambda terms, one: {0}}[name])
+
+
+def _closure_inserts(monkeypatch, images, skip=True):
+    """(closure result, number of candidates tested) for the images; with
+    skip=False both relations are hidden from `_grow`, so that every
+    candidate is tested."""
+    count = [0]
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_PRIMES", oracle._PRIMES[:1])
+        for cls in (oracle._ModSpan, oracle._FloatSpan):
+            def insert(self, v, _insert=cls.insert):
+                count[0] += 1
+                return _insert(self, v)
+            m.setattr(cls, "insert", insert)
+        if not skip:
+            _hiding(m, "_squares_to_identity")
+            _hiding(m, "_moved")
+        res = algebra_closure(images)
+    return res, count[0]
+
+
+def _assert_skips(monkeypatch, images, fewer):
+    res, tested = _closure_inserts(monkeypatch, images)
+    every, all_tested = _closure_inserts(monkeypatch, images, skip=False)
+    assert res.words == every.words
+    # float: the gap over fewer rejected candidates can only grow
+    assert res.rank_gap >= every.rank_gap
+    assert (tested < all_tested) if fewer else (tested == all_tested)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_closure_skips_candidates_the_relations_put_in_the_span(
+        n, exact, monkeypatch):
+    rng = rng_for(760 + n)
+    points = [rand_family1_params(rng, avoid=(0, 1, -1)),
+              (ex(-1), rand_family1_params(rng)[1])]
+    for a, b in points:
+        if not exact:
+            a, b = a.to_float(), b.to_float()
+        _assert_skips(monkeypatch, reduced_generators(n, a, b), fewer=True)
+
+
+def _permutation(conv, perm):
+    """The matrix sending e_j to e_perm[j], in conv's backend."""
+    return Matrix([[conv(int(perm[c] == r)) for c in range(len(perm))]
+                   for r in range(len(perm))])
+
+
+def _diag(conv, *entries):
+    return Matrix([[conv(x if r == c else 0) for c in range(len(entries))]
+                   for r, x in enumerate(entries)])
+
+
+@pytest.mark.parametrize("conv", [ex, fl])
+def test_closure_skips_by_each_relation_alone(conv, monkeypatch):
+    # the swaps of coordinates 0, 1 and of 2, 3: each rule alone removes
+    # candidates
+    images = [_permutation(conv, (1, 0, 2, 3)),
+              _permutation(conv, (0, 1, 3, 2))]
+    _, tested = _closure_inserts(monkeypatch, images)
+    _, all_tested = _closure_inserts(monkeypatch, images, skip=False)
+    for name in ("_squares_to_identity", "_moved"):
+        with monkeypatch.context() as m:
+            _hiding(m, name)
+            _, alone = _closure_inserts(monkeypatch, images)
+        assert tested < alone < all_tested, (name, tested, alone, all_tested)
+
+
+@pytest.mark.parametrize("conv", [ex, fl])
+def test_closure_tests_candidates_whose_relation_fails(conv, monkeypatch):
+    # diag(1, 2) squares to diag(1, 4): g (g I) is tested, not skipped
+    res, tested = _closure_inserts(monkeypatch, [_diag(conv, 1, 2)])
+    assert res.words == [(), (0,)] and tested == 3
+    # images whose supports meet: every candidate the involution rule
+    # leaves is tested, for the swaps of 0, 1 and of 1, 2, and for the
+    # reduced s_2 and s_3
+    swaps = [_permutation(conv, (1, 0, 2)), _permutation(conv, (0, 2, 1))]
+    blocks = [g.matrix for g in reduced_generators(5, conv(3), conv(2))][1:3]
+    for images in (swaps, blocks):
+        with monkeypatch.context() as m:
+            _hiding(m, "_squares_to_identity")
+            _assert_skips(monkeypatch, images, fewer=False)
+    # commuting involutions that share coordinate 0: g_1 g_0 is new
+    h0, h1 = _diag(conv, -1, -1, 1, 1), _diag(conv, -1, 1, -1, 1)
+    assert (h0 @ h1).eq(h1 @ h0)
+    assert algebra_closure([h0, h1]).words == [(), (0,), (1,), (1, 0)]
+
+
+def test_exact_involution_check_matches_scalar_reference():
+    # the Gaussian-integer check against the Scalar form: on exact reduced
+    # images drawn as the crosscheck bench draws them, and on perturbed
+    # copies, conjugated ones (still involutions) and nudged ones (not)
+    rng = rng_for(780)
+
+    def off_lattice():
+        while True:
+            q = rng.randint(3, 7)
+            p = rng.randint(-2 * q, 2 * q)
+            if p % q:
+                return Fraction(p, q)
+
+    def small_b():
+        re = Fraction(rng.randint(1, 12), 3)
+        return ex(re, Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+
+    images = []
+    for d, count in ((3, 36), (4, 8), (5, 2), (6, 1)):
+        draws = [ex(off_lattice(), off_lattice()) for _ in range(count)]
+        for a in draws + [ex(1), ex(-1)]:
+            images += [g.matrix for g in reduced_generators(d + 1, a,
+                                                            small_b())]
+    perturbed = []
+    while len(perturbed) < 300:
+        g = rng.choice(images)
+        d = g.rows
+        if rng.random() < 0.5:
+            p = Matrix.identity(d)
+            r, c = rng.sample(range(d), 2)
+            p.data[r][c] = ex(off_lattice(), off_lattice())
+            q = Matrix.identity(d)
+            q.data[r][c] = -p.data[r][c]  # the inverse of p
+            perturbed.append(p @ g @ q)
+        else:
+            data = [list(row) for row in g.data]
+            r, c = rng.randrange(d), rng.randrange(d)
+            data[r][c] = data[r][c] + ex(Fraction(1, rng.choice((7, P1))))
+            perturbed.append(Matrix(data))
+    verdicts = []
+    for m in images + perturbed:
+        verdicts.append(reference_is_involution(m))
+        assert oracle._Gaussian.is_involution(m) == verdicts[-1]
+    assert all(verdicts[:len(images)])
+    assert 100 <= sum(verdicts[len(images):]) <= 200
 
 
 def test_closure_float_gap_is_exposed():

@@ -1,12 +1,15 @@
+import cmath
+
 import pytest
 
 from twinrep.linalg import Matrix
-from twinrep.reduction import (ParameterError, build_P, build_Q, build_S,
+from twinrep.reduction import (ParameterError, _reduced_gen_rows, build_P,
+                               build_Q, build_S,
                                build_reduced_gen, eigvec_w, invariant_vector,
                                reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators
-from twinrep.scalars import Scalar, ex, fl
-from conftest import rand_family1_params, rng_for
+from twinrep.scalars import Scalar, ScalarError, ex, fl
+from conftest import rand_exact, rand_family1_params, rng_for
 from helpers import (conjugated_full_gen, delete_row_col, is_identity,
                      mat_inverse)
 
@@ -74,6 +77,68 @@ def test_family1_block_is_built_once(monkeypatch):
     calls.clear()
     assert irreducibility.decide(8, ex(0, 1), ex(1)).reason == "root-of-P"
     assert len(calls) == 1
+
+
+def _s1_outcome(column, n, a, b):
+    """The entries column(n, a, b) as their parts (float parts as their
+    bits, signed zeros included), or as (error type, message)."""
+    try:
+        entries = column(n, a, b)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(x.re, x.im) if x.exact else (x.re.hex(), x.im.hex())
+            for x in entries]
+
+
+def _s1_column(n, a, b):
+    rows = _reduced_gen_rows(n, a, b, [1])[0]
+    return [rows[j - 1][0] for j in range(2, n)]
+
+
+def _scalar_s1_column(n, a, b):
+    """(a-1)^j/(-b)^(j-1) for j = 2..n-1 by `Scalar.pow` and `/`: the form
+    `_reduced_gen_rows` replaced."""
+    one = Scalar.one(a.exact)
+    return [(a - one).pow(j) / (-b).pow(j - 1) for j in range(2, n)]
+
+
+def test_reduced_s1_matches_scalar_pow_bit_for_bit():
+    # the s_1 entries run on plain (re, im) pairs; the Scalar form must give
+    # the same values, bit for bit on floats, and the same errors
+    rng = rng_for(4343)
+
+    def polar(lo, hi):
+        return 10 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0, 7))
+
+    cases = []
+    for _ in range(300):
+        a, b = polar(-3, 3), polar(-3, 3)
+        cases.append((rng.randint(3, 41), fl(a.real, a.imag),
+                      fl(b.real, b.imag)))
+    for _ in range(200):
+        # a near 1, real a and b with both signed zeros, and sizes at
+        # which the powers overflow or underflow
+        z = rng.choice((0.0, -0.0))
+        a = rng.choice((1 + polar(-8, -1), complex(rng.uniform(-3, 3), z),
+                        polar(60, 200)))
+        b = rng.choice((complex(rng.uniform(-3, 3), -z), polar(-8, -5),
+                        polar(-3, 3)))
+        cases.append((rng.randint(3, 41), fl(a.real, a.imag),
+                      fl(b.real, b.imag)))
+    for _ in range(100):
+        gaussian = rng.random() < 0.5
+        a = rand_exact(rng, gaussian=gaussian)
+        b = rand_exact(rng, nonzero=True, gaussian=gaussian)
+        cases.append((rng.randint(3, 25), a, b))
+    for n in (3, 4, 40):
+        cases += [(n, ex(1), ex(2)), (n, ex(-1), ex(-1, 1)),
+                  (n, fl(1.0), fl(-2.0, -0.0)), (n, fl(-1.0), fl(0.5))]
+    outcomes = [_s1_outcome(_s1_column, n, a, b) for n, a, b in cases]
+    for (n, a, b), got in zip(cases, outcomes):
+        assert got == _s1_outcome(_scalar_s1_column, n, a, b), (n, a, b)
+    # the overflowing and the underflowing powers are among them
+    raised = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert {ScalarError, ZeroDivisionError} <= raised
 
 
 def test_reduced_gens_are_involutions():
