@@ -10,26 +10,45 @@ closed form in `delta`; `delta_direct` is the determinant itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import Matrix, Subspace, mat_det
 from .reduction import ParameterError, _check_family1, build_S
-from .scalars import Scalar
+from .scalars import Scalar, _cmul
 
 
 def closed_chain_vector(n, a, b, k):
     """v_k = -b e_{k+1} + (1+a) e_{k+2} in C^(n-1)."""
     if not 1 <= k <= n - 3:
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
-    one, zero = Scalar.one(a.exact), Scalar.zero(a.exact)
-    entry = lambda x, y: -b * x + (one + a) * y  # signed zeros as summed
-    entries = [entry(zero, zero)] * (n - 1)
-    entries[k], entries[k + 1] = entry(one, zero), entry(zero, one)
-    return Matrix.column(entries)
+    entries = [Scalar(re, im, a.exact) for re, im in _chain_entry_pairs(a, b)]
+    return Matrix._trusted_column(_chain_entries(n, k, *entries))
 
 
-@dataclass(frozen=True)
-class ChainBundle:
+def _chain_entry_pairs(a, b):
+    """The three distinct entries of every chain vector, as (re, im) pairs
+    of a's and b's own numbers: -b x + (1+a) y at (x, y) = (0, 0), (1, 0)
+    and (0, 1), formed as that `Scalar` expression is, signed zeros as
+    summed."""
+    br, bi = -b.re, -b.im
+    pr, pi = 1 + a.re, 0 + a.im
+
+    def entry(x, y):
+        (sr, si), (tr, ti) = _cmul(br, bi, x, 0), _cmul(pr, pi, y, 0)
+        return sr + tr, si + ti
+
+    return entry(0, 0), entry(1, 0), entry(0, 1)
+
+
+def _chain_entries(n, k, zero, lo, hi):
+    """The entries of v_k: `zero` but for `lo` in row k and `hi` in row
+    k + 1 (0-based), whatever kind of number the three are."""
+    entries = [zero] * (n - 1)
+    entries[k], entries[k + 1] = lo, hi
+    return entries
+
+
+class ChainBundle(NamedTuple):
     n: int
     a: Scalar
     b: Scalar

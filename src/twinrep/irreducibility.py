@@ -22,25 +22,26 @@ at 4 | n; the tests cross-check N = 0 against that.  A float a is decided
 by |P(a)| <= eps, with P evaluated by `eval_P`, which runs on plain
 (re, im) pairs and builds a `Scalar` only for its argument's checks and its
 result: the same products and quotients as `Scalar` arithmetic, so |P| is
-bit-identical to the `Scalar` form the tests keep as the reference.
+bit-identical to the `Scalar` form the tests keep as the reference.  A
+Reducible verdict's witness is built and checked on pairs in the same way,
+and made of Scalars only once it has passed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .linalg import Matrix, Subspace
-from .reduction import (ParameterError, _check_family1, _reduced_gen_rows,
-                        eigvec_w)
-from .chains import closed_chain_vector
-from .scalars import (Scalar, _cdiv, _cmul, _cpow, default_eps,
-                      require_finite)
+from .reduction import (ParameterError, _check_family1, _eigvec_w_pairs,
+                        _reduced_gen_pairs)
+from .chains import _chain_entries, _chain_entry_pairs
+from .scalars import (Scalar, _ONE_PARTS, _ZERO_PARTS, _cdiv, _cmul, _cpow,
+                      _pow, default_eps, require_finite)
 
 
-@dataclass(frozen=True)
-class ClearedPoly:
+class ClearedPoly(NamedTuple):
     """Integer-coefficient cleared criterion polynomial, coefficients
     ascending.  t = 0 is always a spurious root."""
     n: int
@@ -161,86 +162,110 @@ IRREDUCIBLE = "Irreducible"
 REDUCIBLE = "Reducible"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     reason: str
     witness: Optional[Subspace] = None
-    diagnostics: dict = field(default_factory=dict)
+    # the default is shared by every verdict built without diagnostics, so
+    # it is read-only
+    diagnostics: dict = MappingProxyType({})
 
     @property
     def reducible(self):
         return self.status == REDUCIBLE
 
 
-def _vanishes(terms, zero, scale=None):
-    """Whether the Scalars `terms` sum to zero: exactly on the exact backend,
-    on floats within eps times `scale`, by default the sum of their moduli
-    (Oettli and Prager's componentwise test); NaN and overflow fail."""
-    total = sum(terms, zero)
-    if zero.exact:
-        return total.is_zero()
+def _csum(terms):
+    """The sum of the (re, im) pairs `terms`, from 0 as `Scalar` sums are."""
+    tr, ti = 0, 0
+    for r, i in terms:
+        tr, ti = tr + r, ti + i
+    return tr, ti
+
+
+def _vanishes(terms, exact, scale=None):
+    """Whether the (re, im) pairs `terms` sum to zero: exactly on the exact
+    backend, on floats within eps times `scale`, by default the sum of their
+    moduli (Oettli and Prager's componentwise test); NaN and overflow
+    fail."""
+    tr, ti = _csum(terms)
+    if exact:
+        return tr == 0 and ti == 0
     if scale is None:
-        scale = sum(t.magnitude() for t in terms)
-    return total.magnitude() <= default_eps() * scale < math.inf
+        scale = sum(math.hypot(r, i) for r, i in terms)
+    return math.hypot(tr, ti) <= default_eps() * scale < math.inf
 
 
-def witness_check(images, w, phi=None):
-    """True iff every generator image g maps span(w) into itself, for the
-    two witness shapes `decide` builds; each g is {row: {column: entry}}
-    over the rows where it differs from the identity.
+def witness_check(images, basis, exact, phi=None):
+    """True iff every generator image g maps the span of `basis` into
+    itself, for the two witness shapes `decide` builds.  Each g is
+    {row: {column: entry}} over the rows where it differs from the
+    identity, each basis vector is {row: entry} over the rows where it may
+    be nonzero, and phi is a list of entries, one for every row; every
+    entry is an (re, im) pair of Fractions (`exact`) or floats.  The
+    arithmetic is `Scalar`'s, formula for formula (`_cmul`, `_cdiv`, sums
+    from 0; int constants, which a float op converts exactly), so the
+    answer, and any error, is bit for bit that of the same check on
+    `Scalar` entries, which the tests keep as the reference.
 
     A line <x> (phi None) needs g x = lam x at the largest entry x_p; entry
     i of g x - lam x is r . g x for r = e_i - (x_i/x_p) e_p, at most
     eps ||r||_2 ||g x||_2 on floats.  A hyperplane needs phi . x = 0 for its
     basis vectors x and phi g = phi, tested componentwise; vector j has its
-    first nonzero entry in row j, so span(w) = ker phi (dimension
+    first nonzero entry in row j, so span(basis) = ker phi (dimension
     ambient - 1), which phi g = phi maps into itself."""
-    exact = w.basis[0].exact
-    zero, one = Scalar.zero(exact), Scalar.one(exact)
-    xs = [{i: x for i, x in enumerate(v.column_entries()) if x.re or x.im}
-          for v in w.basis]
+    xs = [{i: x for i, x in v.items() if x[0] or x[1]} for v in basis]
     if phi is None:
         x = xs[0]
-        if w.dim != 1 or not x:
+        if len(xs) != 1 or not x:
             return False
-        p = next(iter(x)) if exact else max(x, key=lambda i: x[i].magnitude())
+        p = next(iter(x)) if exact else max(x, key=lambda i: math.hypot(*x[i]))
+        xp_norm = None if exact else math.hypot(*x[p])
         for rows in images:
             gx = dict(x)
             for i, row in rows.items():
-                gx[i] = sum((g * x[c] for c, g in row.items() if c in x), zero)
+                gx[i] = _csum(_cmul(*g, *x[c]) for c, g in row.items()
+                              if c in x)
             # with row p unpatched lam = 1, and only the patched rows move
-            lam = gx[p] / x[p] if p in rows else one
+            lam = _cdiv(*gx[p], *x[p], exact) if p in rows else (1, 0)
             norm = 0.0 if exact else math.hypot(
-                *(y.magnitude() for y in gx.values()))
+                *(math.hypot(*y) for y in gx.values()))
             for i in rows.keys() | (x.keys() if p in rows else {}):
-                xi = x.get(i, zero)
+                xi = x.get(i, (0, 0))
+                lr, li = _cmul(*lam, *xi)
                 scale = None if exact else norm * math.hypot(
-                    1.0, xi.magnitude() / x[p].magnitude())
-                if not _vanishes([gx[i], -(lam * xi)], zero, scale):
+                    1.0, math.hypot(*xi) / xp_norm)
+                if not _vanishes([gx[i], (-lr, -li)], exact, scale):
                     return False
         return True
-    phi = {i: f for i, f in enumerate(phi) if f.re or f.im}
-    if (w.dim != w.ambient_dim - 1 or not phi
+    ambient = len(phi)
+    phi = {i: f for i, f in enumerate(phi) if f[0] or f[1]}
+    if (len(xs) != ambient - 1 or not phi
             or any(min(x, default=None) != j for j, x in enumerate(xs))
-            or not all(_vanishes([f * x[i] for i, f in phi.items() if i in x],
-                                 zero) for x in xs)):
+            # phi . x, its terms in row order, as x runs
+            or not all(_vanishes([_cmul(*phi[i], *y) for i, y in x.items()
+                                  if i in phi], exact) for x in xs)):
         return False
     for rows in images:
         # entry c of phi g - phi: phi_i g_ic over the patched rows i, less
         # phi_c when row c is patched
-        cols = {i: [-phi[i]] for i in rows if i in phi}
+        cols = {i: [(-phi[i][0], -phi[i][1])] for i in rows if i in phi}
         for i in rows.keys() & phi.keys():
             for c, g in rows[i].items():
-                cols.setdefault(c, []).append(phi[i] * g)
-        if not all(_vanishes(terms, zero) for terms in cols.values()):
+                cols.setdefault(c, []).append(_cmul(*phi[i], *g))
+        if not all(_vanishes(terms, exact) for terms in cols.values()):
             return False
     return True
 
 
-def _line(v):
-    """<v>, for a v with an entry equal to 1."""
-    return Subspace(v.rows, [v], _assume_independent=True)
+def _annihilator_pairs(n, a, b):
+    """phi_j = (b/(1+a))^j for j = 0..n-2 as (re, im) pairs, each the
+    `Scalar` product of the one before it and b/(1+a)."""
+    rr, ri = _cdiv(b.re, b.im, 1 + a.re, 0 + a.im, a.exact)
+    phi = [_ONE_PARTS[a.exact]]
+    for _ in range(n - 2):
+        phi.append(_cmul(*phi[-1], rr, ri))
+    return phi
 
 
 # (1, -1) on each backend, keyed by `exact`: decide compares every a to both
@@ -254,7 +279,10 @@ def decide(n, a, b):
     standard coordinates, re-verified by `witness_check`, with no
     elimination, before it is returned: a line at a = +-1 and at the n = 3
     special points, or at a root of P the hyperplane <w, v_1, ..., v_{n-3}>
-    with its annihilator phi_j = (b/(1+a))^j.
+    with its annihilator phi_j = (b/(1+a))^j.  The witness, phi and the
+    generator rows are built and checked on (re, im) pairs of a's and b's
+    own numbers, with the steps of the `Scalar` expressions, so they are
+    bit-identical to them; only the returned witness is made of Scalars.
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
@@ -263,29 +291,30 @@ def decide(n, a, b):
     _check_family1(a, b)
     exact = a.exact
     one, minus_one = _ONE_MINUS_ONE[exact]
-    phi = None
+    # the entries of the line, or of w, and at a root of P the chain
+    first, chain, phi, diag = None, None, None, {}
     if a.eq(one):
         # the invariant line <e_1>: s_1 negates it and every block fixes it
-        verdict = Verdict(REDUCIBLE, "a=1",
-                          _line(Matrix.basis_vector(n - 1, 1, exact)))
+        reason = "a=1"
+        first = [_ONE_PARTS[exact]] + [_ZERO_PARTS[exact]] * (n - 2)
     elif a.eq(minus_one):
-        two = one + one
-        entries = [(b / two).pow(n - 1 - k) for k in range(1, n)]
-        verdict = Verdict(REDUCIBLE, "a=-1",
-                          _line(Matrix.column(entries)))
+        hr, hi = _cdiv(b.re, b.im, 2, 0, exact)
+        reason = "a=-1"
+        first = [_pow(hr, hi, n - 1 - k, exact) for k in range(1, n)]
     elif n == 3:
         # off a = +-1, only the float points a = +-i sqrt(3) are reducible,
         # with the invariant line <(2b/(a-1)^2, 1)^T>
         s3 = math.sqrt(3.0)
-        if exact or not (a.eq(Scalar.from_float(0.0, s3))
-                         or a.eq(Scalar.from_float(0.0, -s3))):
-            verdict = Verdict(IRREDUCIBLE, "T3-criterion")
-        else:
-            v1 = Matrix.column([(one + one) * b / (a - one).pow(2), one])
-            verdict = Verdict(REDUCIBLE, "T3-special", _line(v1))
+        reason = "T3-criterion"
+        if not exact and (a.eq(Scalar.from_float(0.0, s3))
+                          or a.eq(Scalar.from_float(0.0, -s3))):
+            reason = "T3-special"
+            first = [_cdiv(*_cmul(2, 0, b.re, b.im),
+                           *_pow(a.re - 1, a.im - 0, 2, exact), exact),
+                     _ONE_PARTS[exact]]
     elif a.is_zero():
         # Delta = -bn/2 != 0: no proper invariant subspace through e_1
-        verdict = Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
+        reason, diag = "a=0", {"delta_branch": "-bn/2"}
     else:
         if exact:
             abs_p, root = _exact_P(n, a)
@@ -293,26 +322,36 @@ def decide(n, a, b):
             p = eval_P(n, a)
             abs_p, root = p.magnitude(), p.is_zero()
         diag = {"abs_P": abs_p}
+        reason = "generic"
         if root:
             # W = <w, v_1, ..., v_{n-3}> in standard coordinates (the chain
             # lives in basis B; transporting by P fixes the v_k and sends
             # e_1 to w).  The top n-2 rows are lower triangular with
             # diagonal w_1, -b, ..., -b.
-            vecs = [eigvec_w(n, a, b)]
-            vecs += [closed_chain_vector(n, a, b, k) for k in range(1, n - 2)]
-            witness = Subspace(n - 1, vecs, _assume_independent=True)
-            verdict = Verdict(REDUCIBLE, "root-of-P", witness, diag)
-            # its annihilator phi_j = (b/(1+a))^j: phi g = phi holds for
-            # s_2..s_{n-1} at every a, and for s_1 iff u^n = 1
-            phi, r = [one], b / (one + a)
-            for _ in range(n - 2):
-                phi.append(phi[-1] * r)
-        else:
-            verdict = Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
-    if verdict.reducible:
-        images = _reduced_gen_rows(n, a, b, range(1, n))
-        if not witness_check(images, verdict.witness, phi):
-            raise ArithmeticError(
-                "internal error: witness failed the invariance check "
-                "(n=%d, reason=%s)" % (n, verdict.reason))
-    return verdict
+            reason = "root-of-P"
+            first = _eigvec_w_pairs(n, a, b)
+            chain = _chain_entry_pairs(a, b)
+            # its annihilator: phi g = phi holds for s_2..s_{n-1} at every
+            # a, and for s_1 iff u^n = 1
+            phi = _annihilator_pairs(n, a, b)
+    if first is None:
+        return Verdict(IRREDUCIBLE, reason, diagnostics=diag)
+    basis = [dict(enumerate(first))]
+    if chain is not None:
+        # v_k is 0 but for -b in row k and 1 + a in row k + 1 (0-based)
+        _, lo, hi = chain
+        basis += [{k: lo, k + 1: hi} for k in range(1, n - 2)]
+    images = _reduced_gen_pairs(n, a, b, range(1, n))
+    if not witness_check(images, basis, exact, phi):
+        raise ArithmeticError(
+            "internal error: witness failed the invariance check "
+            "(n=%d, reason=%s)" % (n, reason))
+    vecs = [Matrix._trusted_column([Scalar(re, im, exact)
+                                    for re, im in first])]
+    if chain is not None:
+        # the chain vectors share their three distinct entries
+        chain = [Scalar(re, im, exact) for re, im in chain]
+        vecs += [Matrix._trusted_column(_chain_entries(n, k, *chain))
+                 for k in range(1, n - 2)]
+    return Verdict(REDUCIBLE, reason,
+                   Subspace(n - 1, vecs, _assume_independent=True), diag)

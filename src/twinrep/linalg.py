@@ -57,6 +57,17 @@ class Matrix:
         return cls([[x] for x in entries])
 
     @classmethod
+    def _trusted_column(cls, entries):
+        """The column of `entries`, Scalars of one backend that the caller
+        built itself: taken without the per-entry backend check."""
+        m = object.__new__(cls)
+        for name, value in (("rows", len(entries)), ("cols", 1),
+                            ("exact", entries[0].exact),
+                            ("data", [[x] for x in entries])):
+            object.__setattr__(m, name, value)
+        return m
+
+    @classmethod
     def from_columns(cls, columns):
         rows = columns[0].rows
         for c in columns:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import DimensionError, Matrix, Subspace, kernel
 from .scalars import Scalar, _cdiv, default_eps
@@ -66,8 +66,7 @@ def _unwrap(images):
     return mats, d
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     dim: int
     words: list  # generator-index tuples spanning the algebra; () is I
     rank_gap: float  # float mode: min accepted / max rejected relative residual
@@ -528,13 +527,16 @@ def _sign_tree(num, gens, d, keep=None):
     for g in gens:
         split = []
         for signs, k in leaves:
+            children = [(signs + (sign,), combine)
+                        for sign, combine in ((1, num.sub), (-1, num.add))
+                        if keep is None or signs + (sign,) in keep]
+            if not children:
+                continue  # g K is formed only for a child that is kept
             gk = num.matmul(g, k)
-            for sign, combine in ((1, num.sub), (-1, num.add)):
-                child = signs + (sign,)
-                if keep is None or child in keep:
-                    part = num.kernel(combine(gk, k))
-                    if part is not None:
-                        split.append((child, num.matmul(k, part)))
+            for child, combine in children:
+                part = num.kernel(combine(gk, k))
+                if part is not None:
+                    split.append((child, num.matmul(k, part)))
         leaves = split
     return leaves
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .linalg import Matrix
 from .reps import GeneratorImage, RepSpec, build_block
-from .scalars import Scalar, _cdiv, _cpow
+from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow
 
 
 class ParameterError(ValueError):
@@ -83,39 +83,43 @@ def _reduced_gen_rows(n, a, b, ks):
     """For each k in ks, the rows in which `build_reduced_gen` differs from
     the identity, as {row: {column: entry}} (0-based, entries not listed
     are 0): rows k-2 and k-1 (the block) for k >= 2, every row for k = 1.
-    The block is built once for all of ks; O(n) for each k.  The entries
-    (a-1)^j/(-b)^(j-1) of s_1 are formed on (re, im) pairs with the steps
-    of `Scalar.pow` and `Scalar.__truediv__`, so they equal the `Scalar`
-    expression, bit for bit on floats."""
+    The entries are those of `_reduced_gen_pairs`, made Scalars."""
+    exact = a.exact
+    return [{i: {j: Scalar(re, im, exact) for j, (re, im) in row.items()}
+             for i, row in rows.items()}
+            for rows in _reduced_gen_pairs(n, a, b, ks)]
+
+
+def _reduced_gen_pairs(n, a, b, ks):
+    """`_reduced_gen_rows` with (re, im) pairs of a's and b's own numbers
+    for entries.  The block [[a, b], [(1-a^2)/b, -a]] is built once for all
+    of ks, by `build_block`, and the entries (a-1)^j/(-b)^(j-1) of s_1 are
+    formed with the steps of `Scalar.pow` and `Scalar.__truediv__`, so every
+    entry equals the `Scalar` expression, bit for bit on floats; O(n) for
+    each k."""
     _check_family1(a, b)
     exact = a.exact
-    one = Scalar.one(exact)
-    out, m = [], None
+    one = _ONE_PARTS[exact]
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    out, block = [], None
     for k in ks:
         if not 1 <= k <= n - 1:
             raise ParameterError("generator index %d out of range for n=%d"
                                  % (k, n))
         if k == 1:
-            rows = {0: {0: -one}}
+            rows = {0: {0: (-one[0], -one[1])}}
             for j in range(2, n):  # row j of the display, 0-based row j-1
-                entry = _cdiv(*_pow(a.re - 1, a.im - 0, j, exact),
-                              *_pow(-b.re, -b.im, j - 1, exact), exact)
-                rows[j - 1] = {0: Scalar(*entry, exact), j - 1: one}
+                entry = _cdiv(*_pow(ar - 1, ai - 0, j, exact),
+                              *_pow(-br, -bi, j - 1, exact), exact)
+                rows[j - 1] = {0: entry, j - 1: one}
         else:
-            if m is None:
-                m = build_block(RepSpec(1, n, a, b)).data
-            rows = {k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]}
-                    for r in (0, 1)}
+            if block is None:
+                block = [(x.re, x.im) for row in
+                         build_block(RepSpec(1, n, a, b)).data for x in row]
+            rows = {k - 2: {k - 2: block[0], k - 1: block[1]},
+                    k - 1: {k - 2: block[2], k - 1: block[3]}}
         out.append(rows)
     return out
-
-
-def _pow(xr, xi, k, exact):
-    """(xr + xi i)^k for k >= 1 as `Scalar.pow` forms it: Fraction's own
-    power for an exact real base, else `_cpow`."""
-    if exact and xi == 0:
-        return xr ** k, xi
-    return _cpow(xr, xi, k)
 
 
 def reduced_generators(n, a, b):
@@ -135,13 +139,23 @@ def eigvec_w(n, a, b):
     _check_family1(a, b, not_pm1=True)
     if n < 3:
         raise ParameterError("eigvec_w needs n >= 3")
-    one = Scalar.one(a.exact)
-    two = one + one
-    u = one - a
-    entries = [two * b.pow(n - 2) / u.pow(n - 1)]
-    for j in range(2, n):
-        entries.append((b / u).pow(n - j - 1))
-    return Matrix.column(entries)
+    exact = a.exact
+    return Matrix._trusted_column([Scalar(re, im, exact)
+                                   for re, im in _eigvec_w_pairs(n, a, b)])
+
+
+def _eigvec_w_pairs(n, a, b):
+    """The entries of `eigvec_w` as (re, im) pairs of a's and b's own
+    numbers, formed as the `Scalar` expressions 2 b^(n-2) / u^(n-1) and
+    (b/u)^(n-j-1), u = 1 - a, are: bit for bit on floats, with the same
+    errors."""
+    exact = a.exact
+    ur, ui = 1 - a.re, 0 - a.im
+    br, bi = b.re, b.im
+    w1 = _cdiv(*_cmul(2, 0, *_pow(br, bi, n - 2, exact)),
+               *_pow(ur, ui, n - 1, exact), exact)
+    qr, qi = _cdiv(br, bi, ur, ui, exact)
+    return [w1] + [_pow(qr, qi, n - j - 1, exact) for j in range(2, n)]
 
 
 def build_P(n, a, b):

@@ -8,25 +8,17 @@ M = -I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import Matrix
-from .scalars import Scalar
+from .scalars import Scalar, _cdiv, _cmul
 
 
 class RepSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RepSpec:
-    """Identifies one classified representation.
-
-    family 1 takes (a, b) with b nonzero; family 2 takes (c, sign); family 3
-    has no parameters.  `exact` picks the backend when no scalar parameter
-    fixes it (families 2 with default c, and 3).
-    """
+class _RepSpecFields(NamedTuple):
     family: int
     n: int
     a: Optional[Scalar] = None
@@ -35,30 +27,40 @@ class RepSpec:
     sign: int = 1
     exact: bool = True
 
-    def __post_init__(self):
-        if self.family not in (1, 2, 3):
+
+class RepSpec(_RepSpecFields):
+    """Identifies one classified representation.
+
+    family 1 takes (a, b) with b nonzero; family 2 takes (c, sign); family 3
+    has no parameters.  `exact` picks the backend when no scalar parameter
+    fixes it (families 2 with default c, and 3).
+    """
+    __slots__ = ()
+
+    def __new__(cls, family, n, a=None, b=None, c=None, sign=1, exact=True):
+        if family not in (1, 2, 3):
             raise RepSpecError("family must be 1, 2 or 3")
-        if self.n < 2:
+        if n < 2:
             raise RepSpecError("n must be at least 2")
-        if self.family == 1:
-            if self.a is None or self.b is None:
+        if family == 1:
+            if a is None or b is None:
                 raise RepSpecError("family 1 requires parameters a and b")
-            if self.a.exact != self.b.exact:
+            if a.exact != b.exact:
                 raise RepSpecError("a and b must share a backend")
-            if self.b.is_zero():
+            if b.is_zero():
                 raise RepSpecError("family 1 requires b != 0")
-            object.__setattr__(self, "exact", self.a.exact)
-        elif self.family == 2:
-            if self.sign not in (1, -1):
+            exact = a.exact
+        elif family == 2:
+            if sign not in (1, -1):
                 raise RepSpecError("sign must be +1 or -1")
-            if self.c is not None:
-                object.__setattr__(self, "exact", self.c.exact)
+            if c is not None:
+                exact = c.exact
             else:
-                object.__setattr__(self, "c", Scalar.zero(self.exact))
+                c = Scalar.zero(exact)
+        return super().__new__(cls, family, n, a, b, c, sign, exact)
 
 
-@dataclass(frozen=True)
-class GeneratorImage:
+class GeneratorImage(NamedTuple):
     index: int
     matrix: Matrix
 
@@ -69,8 +71,11 @@ def build_block(spec):
     one = Scalar.one(exact)
     zero = Scalar.zero(exact)
     if spec.family == 1:
+        # (1 - a^2)/b on (re, im) pairs, step for step as in Scalar arithmetic
         a, b = spec.a, spec.b
-        return Matrix([[a, b], [(one - a * a) / b, -a]])
+        sr, si = _cmul(a.re, a.im, a.re, a.im)
+        c = _cdiv(one.re - sr, one.im - si, b.re, b.im, exact)
+        return Matrix([[a, b], [Scalar(*c, exact), -a]])
     if spec.family == 2:
         s = one if spec.sign == 1 else -one
         return Matrix([[s, zero], [spec.c, -s]])

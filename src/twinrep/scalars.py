@@ -251,6 +251,20 @@ def _cpow(xr, xi, k):
         xr, xi = _cmul(xr, xi, xr, xi)
 
 
+def _pow(xr, xi, k, exact):
+    """(xr + xi i)^k for k >= 0 as `Scalar.pow` forms it: Fraction's own
+    power for an exact real base, else `_cpow`, with the parts of
+    `Scalar.one` at k = 0."""
+    if exact and xi == 0:
+        return xr ** k, xi
+    return _cpow(xr, xi, k) if k else _ONE_PARTS[exact]
+
+
+# the parts of Scalar.zero(exact) and Scalar.one(exact), keyed by `exact`
+_ZERO_PARTS = {True: (Fraction(0), Fraction(0)), False: (0.0, 0.0)}
+_ONE_PARTS = {True: (Fraction(1), Fraction(0)), False: (1.0, 0.0)}
+
+
 def scalar_format(x):
     if x.exact:
         sign = "-" if x.im < 0 else "+"

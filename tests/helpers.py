@@ -8,11 +8,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, Verdict, _exact_P,
+                                    eval_P, witness_check)
 from twinrep.linalg import DimensionError, Matrix, Subspace, _rref, kernel
 from twinrep.oracle import _squares_to_identity, _unwrap, algebra_closure
-from twinrep.reduction import ParameterError, build_Q, build_S
+from twinrep.reduction import (ParameterError, _check_family1, build_Q,
+                               build_S)
 from twinrep.reps import RepSpec, build_generator
-from twinrep.scalars import BackendMismatchError, Scalar, default_eps
+from twinrep.scalars import (BackendMismatchError, Scalar, default_eps,
+                             require_finite)
 
 
 def s2v1_closed(n, a, b):
@@ -301,6 +305,172 @@ def reference_witness_check(images, w):
                         r.magnitude() <= tol * gx_norm < math.inf):
                     return False
     return True
+
+
+def _scalar_vanishes(terms, zero, scale=None):
+    """Whether the Scalars `terms` sum to zero: exactly on the exact backend,
+    on floats within eps times `scale`, by default the sum of their moduli
+    (Oettli and Prager's componentwise test); NaN and overflow fail."""
+    total = sum(terms, zero)
+    if zero.exact:
+        return total.is_zero()
+    if scale is None:
+        scale = sum(t.magnitude() for t in terms)
+    return total.magnitude() <= default_eps() * scale < math.inf
+
+
+def scalar_witness_check(images, w, phi=None):
+    """`irreducibility.witness_check` on `Scalar` entries: the form it had
+    before it moved onto (re, im) pairs, kept as the reference it must match
+    bit for bit.  Each image g is {row: {column: entry}} over the rows where
+    it differs from the identity, w a Subspace, phi a list of Scalars.
+
+    A line <x> (phi None) needs g x = lam x at the largest entry x_p; entry
+    i of g x - lam x is r . g x for r = e_i - (x_i/x_p) e_p, at most
+    eps ||r||_2 ||g x||_2 on floats.  A hyperplane needs phi . x = 0 for its
+    basis vectors x and phi g = phi, tested componentwise; vector j has its
+    first nonzero entry in row j, so span(w) = ker phi (dimension
+    ambient - 1), which phi g = phi maps into itself."""
+    exact = w.basis[0].exact
+    zero, one = Scalar.zero(exact), Scalar.one(exact)
+    xs = [{i: x for i, x in enumerate(v.column_entries()) if x.re or x.im}
+          for v in w.basis]
+    if phi is None:
+        x = xs[0]
+        if w.dim != 1 or not x:
+            return False
+        p = next(iter(x)) if exact else max(x, key=lambda i: x[i].magnitude())
+        for rows in images:
+            gx = dict(x)
+            for i, row in rows.items():
+                gx[i] = sum((g * x[c] for c, g in row.items() if c in x), zero)
+            # with row p unpatched lam = 1, and only the patched rows move
+            lam = gx[p] / x[p] if p in rows else one
+            norm = 0.0 if exact else math.hypot(
+                *(y.magnitude() for y in gx.values()))
+            for i in rows.keys() | (x.keys() if p in rows else {}):
+                xi = x.get(i, zero)
+                scale = None if exact else norm * math.hypot(
+                    1.0, xi.magnitude() / x[p].magnitude())
+                if not _scalar_vanishes([gx[i], -(lam * xi)], zero, scale):
+                    return False
+        return True
+    phi = {i: f for i, f in enumerate(phi) if f.re or f.im}
+    if (w.dim != w.ambient_dim - 1 or not phi
+            or any(min(x, default=None) != j for j, x in enumerate(xs))
+            or not all(_scalar_vanishes([f * x[i] for i, f in phi.items()
+                                         if i in x], zero) for x in xs)):
+        return False
+    for rows in images:
+        # entry c of phi g - phi: phi_i g_ic over the patched rows i, less
+        # phi_c when row c is patched
+        cols = {i: [-phi[i]] for i in rows if i in phi}
+        for i in rows.keys() & phi.keys():
+            for c, g in rows[i].items():
+                cols.setdefault(c, []).append(phi[i] * g)
+        if not all(_scalar_vanishes(terms, zero) for terms in cols.values()):
+            return False
+    return True
+
+
+def parts(x):
+    """The (re, im) pair of a Scalar."""
+    return x.re, x.im
+
+
+def pair_witness_check(images, w, phi=None):
+    """`irreducibility.witness_check` on the inputs `scalar_witness_check`
+    takes, each Scalar taken apart into its (re, im) pair."""
+    return witness_check(
+        [{i: {j: parts(g) for j, g in row.items()} for i, row in rows.items()}
+         for rows in images],
+        [dict(enumerate(map(parts, v.column_entries()))) for v in w.basis],
+        w.basis[0].exact, None if phi is None else [parts(f) for f in phi])
+
+
+def reference_gen_rows(n, a, b):
+    """The row patches of s_1..s_{n-1} that `reduction._reduced_gen_rows`
+    gives, from `Scalar` arithmetic: the s_1 entries (a-1)^j/(-b)^(j-1) by
+    `Scalar.pow` and `/`, the block [[a, b], [(1-a^2)/b, -a]]."""
+    _check_family1(a, b)
+    one = Scalar.one(a.exact)
+    s1 = {0: {0: -one}}
+    for j in range(2, n):
+        s1[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1), j - 1: one}
+    m = [[a, b], [(one - a * a) / b, -a]]
+    return [s1] + [{k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]}
+                    for r in (0, 1)} for k in range(2, n)]
+
+
+def reference_eigvec_w(n, a, b):
+    """w_1 = 2 b^(n-2) / (1-a)^(n-1), w_j = (b/(1-a))^(n-j-1), by `Scalar`
+    arithmetic: the reference for `reduction.eigvec_w`."""
+    one = Scalar.one(a.exact)
+    two = one + one
+    u = one - a
+    entries = [two * b.pow(n - 2) / u.pow(n - 1)]
+    for j in range(2, n):
+        entries.append((b / u).pow(n - j - 1))
+    return Matrix.column(entries)
+
+
+def reference_chain_vector(n, a, b, k):
+    """v_k = -b e_{k+1} + (1+a) e_{k+2} by `Scalar` arithmetic, signed zeros
+    as summed: the reference for `chains.closed_chain_vector`."""
+    one, zero = Scalar.one(a.exact), Scalar.zero(a.exact)
+    entry = lambda x, y: -b * x + (one + a) * y
+    entries = [entry(zero, zero)] * (n - 1)
+    entries[k], entries[k + 1] = entry(one, zero), entry(zero, one)
+    return Matrix.column(entries)
+
+
+def reference_decide(n, a, b):
+    """`irreducibility.decide` as it ran on `Scalar`s: the same branches,
+    every witness, phi and row patch built by `Scalar` arithmetic and
+    checked by `scalar_witness_check`.  decide, on (re, im) pairs, must give
+    the same verdicts and witnesses bit for bit, and the same errors."""
+    if n < 3:
+        raise ParameterError("decide needs n >= 3")
+    require_finite(a)
+    require_finite(b)
+    _check_family1(a, b)
+    exact = a.exact
+    one = Scalar.one(exact)
+    phi, diag = None, {}
+    if a.eq(one):
+        reason, vecs = "a=1", [Matrix.basis_vector(n - 1, 1, exact)]
+    elif a.eq(-one):
+        two = one + one
+        reason = "a=-1"
+        vecs = [Matrix.column([(b / two).pow(n - 1 - k) for k in range(1, n)])]
+    elif n == 3:
+        s3 = math.sqrt(3.0)
+        if exact or not (a.eq(Scalar.from_float(0.0, s3))
+                         or a.eq(Scalar.from_float(0.0, -s3))):
+            return Verdict(IRREDUCIBLE, "T3-criterion")
+        reason = "T3-special"
+        vecs = [Matrix.column([(one + one) * b / (a - one).pow(2), one])]
+    elif a.is_zero():
+        return Verdict(IRREDUCIBLE, "a=0", diagnostics={"delta_branch": "-bn/2"})
+    else:
+        if exact:
+            abs_p, root = _exact_P(n, a)
+        else:
+            p = eval_P(n, a)
+            abs_p, root = p.magnitude(), p.is_zero()
+        diag = {"abs_P": abs_p}
+        if not root:
+            return Verdict(IRREDUCIBLE, "generic", diagnostics=diag)
+        reason = "root-of-P"
+        vecs = [reference_eigvec_w(n, a, b)]
+        vecs += [reference_chain_vector(n, a, b, k) for k in range(1, n - 2)]
+        phi = annihilator(n, a, b)
+    w = Subspace(n - 1, vecs, _assume_independent=True)
+    if not scalar_witness_check(reference_gen_rows(n, a, b), w, phi):
+        raise ArithmeticError(
+            "internal error: witness failed the invariance check "
+            "(n=%d, reason=%s)" % (n, reason))
+    return Verdict(REDUCIBLE, reason, w, diag)
 
 
 def closure_check(bundle):

@@ -27,9 +27,8 @@ def test_closure_check_passes_and_detects_tampering():
     a, b = ex(2), ex(3)
     bundle = chain_vectors(6, a, b)
     assert closure_check(bundle) == []
-    import dataclasses
-    broken = dataclasses.replace(
-        bundle, v_chain=(bundle.v_chain[0].scale(ex(2)),) + bundle.v_chain[1:])
+    broken = bundle._replace(
+        v_chain=(bundle.v_chain[0].scale(ex(2)),) + bundle.v_chain[1:])
     assert closure_check(broken)
 
 

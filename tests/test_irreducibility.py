@@ -6,16 +6,19 @@ import pytest
 
 from twinrep import linalg
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
-                                    decide, eval_P, root_residual, roots_of_P,
-                                    witness_check)
-from twinrep.chains import closed_chain_vector
+                                    _annihilator_pairs, decide, eval_P,
+                                    root_residual, roots_of_P)
+from twinrep.chains import _chain_entry_pairs, closed_chain_vector
 from twinrep.linalg import Matrix, Subspace
-from twinrep.reduction import (ParameterError, _reduced_gen_rows, eigvec_w,
+from twinrep.reduction import (ParameterError, _eigvec_w_pairs,
+                               _reduced_gen_rows, eigvec_w,
                                reduced_generators)
 from twinrep.scalars import Scalar, ScalarError, ex, fl, set_default_eps
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import (annihilator, eval_exact, from_complex, reference_eval_P,
-                     reference_witness_check)
+from helpers import (annihilator, eval_exact, from_complex, pair_witness_check,
+                     reference_chain_vector, reference_decide,
+                     reference_eigvec_w, reference_eval_P,
+                     reference_witness_check, scalar_witness_check)
 
 
 def test_cleared_poly_frozen_small_cases():
@@ -333,7 +336,8 @@ def _hyperplane(n, a, b, a_w=None):
 
 def test_witness_check_rejects_non_invariant():
     rows = _reduced_gen_rows(4, ex(2), ex(1), range(1, 4))
-    assert not witness_check(rows, Subspace(3, [Matrix.basis_vector(3, 2)]))
+    assert not pair_witness_check(rows,
+                                  Subspace(3, [Matrix.basis_vector(3, 2)]))
     # the hyperplane witness or its phi built at a(1 + delta) instead of at
     # the root a is off by about a relative delta, above eps = 1e-9, while
     # the true witness stays near 1e-16.  A bound in ||phi||_2 ||x||_2 in
@@ -342,7 +346,7 @@ def test_witness_check_rejects_non_invariant():
     for n in (5, 11, 16, 24):
         for r in roots_of_P(n):
             rows = _reduced_gen_rows(n, r, b, range(1, n))
-            assert witness_check(rows, _hyperplane(n, r, b),
+            assert pair_witness_check(rows, _hyperplane(n, r, b),
                                  annihilator(n, r, b)), (n, r)
             for delta in (1e-4, 1e-6, 1e-8):
                 a = r * fl(1.0 + delta)
@@ -350,18 +354,18 @@ def test_witness_check_rejects_non_invariant():
                                (_hyperplane(n, a, b), annihilator(n, r, b)),
                                (_hyperplane(n, r, b), annihilator(n, a, b)),
                                (_hyperplane(n, a, b), annihilator(n, a, b))):
-                    assert not witness_check(rows, w, phi), (n, r, delta)
+                    assert not pair_witness_check(rows, w, phi), (n, r, delta)
     # a basis that phi annihilates is independent only by its shape: a zero
     # on the diagonal or an entry above it fails, on both backends
     for a, b in ((ex(0, 1), ex(1)), (roots_of_P(8)[-1], fl(1.0))):
         rows = _reduced_gen_rows(8, a, b, range(1, 8))
         phi = annihilator(8, a, b)
         basis = _hyperplane(8, a, b).basis
-        assert witness_check(rows, Subspace(7, basis), phi)
+        assert pair_witness_check(rows, Subspace(7, basis), phi)
         for k, v in ((1, basis[2]), (2, basis[1])):  # zero diagonal, above
             bad = basis[:k] + [v] + basis[k + 1:]
             w = Subspace(7, bad, _assume_independent=True)
-            assert not witness_check(rows, w, phi), (a, k)
+            assert not pair_witness_check(rows, w, phi), (a, k)
 
 
 def test_witness_check_row_patches_match_dense():
@@ -382,7 +386,7 @@ def test_witness_check_row_patches_match_dense():
         phi = annihilator(n, a, b) if v.reason == "root-of-P" else None
         for a2, want in ((a, True), (a + a, False)):
             rows = _reduced_gen_rows(n, a2, b, range(1, n))
-            assert witness_check(rows, v.witness, phi) is want, (n, a, a2)
+            assert pair_witness_check(rows, v.witness, phi) is want, (n, a, a2)
             dense = reduced_generators(n, a2, b) if n <= 12 else rows
             assert reference_witness_check(dense, v.witness) is want, (n, a2)
 
@@ -410,3 +414,163 @@ def test_decide_runs_no_elimination(monkeypatch):
 def test_verdict_reducible_property():
     assert decide(4, ex(1), ex(1)).reducible
     assert not decide(4, ex(2), ex(1)).reducible
+
+
+def _hexed(x):
+    """A Scalar's parts, float parts as their bits (signed zeros included)."""
+    return (x.re, x.im) if x.exact else (x.re.hex(), x.im.hex())
+
+
+def _columns(vecs):
+    """The entries of the column vectors, each as `_hexed`."""
+    return [[_hexed(x) for x in v.column_entries()] for v in vecs]
+
+
+def _decide_outcome(f, n, a, b):
+    """f(n, a, b) as (status, reason, witness entries, diagnostics), or as
+    (error type, message)."""
+    try:
+        v = f(n, a, b)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return (v.status, v.reason, v.witness and _columns(v.witness.basis),
+            repr(v.diagnostics))
+
+
+def test_decide_matches_scalar_reference_bit_for_bit():
+    # decide builds and checks its witnesses on (re, im) pairs; the Scalar
+    # form it replaced must give the same verdicts and witness entries, bit
+    # for bit, and the same errors: at every root for n <= 12 and three
+    # roots at a few n beyond (the builders are compared at every root
+    # below), at a = +-1, at +-i and at the n = 3 special points
+    s3 = math.sqrt(3.0)
+    cases = [(n, r, b) for n in range(4, 13) for r in roots_of_P(n)
+             for b in (fl(1.0), fl(0.75, -0.5))]
+    cases += [(n, r, b) for n in (16, 25, 40, 60)
+              for r in roots_of_P(n)[::n // 6]
+              for b in (fl(1.0), fl(0.75, -0.5))]
+    cases += [(n, a, b) for n in range(3, 41) for s in (1, -1)
+              for a, b in ((ex(s), ex(1)), (fl(float(s)), fl(2.0, -1.0)))]
+    cases += [(n, ex(s), ex(2, -1)) for n in (3, 8, 21) for s in (1, -1)]
+    cases += [(n, ex(0, s), ex(1)) for n in range(4, 41, 4) for s in (1, -1)]
+    cases += [(8, ex(0, s), ex(Fraction(1, 3), -2)) for s in (1, -1)]
+    cases += [(3, fl(0.0, y), b) for y in (s3, -s3)
+              for b in (fl(1.0), fl(-2.0, 0.5), fl(1e200))]
+    for n, a, b in cases:
+        got = _decide_outcome(decide, n, a, b)
+        assert got == _decide_outcome(reference_decide, n, a, b), (n, a, b)
+    # b so large or small that entries overflow, underflow or divide by a
+    # zero, at a = +-1 and at the largest root, also under a tiny eps
+    raised = set()
+    for eps in (1e-9, 1e-300):
+        set_default_eps(eps)
+        for n in (4, 9, 40):
+            for a in (fl(1.0), fl(-1.0), roots_of_P(n)[-1]):
+                for y in (1e-200, 1e-20, 1e20, 1e150, 1e300):
+                    for b in (fl(y), fl(y, -y)):
+                        got = _decide_outcome(decide, n, a, b)
+                        assert got == _decide_outcome(reference_decide, n,
+                                                      a, b), (eps, n, a, b)
+                        raised.add(got[0])
+    assert {ScalarError, ZeroDivisionError, ArithmeticError} <= raised
+
+
+def test_root_witness_and_phi_match_scalar_builders_bit_for_bit():
+    # every root for n = 4..60, with a real and a complex b: the pairs
+    # decide builds w, the chain entries and phi from are those the Scalar
+    # builders give, bit for bit (the grid above compares whole verdicts)
+    hexed = lambda pairs: [(x.hex(), y.hex()) for x, y in pairs]
+    for b in (fl(1.0), fl(0.75, -0.5)):
+        for n in range(4, 61):
+            for r in roots_of_P(n):
+                assert hexed(_eigvec_w_pairs(n, r, b)) == _columns(
+                    [reference_eigvec_w(n, r, b)])[0], (n, r)
+                # v_1 holds the zero and the two entries of every v_k
+                assert hexed(_chain_entry_pairs(r, b)) == _columns(
+                    [reference_chain_vector(n, r, b, 1)])[0][:3], (n, r)
+                assert hexed(_annihilator_pairs(n, r, b)) == \
+                    [_hexed(f) for f in annihilator(n, r, b)], (n, r)
+
+
+def test_witness_check_matches_scalar_reference_on_mutations():
+    # witnesses and phi mutated in one entry: the pair check answers as the
+    # Scalar check it replaced, errors included
+    rng = rng_for(1414)
+    s3 = math.sqrt(3.0)
+    cases = [(n, r, b) for n in (5, 8, 13) for r in roots_of_P(n)[::3]
+             for b in (fl(1.0), fl(0.75, -0.5))]
+    cases += [(8, ex(0, s), ex(1, 1)) for s in (1, -1)]
+    cases += [(n, a, b) for n in (5, 9) for a, b in (
+        (ex(1), ex(2)), (ex(-1), ex(2, -1)), (fl(1.0), fl(2.0)),
+        (fl(-1.0), fl(2.0, -1.0)))]
+    cases += [(3, fl(0.0, s3), fl(-2.0, 0.5))]
+
+    def bumps(x):
+        if x.exact:
+            return [x + ex(Fraction(1, 1000)), x + ex(0, Fraction(1, 1000)),
+                    Scalar.zero(True), x + x]
+        return [x * fl(1.0 + 1e-4), x * fl(1.0 + 1e-12), Scalar.zero(False),
+                x * fl(1e300), fl(math.copysign(0.0, x.re), -0.0)]
+
+    def outcome(check, rows, w, phi):
+        try:
+            return check(rows, w, phi)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    seen = set()
+    for n, a, b in cases:
+        v = decide(n, a, b)
+        rows = _reduced_gen_rows(n, a, b, range(1, n))
+        phi = annihilator(n, a, b) if v.reason == "root-of-P" else None
+        basis = [u.column_entries() for u in v.witness.basis]
+        trials = []
+        for _ in range(4):
+            j = rng.randrange(len(basis))
+            i = rng.randrange(n - 1)
+            for x in bumps(basis[j][i]):
+                bad = [list(u) for u in basis]
+                bad[j][i] = x
+                trials.append((bad, phi))
+        if phi is not None:
+            trials.append((basis[:-1], phi))  # one vector short
+            for _ in range(3):
+                i = rng.randrange(n - 1)
+                for x in bumps(phi[i]):
+                    trials.append((basis, phi[:i] + [x] + phi[i + 1:]))
+        for entries, f in trials:
+            w = Subspace(n - 1, [Matrix.column(u) for u in entries],
+                         _assume_independent=True)
+            got = outcome(pair_witness_check, rows, w, f)
+            assert got == outcome(scalar_witness_check, rows, w, f), (n, a)
+            seen.add(got if isinstance(got, bool) else got[0])
+    assert {True, False, ScalarError} <= seen
+    # a line whose largest entry lies in a patched row must also be fixed
+    # by the rows g leaves alone: here g x = -x on row 0 only
+    for one in (ex(1), fl(1.0)):
+        rows = [{0: {0: -one}}]
+        w = Subspace(3, [Matrix.column([one + one, one, one - one])])
+        assert pair_witness_check(rows, w) is False
+        assert scalar_witness_check(rows, w) is False
+
+
+def test_decide_does_no_scalar_arithmetic(monkeypatch):
+    # the verdict branches compare Scalars; the witness, phi and the rows
+    # are built and checked on pairs, so a Reducible decide does no Scalar
+    # arithmetic at all
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "pow"):
+        def counted(self, *args, _f=getattr(Scalar, name), _name=name):
+            calls.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(Scalar, name, counted)
+    s3 = math.sqrt(3.0)
+    cases = [(60, roots_of_P(60)[-1], fl(1.0)), (40, ex(0, 1), ex(1)),
+             (12, roots_of_P(12)[2], fl(0.75, -0.5)), (3, fl(0.0, s3), fl(1.0))]
+    cases += [(n, a, b) for n in (3, 40) for a, b in (
+        (ex(1), ex(2)), (ex(-1), ex(2, -1)), (fl(1.0), fl(2.0)),
+        (fl(-1.0), fl(2.0, -1.0)))]
+    for n, a, b in cases:
+        assert decide(n, a, b).reducible, (n, a)
+    assert not calls
+    assert ex(1) + ex(1) == ex(2) and calls == ["__add__"]

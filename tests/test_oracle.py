@@ -490,6 +490,21 @@ def test_generic_eigenlines_run_no_scalar_elimination(d, monkeypatch):
         assert common_eigenlines(reduced_generators(d + 1, a, b)) == []
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_generic_exact_eigenlines_form_no_product(d, monkeypatch):
+    # mod p no sign pattern survives at a generic exact point, so the exact
+    # tree forms no g K at all
+    def forbidden(self, other):
+        raise AssertionError("Matrix product formed")
+
+    rng = rng_for(750 + d)
+    a, b = rand_family1_params(rng, avoid=(0, 1, -1))
+    assert not decide(d + 1, a, b).reducible
+    images = reduced_generators(d + 1, a, b)
+    monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+    assert common_eigenlines(images) == []
+
+
 def test_common_eigenlines_dedups():
     # two diagonal involutions share the coordinate lines; each must appear
     # exactly once

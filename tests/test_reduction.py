@@ -11,7 +11,7 @@ from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import Scalar, ScalarError, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
 from helpers import (conjugated_full_gen, delete_row_col, is_identity,
-                     mat_inverse)
+                     mat_inverse, reference_gen_rows)
 
 
 def test_invariant_vector_fixed_by_all_generators():
@@ -138,6 +138,43 @@ def test_reduced_s1_matches_scalar_pow_bit_for_bit():
         assert got == _s1_outcome(_scalar_s1_column, n, a, b), (n, a, b)
     # the overflowing and the underflowing powers are among them
     raised = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert {ScalarError, ZeroDivisionError} <= raised
+
+
+def test_reduced_rows_match_scalar_reference_bit_for_bit():
+    # every row patch, the block's (1-a^2)/b included, is formed on pairs;
+    # the Scalar expressions give the same entries and the same errors
+    rng = rng_for(4444)
+    cases = []
+    for _ in range(150):
+        a, b = (cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(0, 7))
+                for _ in range(2))
+        cases.append((rng.randint(3, 20), fl(a.real, a.imag),
+                      fl(b.real, b.imag)))
+    for _ in range(40):
+        a, b = rand_family1_params(rng, gaussian=rng.random() < 0.5)
+        cases.append((rng.randint(3, 12), a, b))
+    # b counted as 0, powers of b that underflow, a^2 that overflows, and
+    # signed zeros
+    cases += [(5, fl(2.0), fl(1e-170)), (45, fl(2.0), fl(1e-8)),
+              (45, fl(2.0), fl(0.0, 1e-8)), (5, fl(1e160), fl(1.0)),
+              (4, fl(0.0, -0.0), fl(-0.0, 3.0))]
+
+    def outcome(rows_of, n, a, b):
+        try:
+            rows = rows_of(n, a, b)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return [{i: {j: (x.re, x.im) if x.exact else (x.re.hex(), x.im.hex())
+                     for j, x in row.items()} for i, row in r.items()}
+                for r in rows]
+
+    raised = set()
+    for n, a, b in cases:
+        got = outcome(lambda n, a, b: _reduced_gen_rows(n, a, b, range(1, n)),
+                      n, a, b)
+        assert got == outcome(reference_gen_rows, n, a, b), (n, a, b)
+        raised.add(got[0] if isinstance(got, tuple) else None)
     assert {ScalarError, ZeroDivisionError} <= raised
 
 
