@@ -38,7 +38,7 @@ from .reduction import (ParameterError, _check_family1, _eigvec_w_pairs,
                         _reduced_gen_pairs)
 from .chains import _chain_entries, _chain_entry_pairs
 from .scalars import (Scalar, _ONE_PARTS, _ZERO_PARTS, _cdiv, _cmul, _cpow,
-                      _pow, default_eps, require_finite)
+                      _pow, _powers, default_eps, require_finite)
 
 
 class ClearedPoly(NamedTuple):
@@ -261,11 +261,8 @@ def witness_check(images, basis, exact, phi=None):
 def _annihilator_pairs(n, a, b):
     """phi_j = (b/(1+a))^j for j = 0..n-2 as (re, im) pairs, each the
     `Scalar` product of the one before it and b/(1+a)."""
-    rr, ri = _cdiv(b.re, b.im, 1 + a.re, 0 + a.im, a.exact)
-    phi = [_ONE_PARTS[a.exact]]
-    for _ in range(n - 2):
-        phi.append(_cmul(*phi[-1], rr, ri))
-    return phi
+    return _powers(*_cdiv(b.re, b.im, 1 + a.re, 0 + a.im, a.exact), n - 2,
+                   _ONE_PARTS[a.exact])
 
 
 # (1, -1) on each backend, keyed by `exact`: decide compares every a to both
@@ -300,7 +297,10 @@ def decide(n, a, b):
     elif a.eq(minus_one):
         hr, hi = _cdiv(b.re, b.im, 2, 0, exact)
         reason = "a=-1"
-        first = [_pow(hr, hi, n - 1 - k, exact) for k in range(1, n)]
+        # (b/2)^(n-1-k) for k = 1..n-1: exact, one running product; float,
+        # `Scalar.pow`'s bits
+        first = (_powers(hr, hi, n - 2, _ONE_PARTS[exact])[::-1] if exact
+                 else [_pow(hr, hi, n - 1 - k, exact) for k in range(1, n)])
     elif n == 3:
         # off a = +-1, only the float points a = +-i sqrt(3) are reducible,
         # with the invariant line <(2b/(a-1)^2, 1)^T>

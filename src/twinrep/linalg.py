@@ -57,15 +57,19 @@ class Matrix:
         return cls([[x] for x in entries])
 
     @classmethod
-    def _trusted_column(cls, entries):
-        """The column of `entries`, Scalars of one backend that the caller
-        built itself: taken without the per-entry backend check."""
+    def _trusted(cls, rows):
+        """The matrix of `rows`, equal-length lists of Scalars of one backend
+        that the caller built and hands over: no checks, no copy."""
         m = object.__new__(cls)
-        for name, value in (("rows", len(entries)), ("cols", 1),
-                            ("exact", entries[0].exact),
-                            ("data", [[x] for x in entries])):
+        for name, value in (("rows", len(rows)), ("cols", len(rows[0])),
+                            ("exact", rows[0][0].exact), ("data", rows)):
             object.__setattr__(m, name, value)
         return m
+
+    @classmethod
+    def _trusted_column(cls, entries):
+        """`_trusted` for the column of `entries`."""
+        return cls._trusted([[x] for x in entries])
 
     @classmethod
     def from_columns(cls, columns):

@@ -26,7 +26,10 @@ Two detectors validate every verdict the decision procedure produces:
   on the input, so the oracle stays independent of the paper: g_k^2 = I
   in the closure's own number system (mod p, or under the float
   tolerance), and (g_k - I)(g_j - I) = 0 structurally, by the rows and
-  columns where g_j - I and g_k - I are nonzero not meeting.
+  columns where g_j - I and g_k - I are nonzero not meeting.  g v
+  recomputes only the rows g moves, and elimination runs over nonzero
+  entries: a term left out is an exact 0, so dims, words and the float
+  rank gap are those of a dense pass, bit for bit.
 * Common eigenline enumeration for involutions: every one-dimensional
   invariant subspace of a family of involutions is a common +-1 eigenvector.
   Each generator splits every candidate subspace, held as a basis matrix K,
@@ -114,7 +117,7 @@ class _Plain:
         """A basis of {x : a x = 0} as the columns of a matrix, or None when
         it is 0, by the steps of `linalg.kernel`: `_eliminate` with the
         subclass's pivots, `_rref`'s back substitution, then one basis
-        vector per free column.  Consumes a."""
+        vector per free column, in normal form.  Consumes a."""
         nrows, ncols = len(a), len(a[0])
         thresh = self.threshold(a)
         pivots = []
@@ -147,7 +150,7 @@ class _Plain:
             basis[f][t] = self.one
             for k, c in enumerate(pivots):
                 basis[c][t] = -a[k][f]
-        return basis
+        return [self.reduce(row) for row in basis]
 
 
 class _Complex(_Plain):
@@ -217,15 +220,28 @@ class _Fp(_Plain):
 
     def __init__(self, p, root):
         self.p, self.root = p, root
+        self._inverses = {1: 1}  # denominator -> its inverse mod p
 
     def eq(self, x, y):
         return (x - y) % self.p == 0
 
     def lift(self, m):
-        p = self.p  # pow raises ValueError if p divides a denominator
-        mod = lambda x: x.numerator * pow(x.denominator, -1, p)
-        return [[(mod(x.re) + self.root * mod(x.im)) % p for x in row]
-                for row in m.data]
+        """Each entry x + y i of m as x + root y mod p; ValueError if p
+        divides a denominator.  A zero entry lifts to 0 with no work, and
+        each denominator is inverted once for this instance (its prime)."""
+        p, inv = self.p, self._inverses
+        for den in {x.denominator for row in m.data for z in row
+                    for x in (z.re, z.im)} - inv.keys():
+            inv[den] = pow(den, -1, p)
+        mod = lambda x: x.numerator * inv[x.denominator]
+        return [[(mod(x.re) + self.root * mod(x.im)) % p if x.re or x.im
+                 else 0 for x in row] for row in m.data]
+
+    def matmul(self, a, b):
+        """`_Plain.matmul`, copying b's (reduced) row j for a row e_j of a."""
+        last = len(a[0]) - 1
+        return [list(b[row.index(1)]) if row.count(0) == last and 1 in row
+                else _Plain.matmul(self, [row], b)[0] for row in a]
 
     @staticmethod
     def threshold(a):
@@ -302,11 +318,13 @@ class _FloatSpan(_Complex):
     A candidate is reduced against the stored rows in insertion order and
     accepted when its residual exceeds eps times its own magnitude; stored
     rows are scaled so their largest entry, the pivot, is 1, and are never
-    rewritten."""
+    rewritten.  A candidate is reduced in place over each stored row's
+    off-pivot nonzero terms: a term left out is 0, which could only flip
+    the sign of a zero, so rows, words and gap are those of a dense pass."""
 
     def __init__(self):
         super().__init__()
-        self.rows = []  # (pivot index, row)
+        self.rows = []  # (pivot index, dense row, off-pivot (index, entry))
         self.min_acc = math.inf
         self.max_rej = 0.0
 
@@ -314,10 +332,12 @@ class _FloatSpan(_Complex):
         mag = max(map(abs, v))
         if mag == 0.0:
             return False
-        for p, row in self.rows:
+        for p, _, nonzero in self.rows:
             f = v[p]
             if f:
-                v = [x - f * y for x, y in zip(v, row)]
+                v[p] = 0j
+                for j, y in nonzero:
+                    v[j] -= f * y
         res, pivot = max(zip(map(abs, v), range(len(v))))
         rel = res / mag
         if rel <= self.eps:
@@ -327,7 +347,8 @@ class _FloatSpan(_Complex):
         inv = 1.0 / v[pivot]
         row = [x * inv for x in v]
         row[pivot] = 1.0
-        self.rows.append((pivot, row))
+        self.rows.append((pivot, row, [(j, y) for j, y in enumerate(row)
+                                       if y and j != pivot]))
         return True
 
 
@@ -369,7 +390,9 @@ class _ModSpan(_Fp):
 def _grow(span, lifted, d):
     """Words of the left-only closure of the lifted images, eliminated in
     span.  Each image is kept as its nonzero (column, entry) terms per row;
-    they are mostly identity rows, so a unit entry is not multiplied out.
+    g v is a copy of v, whose unit rows 1 x are v's own, with the other
+    rows recomputed over v's nonzero rows, and a unit entry is not
+    multiplied out.
 
     A candidate g_k v is not formed when a relation of the input proves it
     already lies in the span.  An accepted row v of word (j,) + word(u) is
@@ -385,6 +408,8 @@ def _grow(span, lifted, d):
     dims and words do not change."""
     full = d * d
     gens = [_terms(m) for m in lifted]
+    patches = [[(r, terms) for r, terms in enumerate(g)
+                if terms != [(r, span.one)]] for g in gens]
     involution = [span.is_involution(m) for m in lifted]
     moved = [_moved(g, span.one) for g in gens]
     disjoint = [[not (s & t) for t in moved] for s in moved]
@@ -394,20 +419,23 @@ def _grow(span, lifted, d):
     while i < len(words) < full:
         v = span.rows[i][1]
         word = words[i]
-        for k, g in enumerate(gens):
+        live = [any(v[r * d:r * d + d]) for r in range(d)]  # nonzero rows
+        for k, patch in enumerate(patches):
             if word and (involution[k] if word[0] == k else
                          disjoint[word[0]][k]):
                 continue
-            gv = []  # flattened g @ v
-            for terms in g:
+            gv = v.copy()  # flattened g @ v
+            for r, terms in patch:
                 acc = None
                 for col, c in terms:
+                    if not live[col]:
+                        continue
                     seg = v[col * d:col * d + d]
                     if c != 1:
                         seg = [c * x for x in seg]
                     acc = seg if acc is None else [
                         s + x for s, x in zip(acc, seg)]
-                gv += acc or [0] * d
+                gv[r * d:r * d + d] = acc or [0] * d
             if span.insert(gv):
                 words.append((k,) + word)
                 if len(words) == full:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .linalg import Matrix
 from .reps import GeneratorImage, RepSpec, build_block
-from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow
+from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers
 
 
 class ParameterError(ValueError):
@@ -74,9 +74,10 @@ def build_reduced_gen(n, a, b, k):
 def _patched_identity(d, exact, rows):
     """The d x d identity with the rows {row: {column: entry}} put in."""
     zero, one = Scalar.zero(exact), Scalar.one(exact)
-    return Matrix([[rows[i].get(j, zero) for j in range(d)] if i in rows
-                   else [one if j == i else zero for j in range(d)]
-                   for i in range(d)])
+    return Matrix._trusted([[rows[i].get(j, zero) for j in range(d)]
+                            if i in rows else
+                            [one if j == i else zero for j in range(d)]
+                            for i in range(d)])
 
 
 def _reduced_gen_rows(n, a, b, ks):
@@ -93,10 +94,10 @@ def _reduced_gen_rows(n, a, b, ks):
 def _reduced_gen_pairs(n, a, b, ks):
     """`_reduced_gen_rows` with (re, im) pairs of a's and b's own numbers
     for entries.  The block [[a, b], [(1-a^2)/b, -a]] is built once for all
-    of ks, by `build_block`, and the entries (a-1)^j/(-b)^(j-1) of s_1 are
-    formed with the steps of `Scalar.pow` and `Scalar.__truediv__`, so every
-    entry equals the `Scalar` expression, bit for bit on floats; O(n) for
-    each k."""
+    of ks, by `build_block`.  The float entries (a-1)^j/(-b)^(j-1) of s_1
+    are formed with the steps of `Scalar.pow` and `Scalar.__truediv__`, so
+    they equal the `Scalar` expression bit for bit; the exact ones, the
+    same values, by one running product.  O(n) for each k."""
     _check_family1(a, b)
     exact = a.exact
     one = _ONE_PARTS[exact]
@@ -107,10 +108,14 @@ def _reduced_gen_pairs(n, a, b, ks):
             raise ParameterError("generator index %d out of range for n=%d"
                                  % (k, n))
         if k == 1:
+            # (a-1)^j/(-b)^(j-1), j = 2..n-1: exact, (a-1) ((a-1)/(-b))^(j-1)
+            s1 = (_powers(*_cdiv(ar - 1, ai - 0, -br, -bi, exact), n - 2,
+                          (ar - 1, ai - 0))[1:] if exact else
+                  [_cdiv(*_pow(ar - 1, ai - 0, j, exact),
+                         *_pow(-br, -bi, j - 1, exact), exact)
+                   for j in range(2, n)])
             rows = {0: {0: (-one[0], -one[1])}}
-            for j in range(2, n):  # row j of the display, 0-based row j-1
-                entry = _cdiv(*_pow(ar - 1, ai - 0, j, exact),
-                              *_pow(-br, -bi, j - 1, exact), exact)
+            for j, entry in enumerate(s1, 2):  # display row j is row j-1
                 rows[j - 1] = {0: entry, j - 1: one}
         else:
             if block is None:
@@ -148,13 +153,15 @@ def _eigvec_w_pairs(n, a, b):
     """The entries of `eigvec_w` as (re, im) pairs of a's and b's own
     numbers, formed as the `Scalar` expressions 2 b^(n-2) / u^(n-1) and
     (b/u)^(n-j-1), u = 1 - a, are: bit for bit on floats, with the same
-    errors."""
+    errors.  Exact (b/u)^k are the same values, by one running product."""
     exact = a.exact
     ur, ui = 1 - a.re, 0 - a.im
     br, bi = b.re, b.im
     w1 = _cdiv(*_cmul(2, 0, *_pow(br, bi, n - 2, exact)),
                *_pow(ur, ui, n - 1, exact), exact)
     qr, qi = _cdiv(br, bi, ur, ui, exact)
+    if exact:
+        return [w1] + _powers(qr, qi, n - 3, _ONE_PARTS[exact])[::-1]
     return [w1] + [_pow(qr, qi, n - j - 1, exact) for j in range(2, n)]
 
 

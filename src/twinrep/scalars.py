@@ -260,6 +260,15 @@ def _pow(xr, xi, k, exact):
     return _cpow(xr, xi, k) if k else _ONE_PARTS[exact]
 
 
+def _powers(xr, xi, k, first):
+    """[f, f x, ..., f x^k] for the pairs f = `first` and x, by a running
+    `_cmul` product: on exact pairs the values `_pow` gives."""
+    out = [first]
+    for _ in range(k):
+        out.append(_cmul(*out[-1], xr, xi))
+    return out
+
+
 # the parts of Scalar.zero(exact) and Scalar.one(exact), keyed by `exact`
 _ZERO_PARTS = {True: (Fraction(0), Fraction(0)), False: (0.0, 0.0)}
 _ONE_PARTS = {True: (Fraction(1), Fraction(0)), False: (1.0, 0.0)}

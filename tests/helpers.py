@@ -8,10 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from twinrep import oracle
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, Verdict, _exact_P,
                                     eval_P, witness_check)
 from twinrep.linalg import DimensionError, Matrix, Subspace, _rref, kernel
-from twinrep.oracle import _squares_to_identity, _unwrap, algebra_closure
+from twinrep.oracle import (_FloatSpan, _squares_to_identity, _unwrap,
+                            algebra_closure)
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
                                build_S)
 from twinrep.reps import RepSpec, build_generator
@@ -154,6 +156,79 @@ def reference_closure(images):
                     break
         i += 1
     return len(words), words
+
+
+class DenseFloatSpan(_FloatSpan):
+    """`oracle._FloatSpan` as it reduced a candidate against every entry of
+    every stored row: the reference for its sparse insert.  Rows are kept
+    as (pivot index, dense row, None)."""
+
+    def insert(self, v):
+        mag = max(map(abs, v))
+        if mag == 0.0:
+            return False
+        for p, row, _ in self.rows:
+            f = v[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        res, pivot = max(zip(map(abs, v), range(len(v))))
+        rel = res / mag
+        if rel <= self.eps:
+            self.max_rej = max(self.max_rej, rel)
+            return False
+        self.min_acc = min(self.min_acc, rel)
+        inv = 1.0 / v[pivot]
+        row = [x * inv for x in v]
+        row[pivot] = 1.0
+        self.rows.append((pivot, row, None))
+        return True
+
+
+def dense_left_product(terms, v, d):
+    """g @ v for the flattened d x d matrix v and g given by the nonzero
+    (column, entry) terms of each row, every row summed from its terms:
+    the formation `oracle._grow` replaced by recomputing only the rows g
+    moves."""
+    gv = []
+    for row in terms:
+        acc = None
+        for col, c in row:
+            seg = v[col * d:col * d + d]
+            if c != 1:
+                seg = [c * x for x in seg]
+            acc = seg if acc is None else [s + x for s, x in zip(acc, seg)]
+        gv += acc or [0] * d
+    return gv
+
+
+def dense_float_closure(images):
+    """(dim, words, rank_gap) of `oracle.algebra_closure` on float images
+    as it ran before it went sparse: the same skipped candidates, each
+    candidate formed by `dense_left_product` and eliminated by
+    `DenseFloatSpan`.  The relations are looked up in `oracle` at call
+    time, so a test that hides one from `_grow` hides it here too."""
+    mats, d = _unwrap(images)
+    span = DenseFloatSpan()
+    lifted = [span.lift(m) for m in mats]
+    gens = [oracle._terms(m) for m in lifted]
+    involution = [span.is_involution(m) for m in lifted]
+    moved = [oracle._moved(g, span.one) for g in gens]
+    span.insert([1 if j % (d + 1) == 0 else 0 for j in range(d * d)])
+    words = [()]
+    i = 0
+    while i < len(words) < d * d:
+        word = words[i]
+        for k, g in enumerate(gens):
+            if word and (involution[k] if word[0] == k
+                         else not (moved[word[0]] & moved[k])):
+                continue
+            if span.insert(dense_left_product(g, span.rows[i][1], d)):
+                words.append((k,) + word)
+                if len(words) == d * d:
+                    break
+        i += 1
+    gap = span.min_acc / span.max_rej if span.max_rej else math.inf
+    return len(words), words, gap
 
 
 def is_prime(n):

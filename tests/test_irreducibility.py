@@ -492,6 +492,28 @@ def test_root_witness_and_phi_match_scalar_builders_bit_for_bit():
                     [_hexed(f) for f in annihilator(n, r, b)], (n, r)
 
 
+def test_exact_running_products_match_scalar_pow():
+    # exact w entries, a = -1 line entries and s_1 entries come from running
+    # products, not `Scalar.pow`: the same values, at +-i for 4 | n <= 40,
+    # at generic exact points and at a = -1 for n = 3..40
+    bs = (ex(1), ex(Fraction(1, 3), -2), ex(-2, Fraction(5, 7)))
+    rng = rng_for(4646)
+    points = [(n, ex(0, s), b) for n in range(4, 41, 4) for s in (1, -1)
+              for b in bs]
+    points += [(n, *rand_family1_params(rng, avoid=(1, -1)))
+               for n in range(3, 41, 3)]
+    for n, a, b in points:
+        got, want = eigvec_w(n, a, b), reference_eigvec_w(n, a, b)
+        assert got.to_json() == want.to_json(), (n, a, b)
+    # the line of `reference_decide` at a = -1, (b/2)^(n-1-k) by Scalar.pow
+    b = bs[1]
+    half = b / ex(2)
+    for n in range(3, 41):
+        line = decide(n, ex(-1), b).witness.basis[0]
+        assert line.column_entries() == [half.pow(n - 1 - k)
+                                         for k in range(1, n)], n
+
+
 def test_witness_check_matches_scalar_reference_on_mutations():
     # witnesses and phi mutated in one entry: the pair check answers as the
     # Scalar check it replaced, errors included

@@ -88,6 +88,23 @@ def test_matmul_shapes_and_backends():
         _ = Matrix.identity(2, True) @ Matrix.identity(2, False)
 
 
+def test_public_constructor_checks_what_trusted_skips():
+    # the checked constructor still rejects mixed backends and ragged rows;
+    # `_trusted` takes rows the caller built and equals the checked build
+    with pytest.raises(BackendMismatchError):
+        Matrix([[ex(1), fl(0.0)], [ex(0), ex(1)]])
+    with pytest.raises(BackendMismatchError):
+        Matrix([[ex(1), ex(0)], [ex(0), fl(1.0)]])
+    with pytest.raises(DimensionError):
+        Matrix([[ex(1), ex(0)], [ex(0)]])
+    for conv in (ex, fl):
+        rows = [[conv(1), conv(2), conv(3)], [conv(0), conv(-1), conv(5)]]
+        m = Matrix._trusted([list(r) for r in rows])
+        want = Matrix(rows)
+        assert (m.rows, m.cols, m.exact) == (want.rows, want.cols, want.exact)
+        assert m.to_json() == want.to_json()
+
+
 def test_matmul_against_direct_sum():
     rng = rng_for(204)
     a = rand_matrix(rng, 3, 4)

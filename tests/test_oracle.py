@@ -9,9 +9,9 @@ from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
 from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
-from twinrep.scalars import ex, fl
+from twinrep.scalars import ex, fl, set_default_eps
 from conftest import rand_family1_params, rng_for
-from helpers import (is_irreducible_oracle, is_prime,
+from helpers import (dense_float_closure, is_irreducible_oracle, is_prime,
                      reference_common_eigenlines, reference_closure,
                      reference_is_involution, reference_witness_check,
                      word_matrix)
@@ -229,6 +229,137 @@ def test_closure_tests_candidates_whose_relation_fails(conv, monkeypatch):
     h0, h1 = _diag(conv, -1, -1, 1, 1), _diag(conv, -1, 1, -1, 1)
     assert (h0 @ h1).eq(h1 @ h0)
     assert algebra_closure([h0, h1]).words == [(), (0,), (1,), (1, 0)]
+
+
+def _assert_matches_dense(images):
+    # dims, words and the gap's bits: the sparse closure skips only exact
+    # zeros
+    res = algebra_closure(images)
+    dim, words, gap = dense_float_closure(images)
+    assert (res.dim, res.words, res.rank_gap.hex()) == (dim, words, gap.hex())
+    return res
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_sparse_float_closure_matches_dense_reference(d, monkeypatch):
+    rng = rng_for(790 + d)
+    n = d + 1
+    a, b = (x.to_float() for x in rand_family1_params(rng, avoid=(0, 1, -1)))
+    points = [(n, a, b), (n, a, fl(0.01)), (n, fl(-1.0), b)]
+    if d == 3:
+        # the s_1 entries (a-1)^j/(-b)^(j-1) leave float range beyond
+        # d = 3 at |b| = 1e150, and beyond d = 2 at 1e-150, which is
+        # nonzero only under a tiny eps (set last)
+        points += [(n, a, fl(1e150)), (3, a, fl(0.0, -1e-150))]
+    for n, a, b in points:
+        if b.magnitude() < 1e-100:
+            set_default_eps(1e-300)
+        images = reduced_generators(n, a, b)
+        _assert_matches_dense(images)
+        if d <= 5:
+            # g v must recompute every row g moves, not the rows `_moved`
+            # reports: with that relation hidden it reports row 0 alone
+            with monkeypatch.context() as m:
+                _hiding(m, "_moved")
+                _assert_matches_dense(images)
+
+
+@pytest.mark.parametrize("n, dim", [(7, 27), (16, 214)])
+def test_sparse_float_closure_keeps_the_wrong_dims_it_had(n, dim):
+    # the float closure is unreliable at these points (exact: d^2); the
+    # sparse form must not change its answer, right or wrong
+    b = fl(0.01) if n == 7 else fl(-0.5, 1 / 3)
+    a = fl(2.0) if n == 7 else fl(2.5, -4.0)
+    assert _assert_matches_dense(reduced_generators(n, a, b)).dim == dim
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_closure_of_permutations_and_diagonals_matches_reference(
+        exact, monkeypatch):
+    conv = ex if exact else fl
+    families = [[_permutation(conv, (1, 0, 2, 3)),
+                 _permutation(conv, (0, 1, 3, 2))],
+                [_permutation(conv, (1, 0, 2)), _permutation(conv, (0, 2, 1))],
+                [_permutation(conv, (1, 2, 3, 0))],
+                [_diag(conv, 1, 2)], [_diag(conv, -1, -1, 1, 1),
+                                      _diag(conv, -1, 1, -1, 1)]]
+    for images in families:
+        for hide in (False, True):
+            with monkeypatch.context() as m:
+                if hide:
+                    _hiding(m, "_moved")
+                if exact:
+                    res = algebra_closure(images)
+                    assert (res.dim, res.words) == reference_closure(images)
+                else:
+                    _assert_matches_dense(images)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_modular_closure_recomputes_every_moved_row(n, monkeypatch):
+    # with the disjointness relation hidden, `_moved` reports row 0 alone;
+    # the words must still be those of elimination over Q(i)
+    rng = rng_for(810 + n)
+    gens = reduced_generators(n, *rand_family1_params(rng, avoid=(0, 1, -1)))
+    _hiding(monkeypatch, "_moved")
+    res = algebra_closure(gens)
+    assert (res.dim, res.words) == reference_closure(gens)
+
+
+def _per_entry_lift(m, p, root):
+    """`_Fp.lift` as it inverted every denominator anew."""
+    mod = lambda x: x.numerator * pow(x.denominator, -1, p)
+    return [[(mod(x.re) + root * mod(x.im)) % p for x in row]
+            for row in m.data]
+
+
+def test_fp_lift_matches_per_entry_inverses():
+    rng = rng_for(820)
+    dens = (1, 3, 7, 12, 2 ** 70 + 1)
+
+    def entry():
+        if rng.random() < 0.3:
+            return ex(0)
+        return ex(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                    for _ in range(2)))
+
+    m = Matrix([[entry() for _ in range(5)] for _ in range(5)])
+    for p, root in oracle._PRIMES:
+        # one instance per prime, used twice: the second lift reads only
+        # inverses this prime computed
+        fp = oracle._Fp(p, root)
+        want = _per_entry_lift(m, p, root)
+        assert fp.lift(m) == want and fp.lift(m) == want, p
+    # p divides a denominator: ValueError, under that prime only
+    bad = Matrix([[ex(1), ex(Fraction(1, 3), Fraction(2, P1))],
+                  [ex(0), ex(Fraction(-5, 7))]])
+    (p1, root1), (p2, root2) = oracle._PRIMES
+    with pytest.raises(ValueError):
+        oracle._Fp(p1, root1).lift(bad)
+    with pytest.raises(ValueError):
+        _per_entry_lift(bad, p1, root1)
+    assert oracle._Fp(p2, root2).lift(bad) == _per_entry_lift(bad, p2, root2)
+
+
+def test_fp_matmul_matches_plain_matmul():
+    # unit rows are copied from b; every other row is summed as before
+    rng = rng_for(830)
+    p, root = oracle._PRIMES[0]
+    fp = oracle._Fp(p, root)
+    shapes = [(d, d, m) for d in (1, 2, 3, 5) for m in (1, d)]
+    for rows, inner, cols in shapes * 4:
+        a = [[rng.choice((0, 0, 1, 2, p - 1, rng.randrange(p)))
+              for _ in range(inner)] for _ in range(rows)]
+        a[0] = [int(j == rows % inner) for j in range(inner)]  # a unit row
+        b = [[rng.choice((0, 1, rng.randrange(p))) for _ in range(cols)]
+             for _ in range(inner)]
+        assert fp.matmul(a, b) == oracle._Plain.matmul(fp, a, b)
+    # kernel bases, the other right factor of the sign tree, are reduced
+    a = [[1, 2, 3], [2, 4, 6], [0, 1, p - 1]]
+    k = fp.kernel([row[:] for row in a])
+    assert all(0 <= x < p for row in k for x in row)
+    ident = fp.identity(3)
+    assert fp.matmul(ident, k) == oracle._Plain.matmul(fp, ident, k) == k
 
 
 def test_exact_involution_check_matches_scalar_reference():

@@ -178,6 +178,27 @@ def test_reduced_rows_match_scalar_reference_bit_for_bit():
     assert {ScalarError, ZeroDivisionError} <= raised
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_reduced_generators_equal_the_checked_build(exact):
+    # built by `Matrix._trusted`: the same matrices as the checked
+    # constructor gives on the reference row patches, bit for bit
+    rng = rng_for(4545)
+    for n in range(2, 13):
+        a, b = rand_family1_params(rng, gaussian=n % 2 == 0)
+        if not exact:
+            a, b = a.to_float(), b.to_float()
+        d = n - 1
+        one, zero = Scalar.one(exact), Scalar.zero(exact)
+        for g, rows in zip(reduced_generators(n, a, b),
+                           reference_gen_rows(n, a, b), strict=True):
+            want = Matrix([[rows[i].get(j, zero) if i in rows
+                            else (one if i == j else zero)
+                            for j in range(d)] for i in range(d)])
+            got = g.matrix
+            assert (got.rows, got.cols, got.exact) == (d, d, exact)
+            assert got.to_json() == want.to_json(), (n, a, b, g.index)
+
+
 def test_reduced_gens_are_involutions():
     rng = rng_for(405)
     for n in (4, 6):
