@@ -223,7 +223,7 @@ def _cmd_sweep(args):
         a_n = a if a.exact == b.exact else a.to_float()
         points.append((a.to_complex(), a_n,
                        b if a_n.exact == b.exact else b.to_float()))
-    if any(b_n.is_zero() for _, _, b_n in points):
+    if not all(b_n.invertible() for _, _, b_n in points):
         raise ParameterError("b must be nonzero")
     header = "n,re_a,im_a,status,reason,abs_phat"
     if args.with_oracle:

@@ -1,19 +1,24 @@
 """Dense linear algebra over Scalar: products, determinant, rank, kernel.
 
-Exact matrices are eliminated over the field of Gaussian rationals (first
-nonzero pivot); float matrices use partial pivoting, with zero decisions made
-against the one process-wide float tolerance, read at call time from
-`scalars.default_eps`.  `_eliminate` is the only elimination loop:
-determinant, rank, kernel and span pruning each make one call to it.
+`_Plain` holds the package's one product loop and one elimination loop,
+written once over a number system.  A matrix of exact scalars is worked on
+its own Gaussian-rational `Scalar`s (`_Gaussian`, first nonzero pivot); a
+float one on `complex` (`_Complex`), with partial pivoting against eps
+times the matrix's largest entry, eps the one process-wide float tolerance
+read at call time from `scalars.default_eps`.  `complex` arithmetic is
+`Scalar`'s formula for formula, so float results are bit-identical to the
+same steps on `Scalar`s.  Determinant, rank, kernel, span pruning and
+`Matrix @` each lift their input, make one call to the loops and wrap the
+result; `oracle` runs the same loops over F_p.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
-from .scalars import BackendMismatchError, Scalar, default_eps
+from .scalars import BackendMismatchError, Scalar, _cdiv, default_eps
 
 
 class DimensionError(ValueError):
@@ -145,24 +150,8 @@ class Matrix:
                                  % (self.rows, self.cols, other.rows, other.cols))
         if self.exact != other.exact:
             raise BackendMismatchError("mixed matrix backends in product")
-        zero = Scalar.zero(self.exact)
-        out = []
-        bdata = other.data
-        for row in self.data:
-            # skip structural zeros; the generator images are mostly sparse
-            terms = [(j, x) for j, x in enumerate(row)
-                     if not (x.re == 0 and x.im == 0)]
-            new = []
-            for c in range(other.cols):
-                acc = zero
-                for j, x in terms:
-                    y = bdata[j][c]
-                    if y.re == 0 and y.im == 0:
-                        continue
-                    acc = acc + x * y
-                new.append(acc)
-            out.append(new)
-        return Matrix(out)
+        num = _system(self)
+        return num.matrix(num.matmul(num.lift(self), num.lift(other)))
 
     def eq(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -177,9 +166,6 @@ class Matrix:
 
     __hash__ = None
 
-    def max_magnitude(self):
-        return max(x.magnitude() for row in self.data for x in row)
-
     # -- JSON ---------------------------------------------------------
 
     def to_json(self):
@@ -187,95 +173,209 @@ class Matrix:
                 "data": [[x.to_json() for x in row] for row in self.data]}
 
 
-class EliminationResult(NamedTuple):
-    """Echelon data shared by det/rank/kernel: rows, pivot columns, sign."""
-    rows: list
-    pivot_cols: list
-    sign: int
+class _Plain:
+    """Matrices as lists of rows of plain numbers: the one product and the
+    one elimination loop of the package.  A subclass fixes the number
+    system: `zero`, `one`, `lift` (a Matrix's entries as its numbers) and
+    `scalar` (one number as a Scalar), and may replace the exact entry
+    steps below: `threshold`, `pivot` (the first nonzero entry), `inv`,
+    `mul` and `reduce`, which brings a computed row to normal form."""
 
+    exact = True
 
-def _eliminate(m):
-    """Row echelon form.  Exact: first nonzero pivot.  Float: partial pivoting,
-    pivot accepted when its magnitude exceeds eps * max(1, matrix scale)."""
-    a = [list(row) for row in m.data]
-    nrows, ncols, exact = m.rows, m.cols, m.exact
-    thresh = None if exact else default_eps() * max(1.0, m.max_magnitude())
-    pivot_cols = []
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        if exact:
-            p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
-        else:
-            best_mag, p = max([(a[i][c].magnitude(), i) for i in range(r, nrows)])
-            if best_mag <= thresh:
-                p = None
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        inv = a[r][c].inv()
-        for i in range(r + 1, nrows):
-            if exact and a[i][c].is_zero():
+    def identity(self, d):
+        return [[self.one if i == j else self.zero for j in range(d)]
+                for i in range(d)]
+
+    def matmul(self, a, b):
+        """a @ b, each entry summed from zero in column order over the
+        terms where neither factor is 0 (the images are mostly sparse)."""
+        zero_row = [self.zero] * len(b[0])
+        out = []
+        for row in a:
+            acc = zero_row
+            for j, x in enumerate(row):
+                if x:
+                    acc = [s + x * y if y else s for s, y in zip(acc, b[j])]
+            out.append(self.reduce(acc))
+        return out
+
+    def sub(self, a, b):
+        return [self.reduce([x - y for x, y in zip(u, v)])
+                for u, v in zip(a, b)]
+
+    def add(self, a, b):
+        return [self.reduce([x + y for x, y in zip(u, v)])
+                for u, v in zip(a, b)]
+
+    def matrix(self, rows):
+        return Matrix._trusted([[self.scalar(x) for x in row] for row in rows])
+
+    @staticmethod
+    def threshold(a):
+        return None
+
+    @staticmethod
+    def pivot(column, thresh):
+        return next((i for i, x in enumerate(column) if x), None)
+
+    @staticmethod
+    def mul(x, y):
+        return x * y
+
+    @staticmethod
+    def reduce(row):
+        return row
+
+    def _axpy(self, u, f, v):
+        return self.reduce([x - f * y for x, y in zip(u, v)])
+
+    def echelon(self, a):
+        """Row echelon form of a, in place, by the subclass's pivots; an
+        exact row whose entry in the pivot column is 0 is left alone.
+        Returns the pivot columns and the sign of the row permutation."""
+        nrows, ncols = len(a), len(a[0])
+        thresh = self.threshold(a)
+        pivots, sign = [], 1
+        for c in range(ncols):
+            r = len(pivots)
+            if r == nrows:
+                break
+            p = self.pivot([a[i][c] for i in range(r, nrows)], thresh)
+            if p is None:
                 continue
-            f = a[i][c] * inv
-            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-    return EliminationResult(a, pivot_cols, sign)
+            if p:
+                a[r], a[r + p] = a[r + p], a[r]
+                sign = -sign
+            inv = self.inv(a[r][c])
+            for i in range(r + 1, nrows):
+                if self.exact and not a[i][c]:
+                    continue
+                a[i] = self._axpy(a[i], self.mul(a[i][c], inv), a[r])
+            pivots.append(c)
+        return pivots, sign
+
+    def kernel(self, a):
+        """A basis of {x : a x = 0} as the columns of a matrix, or None when
+        it is 0: `echelon`, back substitution to the reduced form, then one
+        basis vector per free column, in normal form.  Consumes a."""
+        ncols = len(a[0])
+        pivots, _ = self.echelon(a)
+        if len(pivots) == ncols:  # full column rank: the kernel is 0
+            return None
+        for k in reversed(range(len(pivots))):
+            c = pivots[k]
+            inv = self.inv(a[k][c])
+            a[k] = self.reduce([x * inv for x in a[k]])
+            for i in range(k):
+                if a[i][c]:
+                    a[i] = self._axpy(a[i], a[i][c], a[k])
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = [[self.zero] * len(free) for _ in range(ncols)]
+        for t, f in enumerate(free):
+            basis[f][t] = self.one
+            for k, c in enumerate(pivots):
+                basis[c][t] = -a[k][f]
+        return [self.reduce(row) for row in basis]
+
+
+class _Gaussian(_Plain):
+    """Gaussian rationals as exact `Scalar`s, which are false when zero,
+    as `complex` is."""
+
+    zero, one = Scalar.zero(), Scalar.one()
+
+    @staticmethod
+    def lift(m):
+        return [list(row) for row in m.data]
+
+    @staticmethod
+    def scalar(x):
+        return x
+
+    @staticmethod
+    def inv(x):
+        return x.inv()
+
+
+class _Complex(_Plain):
+    """`complex` numbers for float matrices.  Their product, sum and
+    negation are `Scalar`'s formulas, magnitudes are taken by `math.hypot`
+    and inverses by `_cdiv`, so every result is bit-identical to the same
+    steps on float `Scalar`s.  Pivoting is partial: the largest entry, the
+    last of equals, accepted when its magnitude exceeds eps times the
+    matrix's largest entry (at least 1)."""
+
+    exact = False
+    zero, one = 0j, 1 + 0j
+
+    def __init__(self):
+        self.eps = default_eps()
+
+    @staticmethod
+    def lift(m):
+        return [[complex(x.re, x.im) for x in row] for row in m.data]
+
+    @staticmethod
+    def scalar(z):
+        return Scalar(z.real, z.imag, False)
+
+    def eq(self, x, y):
+        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|)."""
+        return (math.hypot(x.real - y.real, x.imag - y.imag)
+                <= self.eps * max(1.0, math.hypot(x.real, x.imag),
+                                  math.hypot(y.real, y.imag)))
+
+    def threshold(self, a):
+        return self.eps * max(1.0, max(math.hypot(z.real, z.imag)
+                                       for row in a for z in row))
+
+    @staticmethod
+    def pivot(column, thresh):
+        best, p = max([(math.hypot(z.real, z.imag), i)
+                       for i, z in enumerate(column)])
+        return None if best <= thresh else p
+
+    @staticmethod
+    def inv(z):
+        return complex(*_cdiv(1.0, 0.0, z.real, z.imag, False))
+
+
+def _system(m):
+    """The number system that multiplies and eliminates m's entries."""
+    return _Gaussian() if m.exact else _Complex()
+
+
+def _pivots(m):
+    num = _system(m)
+    return num.echelon(num.lift(m))[0]
 
 
 def mat_det(a):
     if a.rows != a.cols:
         raise DimensionError("determinant of non-square matrix")
-    res = _eliminate(a)
-    if len(res.pivot_cols) < a.rows:
+    num = _system(a)
+    rows = num.lift(a)
+    pivots, sign = num.echelon(rows)
+    if len(pivots) < a.rows:
         return Scalar.zero(a.exact)
-    det = Scalar.one(a.exact)
-    for i in range(a.rows):
-        det = det * res.rows[i][i]
-    if res.sign < 0:
-        det = -det
-    return det
+    det = num.one
+    for i, row in enumerate(rows):
+        det = det * row[i]
+    return num.scalar(-det if sign < 0 else det)
 
 
 def mat_rank(a):
-    return len(_eliminate(a).pivot_cols)
-
-
-def _rref(m):
-    """Reduced row echelon form (pivots normalized and cleared upward)."""
-    res = _eliminate(m)
-    a = res.rows
-    for k in reversed(range(len(res.pivot_cols))):
-        c = res.pivot_cols[k]
-        inv = a[k][c].inv()
-        a[k] = [x * inv for x in a[k]]
-        for i in range(k):
-            f = a[i][c]
-            if f.re == 0 and f.im == 0:
-                continue
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return a, res.pivot_cols
+    return len(_pivots(a))
 
 
 def kernel(a):
     """Basis of {x : Ax = 0}; rank + dim kernel = cols."""
-    rref, pivot_cols = _rref(a)
-    free = [c for c in range(a.cols) if c not in pivot_cols]
-    zero = Scalar.zero(a.exact)
-    one = Scalar.one(a.exact)
-    basis = []
-    for f in free:
-        v = [zero] * a.cols
-        v[f] = one
-        for r, c in enumerate(pivot_cols):
-            v[c] = -rref[r][f]
-        basis.append(Matrix.column(v))
-    return Subspace(a.cols, basis, _assume_independent=True)
+    num = _system(a)
+    basis = num.kernel(num.lift(a)) or [[]]
+    return Subspace(a.cols, [num.matrix([[row[t]] for row in basis])
+                             for t in range(len(basis[0]))],
+                    _assume_independent=True)
 
 
 class Subspace:
@@ -300,7 +400,7 @@ class Subspace:
         pivot columns of one elimination of the vectors side by side."""
         vectors = list(vectors)
         if vectors:
-            pivots = _eliminate(Matrix.from_columns(vectors)).pivot_cols
+            pivots = _pivots(Matrix.from_columns(vectors))
             vectors = [vectors[c] for c in pivots]
         return cls(ambient_dim, vectors, _assume_independent=True)
 

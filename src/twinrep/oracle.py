@@ -35,25 +35,25 @@ Two detectors validate every verdict the decision procedure produces:
   Each generator splits every candidate subspace, held as a basis matrix K,
   into its +1 and -1 parts K @ kernel(g K -+ K); the candidates left with one
   column are the eigenlines.  This sign tree is written once over a number
-  system.  Float mode runs it on `complex`, step for step as the float
-  `Scalar` kernel, so the lines are bit-identical to it.  Exact mode runs it
-  first over F_p with the closure's primes: a sign pattern's subspace is
-  the kernel of the stacked matrix [g - s I] over the generators g and
-  their signs s, whose rank can only drop mod p, so a pattern empty mod p
-  is empty over Q(i).  The exact tree on `Scalar`s and `linalg.kernel` then
-  runs only along the patterns that survive; at a generic point there are
-  none.  Whether exact input consists of involutions is tested on Gaussian
-  integers.
+  system, and its products and kernels are `linalg`'s one product and one
+  elimination loop.  Float mode runs it on `complex`, the loops' float
+  number system.  Exact mode runs it first over F_p with the closure's
+  primes: a sign pattern's subspace is the kernel of the stacked matrix
+  [g - s I] over the generators g and their signs s, whose rank can only
+  drop mod p, so a pattern empty mod p is empty over Q(i).  The tree on
+  the exact `Scalar` entries then runs only along the patterns that
+  survive; at a generic point there are none.  Whether exact input
+  consists of involutions is tested on Gaussian integers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
-from .linalg import DimensionError, Matrix, Subspace, kernel
-from .scalars import Scalar, _cdiv, default_eps
+from .linalg import (DimensionError, Matrix, Subspace, _Complex, _Gaussian,
+                     _Plain)
+from .scalars import Scalar
 
 
 def _unwrap(images):
@@ -66,6 +66,9 @@ def _unwrap(images):
             raise DimensionError("mixed image dimensions")
         if m.exact != mats[0].exact:
             raise DimensionError("mixed image backends")
+        if not (m.exact or all(math.isfinite(x.re) and math.isfinite(x.im)
+                               for row in m.data for x in row)):
+            raise ValueError("the oracle needs finite matrix entries")
     return mats, d
 
 
@@ -75,147 +78,10 @@ class ClosureResult(NamedTuple):
     rank_gap: float  # float mode: min accepted / max rejected relative residual
 
 
-class _Plain:
-    """Matrices as lists of rows of plain numbers, for the closure spans and
-    the eigenline sign tree.  A subclass fixes the number system: `zero`,
-    `one`, `exact`, `lift`, and the entry steps `threshold`, `pivot`, `inv`,
-    `mul` and `reduce`, which brings a computed row to normal form."""
-
-    def identity(self, d):
-        return [[self.one if i == j else self.zero for j in range(d)]
-                for i in range(d)]
-
-    def matmul(self, a, b):
-        """a @ b as `Matrix.__matmul__` forms it: each entry summed from
-        zero in column order, over the terms where neither factor is 0."""
-        zero_row = [self.zero] * len(b[0])
-        out = []
-        for row in a:
-            acc = zero_row
-            for j, x in enumerate(row):
-                if x:
-                    acc = [s + x * y if y else s for s, y in zip(acc, b[j])]
-            out.append(self.reduce(acc))
-        return out
-
-    def sub(self, a, b):
-        return [self.reduce([x - y for x, y in zip(u, v)])
-                for u, v in zip(a, b)]
-
-    def add(self, a, b):
-        return [self.reduce([x + y for x, y in zip(u, v)])
-                for u, v in zip(a, b)]
-
-    def is_involution(self, g):
-        """g @ g == I under the subclass's `eq`."""
-        return _squares_to_identity(_terms(g), self.eq, self.one, self.zero)
-
-    def _axpy(self, u, f, v):
-        return self.reduce([x - f * y for x, y in zip(u, v)])
-
-    def kernel(self, a):
-        """A basis of {x : a x = 0} as the columns of a matrix, or None when
-        it is 0, by the steps of `linalg.kernel`: `_eliminate` with the
-        subclass's pivots, `_rref`'s back substitution, then one basis
-        vector per free column, in normal form.  Consumes a."""
-        nrows, ncols = len(a), len(a[0])
-        thresh = self.threshold(a)
-        pivots = []
-        for c in range(ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            p = self.pivot([a[i][c] for i in range(r, nrows)], thresh)
-            if p is None:
-                continue
-            a[r], a[r + p] = a[r + p], a[r]
-            inv = self.inv(a[r][c])
-            for i in range(r + 1, nrows):
-                if self.exact and not a[i][c]:
-                    continue
-                a[i] = self._axpy(a[i], self.mul(a[i][c], inv), a[r])
-            pivots.append(c)
-        if len(pivots) == ncols:  # full column rank: the kernel is 0
-            return None
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            inv = self.inv(a[k][c])
-            a[k] = self.reduce([x * inv for x in a[k]])
-            for i in range(k):
-                if a[i][c]:
-                    a[i] = self._axpy(a[i], a[i][c], a[k])
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = [[self.zero] * len(free) for _ in range(ncols)]
-        for t, f in enumerate(free):
-            basis[f][t] = self.one
-            for k, c in enumerate(pivots):
-                basis[c][t] = -a[k][f]
-        return [self.reduce(row) for row in basis]
-
-
-class _Complex(_Plain):
-    """`complex` numbers, step for step as the float `Scalar` kernels: the
-    same product and sum formulas, magnitudes by `math.hypot`, inverses by
-    `Scalar.__truediv__`'s formula, and partial pivoting against eps times
-    the matrix's largest entry (at least 1), as in `linalg._eliminate`.
-    Results are bit-identical to the `Scalar` computation."""
-
-    exact = False
-    zero, one = 0j, 1 + 0j
-
-    def __init__(self):
-        self.eps = default_eps()
-
-    @staticmethod
-    def lift(m):
-        out = [[complex(x.re, x.im) for x in row] for row in m.data]
-        if not all(cmath.isfinite(z) for row in out for z in row):
-            raise ValueError("the oracle needs finite matrix entries")
-        return out
-
-    def eq(self, x, y):
-        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|)."""
-        return (math.hypot(x.real - y.real, x.imag - y.imag)
-                <= self.eps * max(1.0, math.hypot(x.real, x.imag),
-                                  math.hypot(y.real, y.imag)))
-
-    def threshold(self, a):
-        return self.eps * max(1.0, max(math.hypot(z.real, z.imag)
-                                       for row in a for z in row))
-
-    @staticmethod
-    def pivot(column, thresh):
-        """The offset of the largest entry, the last of equals; None when
-        it is at most thresh."""
-        best, p = max([(math.hypot(z.real, z.imag), i)
-                       for i, z in enumerate(column)])
-        return None if best <= thresh else p
-
-    @staticmethod
-    def inv(z):
-        return complex(*_cdiv(1.0, 0.0, z.real, z.imag, False))
-
-    @staticmethod
-    def mul(x, y):
-        return x * y
-
-    @staticmethod
-    def reduce(row):
-        return row
-
-    @staticmethod
-    def line(k):
-        """The entries of a one-column k as Scalars, else None."""
-        if len(k[0]) == 1:
-            return [Scalar(z.real, z.imag, False) for (z,) in k]
-        return None
-
-
 class _Fp(_Plain):
     """Ints mod a prime p = 1 (mod 4), i sent to `root`, a square root of
     -1 mod p.  Pivots are first nonzero entries."""
 
-    exact = True
     zero, one = 0, 1
 
     def __init__(self, p, root):
@@ -243,14 +109,6 @@ class _Fp(_Plain):
         return [list(b[row.index(1)]) if row.count(0) == last and 1 in row
                 else _Plain.matmul(self, [row], b)[0] for row in a]
 
-    @staticmethod
-    def threshold(a):
-        return None
-
-    @staticmethod
-    def pivot(column, thresh):
-        return next((i for i, x in enumerate(column) if x), None)
-
     def inv(self, x):
         return pow(x, -1, self.p)
 
@@ -262,54 +120,26 @@ class _Fp(_Plain):
         return [x % p for x in row]
 
 
-class _Gaussian:
-    """Exact Gaussian rationals as `Scalar` matrices, eliminated by
-    `linalg.kernel`: the number system of the exact eigenlines."""
-
-    identity = staticmethod(Matrix.identity)
-
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def kernel(a):
-        part = kernel(a)
-        return part.matrix() if part.dim else None
-
-    @staticmethod
-    def is_involution(m):
-        """m @ m == I, tested as G @ G == D^2 I on the Gaussian integers
-        G = D m, D the lcm of the denominators of m's entries."""
-        den = math.lcm(*(x.denominator for row in m.data
-                         for z in row for x in (z.re, z.im)))
-        rows = [[(j, (z.re.numerator * (den // z.re.denominator),
-                      z.im.numerator * (den // z.im.denominator)))
-                 for j, z in enumerate(row) if z.re or z.im]
-                for row in m.data]
-        square = den * den
-        for i, terms in enumerate(rows):
-            acc = {}
-            for j, (cr, ci) in terms:
-                for k, (yr, yi) in rows[j]:
-                    sr, si = acc.get(k, (0, 0))
-                    acc[k] = (sr + cr * yr - ci * yi, si + cr * yi + ci * yr)
-            if (acc.pop(i, (0, 0)) != (square, 0)
-                    or any(x != (0, 0) for x in acc.values())):
-                return False
-        return True
-
-    @staticmethod
-    def line(k):
-        return k.column_entries() if k.cols == 1 else None
+def _is_gaussian_involution(rows):
+    """m @ m == I for the exact `Scalar` rows of m, tested as G @ G == D^2 I
+    on the Gaussian integers G = D m, D the lcm of the denominators of m's
+    entries."""
+    den = math.lcm(*(x.denominator for row in rows
+                     for z in row for x in (z.re, z.im)))
+    terms = [[(j, (z.re.numerator * (den // z.re.denominator),
+                   z.im.numerator * (den // z.im.denominator)))
+              for j, z in enumerate(row) if z] for row in rows]
+    square = den * den
+    for i, row in enumerate(terms):
+        acc = {}
+        for j, (cr, ci) in row:
+            for k, (yr, yi) in terms[j]:
+                sr, si = acc.get(k, (0, 0))
+                acc[k] = (sr + cr * yr - ci * yi, si + cr * yi + ci * yr)
+        if (acc.pop(i, (0, 0)) != (square, 0)
+                or any(x != (0, 0) for x in acc.values())):
+            return False
+    return True
 
 
 class _FloatSpan(_Complex):
@@ -410,7 +240,8 @@ def _grow(span, lifted, d):
     gens = [_terms(m) for m in lifted]
     patches = [[(r, terms) for r, terms in enumerate(g)
                 if terms != [(r, span.one)]] for g in gens]
-    involution = [span.is_involution(m) for m in lifted]
+    involution = [_squares_to_identity(g, span.eq, span.one, span.zero)
+                  for g in gens]
     moved = [_moved(g, span.one) for g in gens]
     disjoint = [[not (s & t) for t in moved] for s in moved]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(full)])
@@ -595,27 +426,27 @@ def common_eigenlines(images):
     Distinct sign patterns meet only in 0, so no line is returned twice.
     Raises on a non-involution input, tested exactly on exact input.
 
-    Float input runs the tree on `complex`, with the float `Scalar`
-    kernel's pivots and formulas, so the lines are bit-identical to it.
-    Exact input first runs the tree over F_p (i -> a square root of -1) for
-    the first oracle prime that lifts the images.  The leaf of a sign
-    pattern spans the kernel of the stacked matrix [g - s I] over its
-    images g and signs s; reduction mod p can only lower that matrix's
-    rank, so a pattern empty mod p is empty over Q(i).  The exact tree,
-    on Gaussian-rational `Scalar`s and `linalg.kernel`, then runs only
-    along the patterns that survive mod p: for a generic point there are
-    none.  When both primes divide a denominator nothing is pruned."""
+    Float input runs the tree on `complex`.  Exact input first runs the
+    tree over F_p (i -> a square root of -1) for the first oracle prime
+    that lifts the images.  The leaf of a sign pattern spans the kernel of
+    the stacked matrix [g - s I] over its images g and signs s; reduction
+    mod p can only lower that matrix's rank, so a pattern empty mod p is
+    empty over Q(i).  The tree on the images' own Gaussian-rational
+    `Scalar`s then runs only along the patterns that survive mod p: for a
+    generic point there are none.  When both primes divide a denominator
+    nothing is pruned."""
     mats, d = _unwrap(images)
     exact = mats[0].exact
-    num = _Gaussian if exact else _Complex()
-    gens = mats if exact else [num.lift(m) for m in mats]
-    if not all(num.is_involution(g) for g in gens):
+    num = _Gaussian() if exact else _Complex()
+    gens = [num.lift(m) for m in mats]
+    if not all(_is_gaussian_involution(g) if exact else _squares_to_identity(
+            _terms(g), num.eq, num.one, num.zero) for g in gens):
         raise ValueError("common_eigenlines expects involutions")
     keep = _surviving_prefixes(mats, d) if exact else None
     lines = []
     for _, k in _sign_tree(num, gens, d, keep):
-        entries = num.line(k)
-        if entries:
+        if len(k[0]) == 1:
+            entries = [num.scalar(x) for (x,) in k]
             lines.append(Subspace(d, [Matrix.column(
                 _normalized_direction(entries))], _assume_independent=True))
     return lines

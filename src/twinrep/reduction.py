@@ -22,10 +22,11 @@ class ParameterError(ValueError):
 
 
 def _check_family1(a, b, not_pm1=False):
-    """Reject mixed backends and b = 0, and a = +-1 when `not_pm1` is set."""
+    """Reject mixed backends and a b that cannot divide (`Scalar.invertible`),
+    and a = +-1 when `not_pm1` is set."""
     if a.exact != b.exact:
         raise ParameterError("a and b must share a backend")
-    if b.is_zero():
+    if not b.invertible():
         raise ParameterError("b must be nonzero")
     if not_pm1:
         one = Scalar.one(a.exact)

@@ -47,7 +47,7 @@ class RepSpec(_RepSpecFields):
                 raise RepSpecError("family 1 requires parameters a and b")
             if a.exact != b.exact:
                 raise RepSpecError("a and b must share a backend")
-            if b.is_zero():
+            if not b.invertible():
                 raise RepSpecError("family 1 requires b != 0")
             exact = a.exact
         elif family == 2:

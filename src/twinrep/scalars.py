@@ -6,6 +6,13 @@ doubles and compare under one process-wide tolerance eps (relative in `eq`,
 absolute in `is_zero`): 1e-9 by default, replaced only by `set_default_eps`
 (the CLI's TWINREP_EPS).  Matrices built from these scalars must never mix
 backends; every operation here raises `BackendMismatchError` on a mixed pair.
+
+Each pair formula is written once, on plain (re, im) pairs of Fractions or
+floats: `_cmul`, `_cdiv` (with `_norm2`, its divisor test, which
+`Scalar.invertible` shares) and `_pow`.
+`Scalar`'s product, quotient and power wrap them, and the package's hot
+paths call them directly, so both give the same values bit for bit.  A
+`Scalar` is false only when it is 0, as a `complex` is.
 """
 
 from __future__ import annotations
@@ -113,18 +120,12 @@ class Scalar:
 
     def __mul__(self, other):
         self._check(other)
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re,
-                      self.exact)
+        return Scalar(*_cmul(self.re, self.im, other.re, other.im), self.exact)
 
     def __truediv__(self, other):
         self._check(other)
-        n = other.re * other.re + other.im * other.im
-        if not n:  # zero, or a float whose squared modulus underflows
-            raise ZeroDivisionError("division by %s zero scalar" % other.backend)
-        q = Scalar((self.re * other.re + self.im * other.im) / n,
-                   (self.im * other.re - self.re * other.im) / n, self.exact)
-        return require_finite(q)  # a float quotient may overflow
+        return Scalar(*_cdiv(self.re, self.im, other.re, other.im, self.exact),
+                      self.exact)
 
     def inv(self):
         return Scalar.one(self.exact) / self
@@ -133,21 +134,21 @@ class Scalar:
         """Integer power; negative exponents invert (nonzero base required)."""
         if k < 0:
             return self.inv().pow(-k)
-        if self.exact and self.im == 0:  # a rational: Fraction's own power
-            return Scalar(self.re ** k, self.im, True)
-        out = Scalar.one(self.exact)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Scalar(*_pow(self.re, self.im, k, self.exact), self.exact)
 
     # -- predicates ---------------------------------------------------
 
     def magnitude(self):
         return math.hypot(float(self.re), float(self.im))
+
+    def __bool__(self):
+        """False only for 0: a part is nonzero, as for `complex`."""
+        return bool(self.re or self.im)
+
+    def invertible(self):
+        """Whether `_cdiv` accepts self as a divisor: nonzero, and for a
+        float, with a squared modulus that does not underflow to 0."""
+        return bool(self) if self.exact else bool(_norm2(self.re, self.im))
 
     def is_zero(self):
         if self.exact:
@@ -217,11 +218,18 @@ def require_finite(x):
     return x
 
 
+def _norm2(re, im):
+    """The squared modulus: a divisor is zero exactly when this is 0, so a
+    float as small as 1e-150 still divides, and one whose square
+    underflows does not."""
+    return re * re + im * im
+
+
 def _cdiv(ar, ai, br, bi, exact):
-    """(ar + ai i)/(br + bi i), formula for formula as `Scalar.__truediv__`,
-    with its ZeroDivisionError and its ScalarError for a non-finite float
-    quotient."""
-    n = br * br + bi * bi
+    """(ar + ai i)/(br + bi i): the one division formula, with a
+    ZeroDivisionError for a zero divisor and a ScalarError for a
+    non-finite float quotient."""
+    n = _norm2(br, bi)
     if not n:
         raise ZeroDivisionError("division by %s zero scalar"
                                 % ("exact" if exact else "float"))
@@ -232,15 +240,14 @@ def _cdiv(ar, ai, br, bi, exact):
 
 
 def _cmul(ar, ai, br, bi):
-    """(ar + ai i)(br + bi i), formula for formula as `Scalar.__mul__`."""
+    """(ar + ai i)(br + bi i): the one product formula."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _cpow(xr, xi, k):
-    """(xr + xi i)^k for k >= 0, multiplying as `Scalar.pow` does: by
-    repeated squaring from (1, 0), with `_cmul` for every product.  Int
-    constants keep ints and Fractions exact, and a float op converts them
-    exactly, so a float power is bit-identical to `Scalar.pow`."""
+    """(xr + xi i)^k for k >= 0 by repeated squaring from (1, 0), with
+    `_cmul` for every product.  Int constants keep ints and Fractions
+    exact, and a float op converts them exactly."""
     out_r, out_i = 1, 0
     while True:
         if k & 1:
@@ -252,7 +259,7 @@ def _cpow(xr, xi, k):
 
 
 def _pow(xr, xi, k, exact):
-    """(xr + xi i)^k for k >= 0 as `Scalar.pow` forms it: Fraction's own
+    """(xr + xi i)^k for k >= 0, the one power formula: Fraction's own
     power for an exact real base, else `_cpow`, with the parts of
     `Scalar.one` at k = 0."""
     if exact and xi == 0:

@@ -11,7 +11,7 @@ from typing import Optional
 from twinrep import oracle
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, Verdict, _exact_P,
                                     eval_P, witness_check)
-from twinrep.linalg import DimensionError, Matrix, Subspace, _rref, kernel
+from twinrep.linalg import DimensionError, Matrix, Subspace
 from twinrep.oracle import (_FloatSpan, _squares_to_identity, _unwrap,
                             algebra_closure)
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
@@ -211,7 +211,8 @@ def dense_float_closure(images):
     span = DenseFloatSpan()
     lifted = [span.lift(m) for m in mats]
     gens = [oracle._terms(m) for m in lifted]
-    involution = [span.is_involution(m) for m in lifted]
+    involution = [oracle._squares_to_identity(g, span.eq, span.one,
+                                              span.zero) for g in gens]
     moved = [oracle._moved(g, span.one) for g in gens]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(d * d)])
     words = [()]
@@ -258,6 +259,112 @@ def is_prime(n):
     return True
 
 
+def reference_eliminate(m):
+    """Row echelon form of m on `Scalar`s, as `linalg` computed it before
+    its loops moved to plain numbers: (rows, pivot columns, sign of the row
+    permutation).  Exact: first nonzero pivot.  Float: partial pivoting,
+    pivot accepted when its magnitude exceeds eps * max(1, matrix scale)."""
+    a = [list(row) for row in m.data]
+    nrows, ncols, exact = m.rows, m.cols, m.exact
+    scale = max(x.magnitude() for row in m.data for x in row)
+    thresh = None if exact else default_eps() * max(1.0, scale)
+    pivot_cols = []
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        if exact:
+            p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
+        else:
+            best_mag, p = max([(a[i][c].magnitude(), i) for i in range(r, nrows)])
+            if best_mag <= thresh:
+                p = None
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        inv = a[r][c].inv()
+        for i in range(r + 1, nrows):
+            if exact and a[i][c].is_zero():
+                continue
+            f = a[i][c] * inv
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivot_cols.append(c)
+        r += 1
+    return a, pivot_cols, sign
+
+
+def reference_det(a):
+    """The determinant read off `reference_eliminate`."""
+    rows, pivot_cols, sign = reference_eliminate(a)
+    if len(pivot_cols) < a.rows:
+        return Scalar.zero(a.exact)
+    det = Scalar.one(a.exact)
+    for i in range(a.rows):
+        det = det * rows[i][i]
+    return -det if sign < 0 else det
+
+
+def reference_rank(a):
+    return len(reference_eliminate(a)[1])
+
+
+def reference_rref(m):
+    """Reduced row echelon form (pivots normalized and cleared upward) on
+    `Scalar`s: (rows, pivot columns)."""
+    a, pivot_cols, _ = reference_eliminate(m)
+    for k in reversed(range(len(pivot_cols))):
+        c = pivot_cols[k]
+        inv = a[k][c].inv()
+        a[k] = [x * inv for x in a[k]]
+        for i in range(k):
+            f = a[i][c]
+            if f.re == 0 and f.im == 0:
+                continue
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return a, pivot_cols
+
+
+def reference_kernel(a):
+    """Basis of {x : Ax = 0} from `reference_rref`, one vector per free
+    column: the reference for `linalg.kernel`."""
+    rref, pivot_cols = reference_rref(a)
+    zero = Scalar.zero(a.exact)
+    basis = []
+    for f in (c for c in range(a.cols) if c not in pivot_cols):
+        v = [zero] * a.cols
+        v[f] = Scalar.one(a.exact)
+        for r, c in enumerate(pivot_cols):
+            v[c] = -rref[r][f]
+        basis.append(Matrix.column(v))
+    return Subspace(a.cols, basis, _assume_independent=True)
+
+
+def reference_matmul(a, b):
+    """a @ b on `Scalar`s, each entry summed from zero in column order over
+    the terms where neither factor is 0: the reference for
+    `Matrix.__matmul__`."""
+    if a.cols != b.rows:
+        raise DimensionError("product shape mismatch")
+    zero = Scalar.zero(a.exact)
+    out = []
+    for row in a.data:
+        terms = [(j, x) for j, x in enumerate(row)
+                 if not (x.re == 0 and x.im == 0)]
+        new = []
+        for c in range(b.cols):
+            acc = zero
+            for j, x in terms:
+                y = b.data[j][c]
+                if not (y.re == 0 and y.im == 0):
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return Matrix(out)
+
+
 def word_matrix(images, word):
     """images[k1] @ ... @ images[km] for word (k1, ..., km); I for ()."""
     mats, d = _unwrap(images)
@@ -282,7 +389,7 @@ def mat_inverse(a):
     n = a.rows
     aug = Matrix([row + idrow for row, idrow in
                   zip(a.data, Matrix.identity(n, a.exact).data)])
-    rref, pivot_cols = _rref(aug)
+    rref, pivot_cols = reference_rref(aug)
     # pivot columns increase, so the first one out of place names the gap
     missing = next((c for c, p in enumerate(pivot_cols) if c != p), n)
     if missing < n:
@@ -355,7 +462,8 @@ def reference_witness_check(images, w):
         return True
     exact = w.basis[0].exact
     b = Matrix.from_columns(w.basis if exact else [
-        v.scale(Scalar.from_float(1.0 / v.max_magnitude())) for v in w.basis])
+        v.scale(Scalar.from_float(
+            1.0 / max(x.magnitude() for x in v.column_entries()))) for v in w.basis])
     xs = [nonzeros(enumerate(b.column_entries(j))) for j in range(b.cols)]
     norm2 = lambda v: 0.0 if exact else math.hypot(
         *(x.magnitude() for x in v.values()))
@@ -363,7 +471,7 @@ def reference_witness_check(images, w):
     dot = lambda u, v: sum((x * v[i] for i, x in u.items() if i in v), zero)
     b_t = Matrix([b.column_entries(j) for j in range(b.cols)])
     phis = [nonzeros(enumerate(v.column_entries()))
-            for v in kernel(b_t).basis]
+            for v in reference_kernel(b_t).basis]
     tols = [default_eps() * norm2(phi) for phi in phis]
     unchanged = [[zero if exact else dot(phi, x) for x in xs] for phi in phis]
     for rows in filter(None, patches):
@@ -658,24 +766,25 @@ def classify_block(m):
 
 
 def reference_common_eigenlines(images):
-    """The `Scalar` sign tree that `oracle.common_eigenlines` must match:
-    starts from the whole space, basis matrix I; each generator g splits
-    every candidate basis K into K @ kernel(g K - K) and
-    K @ kernel(g K + K), empty parts dropped; the one-column candidates,
-    scaled to a lead entry of 1, are the lines, in (+1, -1) sign order."""
+    """The `Scalar` sign tree that `oracle.common_eigenlines` must match,
+    on `reference_matmul` and `reference_kernel`: starts from the whole
+    space, basis matrix I; each generator g splits every candidate basis K
+    into K @ kernel(g K - K) and K @ kernel(g K + K), empty parts dropped;
+    the one-column candidates, scaled to a lead entry of 1, are the lines,
+    in (+1, -1) sign order."""
     mats, d = _unwrap(images)
     ident = Matrix.identity(d, mats[0].exact)
     for m in mats:
-        if not (m @ m).eq(ident):
+        if not reference_matmul(m, m).eq(ident):
             raise ValueError("common_eigenlines expects involutions")
     candidates = [ident]
     for g in mats:
         split = []
         for k in candidates:
-            gk = g @ k
-            for part in (kernel(gk - k), kernel(gk + k)):
+            gk = reference_matmul(g, k)
+            for part in (reference_kernel(gk - k), reference_kernel(gk + k)):
                 if part.dim:
-                    split.append(k @ part.matrix())
+                    split.append(reference_matmul(k, part.matrix()))
         candidates = split
     return [Subspace(d, [Matrix.column(_reference_direction(k))],
                      _assume_independent=True)

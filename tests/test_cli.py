@@ -123,6 +123,19 @@ def test_reduce_rejects_what_the_reduction_rejects():
     assert code_b0 == EXIT_ERROR and "b must be nonzero" in err
 
 
+def test_tiny_float_b_is_accepted_by_decide_and_sweep():
+    # b = -1e-150 i has a nonzero squared modulus, so it divides
+    tiny = "0.0-1e-150i"
+    code, out, _ = run(["decide", "--n", "5", "--a", "2.0+0.0i", "--b", tiny])
+    assert code == EXIT_OK and json.loads(out)["reason"] == "generic"
+    code, out, _ = run(["sweep", "--n-min", "4", "--n-max", "5", "--b", tiny,
+                        "--a-list", "2.0+0.0i"])
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+    code, out, err = run(["sweep", "--n-min", "4", "--b", "0.0-1e-170i",
+                          "--a-list", "2.0+0.0i"])
+    assert code == EXIT_ERROR and out == "" and "b must be nonzero" in err
+
+
 def test_reduce_basis_b_does_not_need_w():
     # w_1 divides by (1-a)^(n-1) = -1e-10, which the float zero test calls 0;
     # no S_j divides by it, so the S matrices are emitted

@@ -13,6 +13,8 @@ from twinrep.linalg import Matrix, Subspace
 from twinrep.reduction import (ParameterError, _eigvec_w_pairs,
                                _reduced_gen_rows, eigvec_w,
                                reduced_generators)
+from twinrep.reps import (RepSpec, RepSpecError, build_all_generators,
+                          verify_relations)
 from twinrep.scalars import Scalar, ScalarError, ex, fl, set_default_eps
 from conftest import rand_exact, rand_family1_params, rng_for
 from helpers import (annihilator, eval_exact, from_complex, pair_witness_check,
@@ -392,10 +394,15 @@ def test_witness_check_row_patches_match_dense():
 
 
 def test_decide_runs_no_elimination(monkeypatch):
-    # every verdict branch, with the one elimination loop made to raise
-    def eliminate(m):
+    # every verdict branch, with the one elimination loop and the one
+    # product loop made to raise
+    def eliminate(self, a):
         raise AssertionError("decide ran an elimination")
-    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+
+    def multiply(self, a, b):
+        raise AssertionError("decide formed a matrix product")
+    monkeypatch.setattr(linalg._Plain, "echelon", eliminate)
+    monkeypatch.setattr(linalg._Plain, "matmul", multiply)
     s3 = math.sqrt(3.0)
     cases = [(5, ex(2), ex(1)), (5, fl(2.0), fl(1.0)), (5, ex(0), ex(1)),
              (3, ex(2), ex(1)), (3, fl(0.0, s3), fl(1.0)),
@@ -408,7 +415,25 @@ def test_decide_runs_no_elimination(monkeypatch):
                        "root-of-P", "a=1", "a=-1"}
     with pytest.raises(AssertionError, match="elimination"):
         linalg.kernel(Matrix.identity(2))
+    with pytest.raises(AssertionError, match="product"):
+        Matrix.identity(2) @ Matrix.identity(2)
     assert not hasattr(Matrix, "transpose")
+
+
+def test_tiny_float_b_is_not_refused_as_zero():
+    # b is refused only when its squared modulus is exactly 0, the test
+    # every division applies to a divisor; the absolute tolerance refused
+    # any |b| <= eps
+    a, b = fl(2.0), fl(0.0, -1e-150)
+    assert len(reduced_generators(3, a, b)) == 2
+    v = decide(5, a, b)
+    assert v.reason == "generic" and not v.reducible
+    assert verify_relations(build_all_generators(RepSpec(1, 4, a, b))) == []
+    for zero in (fl(0.0, -1e-170), fl(0.0), ex(0)):  # b^2 is 0 or underflows
+        with pytest.raises(ParameterError, match="b must be nonzero"):
+            reduced_generators(3, zero if zero.exact else a, zero)
+        with pytest.raises(RepSpecError):
+            RepSpec(1, 4, ex(2) if zero.exact else a, zero)
 
 
 def test_verdict_reducible_property():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from twinrep.linalg import (DimensionError, Matrix, Subspace, kernel, mat_det,
@@ -5,11 +7,66 @@ from twinrep.linalg import (DimensionError, Matrix, Subspace, kernel, mat_det,
 from twinrep.scalars import BackendMismatchError, Scalar, ex, fl
 from conftest import rand_exact, rng_for
 from helpers import (SingularMatrixError, delete_row_col, is_identity,
-                     mat_inverse, matrix_from_json, zeros)
+                     mat_inverse, matrix_from_json, reference_det,
+                     reference_kernel, reference_matmul, reference_rank, zeros)
 
 
 def rand_matrix(rng, rows, cols):
     return Matrix([[rand_exact(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def to_float(m):
+    return Matrix([[x.to_float() for x in row] for row in m.data])
+
+
+def reference_cases(rng, count=12):
+    """Matrices to hold against the `Scalar` references: random, sparse and
+    rank-deficient exact ones, their float copies, float ones with signed
+    zeros, and float matrices whose pivots sit on either side of the float
+    threshold eps * max(1, scale)."""
+    cases = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = rand_matrix(rng, rows, cols)
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        cases += [m, Matrix([[x if rng.random() < 0.4 else ex(0) for x in row]
+                             for row in m.data]),
+                  reference_matmul(rand_matrix(rng, rows, inner),
+                                   rand_matrix(rng, inner, cols))]
+    cases += [to_float(m) for m in cases]
+    # signed zeros, which only the same steps in the same order reproduce;
+    # the three fixed ones change bits if a float row whose entry in the
+    # pivot column is 0 is skipped
+    parts = (0.0, -0.0, 1.0, -1.0, 2.0, -0.5)
+    for _ in range(count * 3):
+        rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+        cases.append(Matrix([[fl(rng.choice(parts), rng.choice(parts))
+                              for _ in range(cols)] for _ in range(rows)]))
+    for rows in ([[(2.0, 0.0), (-0.5, -0.5), (1.0, -0.5)],
+                  [(0.0, 0.0), (-1.0, -0.0), (2.0, 0.0)]],
+                 [[(0.0, -0.0), (-0.0, 0.0), (-0.0, -1.0)],
+                  [(-1.0, -1.0), (-1.0, 1.0), (2.0, 0.0)]],
+                 [[(-0.0, 2.0), (2.0, 1.0), (-0.0, -0.5)],
+                  [(0.0, -0.0), (-0.5, 0.0), (-0.0, -1.0)]]):
+        cases.append(Matrix([[fl(*z) for z in row] for row in rows]))
+    for scale in (1.0, 8.0):
+        for delta in (0.5e-9, 1e-9, 1.0000001e-9, 2e-9, 1e-7):
+            d = delta * scale
+            cases.append(Matrix([
+                [fl(scale), fl(2.0), fl(-1.5, 0.5)],
+                [fl(scale + d), fl(2.0), fl(-1.5 - d, 0.5)],
+                [fl(0.0, d), fl(d), fl(0.0)]]))
+    return cases
+
+
+def bits(x):
+    """The JSON text of a Scalar or Matrix: float parts by repr, so equal
+    text means equal bits, signed zeros included."""
+    return json.dumps(x.to_json())
+
+
+def basis_json(space):
+    return [bits(v) for v in space.basis]
 
 
 def cofactor_det(m):
@@ -35,6 +92,12 @@ def test_det_matches_cofactor_expansion():
         for _ in range(10):
             m = rand_matrix(rng, n, n)
             assert mat_det(m).eq(cofactor_det(m))
+            assert bits(mat_det(m)) == bits(reference_det(m))
+            f = to_float(m)
+            assert bits(mat_det(f)) == bits(reference_det(f))
+    for m in reference_cases(rng):
+        if m.rows == m.cols:
+            assert bits(mat_det(m)) == bits(reference_det(m))
 
 
 def test_det_identity_and_swap_sign():
@@ -61,6 +124,7 @@ def test_inverse_singular_raises():
 
 
 def test_rank_plus_kernel_dim():
+    # exact and float: rank and kernel bit-identical to the references
     rng = rng_for(203)
     for _ in range(20):
         rows = rng.randint(1, 5)
@@ -71,11 +135,18 @@ def test_rank_plus_kernel_dim():
         for v in ker.basis:
             prod = m @ v
             assert all(x.is_zero() for x in prod.column_entries())
+    deficient = 0
+    for m in reference_cases(rng):
+        ker = kernel(m)
+        assert mat_rank(m) == reference_rank(m) == m.cols - ker.dim
+        assert basis_json(ker) == basis_json(reference_kernel(m))
+        deficient += mat_rank(m) < min(m.rows, m.cols)
+    assert deficient >= 20
 
 
 def test_rank_with_gap_float():
     m = Matrix([[fl(1.0), fl(0.0)], [fl(0.0), fl(1e-15)]])
-    assert mat_rank(m) == 1
+    assert mat_rank(m) == reference_rank(m) == 1
 
 
 def test_matmul_shapes_and_backends():
@@ -116,6 +187,13 @@ def test_matmul_against_direct_sum():
             for k in range(4):
                 acc = acc + a.data[i][k] * b.data[k][j]
             assert prod.data[i][j].eq(acc)
+    # exact, float, sparse and rank-deficient: bit-identical to the
+    # reference loop
+    cases = reference_cases(rng)
+    for x in cases:
+        for y in cases:
+            if x.cols == y.rows and x.exact == y.exact:
+                assert bits(x @ y) == bits(reference_matmul(x, y))
 
 
 def test_block_diag_and_delete_row_col():
@@ -167,4 +245,4 @@ def test_matrix_json_round_trip_bit_exact():
 
 def test_float_rank_uses_tolerance():
     m = Matrix([[fl(1.0), fl(1.0)], [fl(1.0), fl(1.0 + 1e-12)]])
-    assert mat_rank(m) == 1
+    assert mat_rank(m) == reference_rank(m) == 1
