@@ -5,16 +5,19 @@ to contain the chain v_k = -b e_{k+1} + (1+a) e_{k+2}, k = 1..n-3.  Whether
 the candidate subspace W = <e_1, v_1, ..., v_{n-3}> closes up under the S_2
 action is decided by the determinant Delta = det(S_2 v_1 | e_1 | v_1 | ... |
 v_{n-3}).  Expanding it as a bordered lower-bidiagonal determinant gives the
-closed form in `delta`; `delta_direct` is the determinant itself.
+closed form in `delta`: -b/2 (1+a)^(n-4) times the bracket P(a) that
+`irreducibility.eval_P` writes once.  `delta_direct` is the determinant itself.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .irreducibility import eval_P
 from .linalg import Matrix, Subspace, mat_det
-from .reduction import ParameterError, _check_family1, build_S
-from .scalars import Scalar, _cmul
+from .reduction import (ParameterError, _chain_entries, _chain_entry_pairs,
+                        _check_family1, build_S)
+from .scalars import Scalar
 
 
 def closed_chain_vector(n, a, b, k):
@@ -23,29 +26,6 @@ def closed_chain_vector(n, a, b, k):
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
     entries = [Scalar(re, im, a.exact) for re, im in _chain_entry_pairs(a, b)]
     return Matrix._trusted_column(_chain_entries(n, k, *entries))
-
-
-def _chain_entry_pairs(a, b):
-    """The three distinct entries of every chain vector, as (re, im) pairs
-    of a's and b's own numbers: -b x + (1+a) y at (x, y) = (0, 0), (1, 0)
-    and (0, 1), formed as that `Scalar` expression is, signed zeros as
-    summed."""
-    br, bi = -b.re, -b.im
-    pr, pi = 1 + a.re, 0 + a.im
-
-    def entry(x, y):
-        (sr, si), (tr, ti) = _cmul(br, bi, x, 0), _cmul(pr, pi, y, 0)
-        return sr + tr, si + ti
-
-    return entry(0, 0), entry(1, 0), entry(0, 1)
-
-
-def _chain_entries(n, k, zero, lo, hi):
-    """The entries of v_k: `zero` but for `lo` in row k and `hi` in row
-    k + 1 (0-based), whatever kind of number the three are."""
-    entries = [zero] * (n - 1)
-    entries[k], entries[k + 1] = lo, hi
-    return entries
 
 
 class ChainBundle(NamedTuple):
@@ -104,22 +84,16 @@ def delta_direct(n, a, b):
 def delta(n, a, b):
     """Closed form of Delta.
 
-    a = 0 is its own branch (-b n / 2); otherwise
-    -b/2 (1+a)^(n-4) [4(1+a^2) + (1-a)^4/(2a) (1 - ((1-a)/(1+a))^(n-4))].
+    a = 0 is its own branch (-b n / 2); otherwise -b/2 (1+a)^(n-4) P(a), P
+    the criterion that `irreducibility.eval_P` evaluates.
     """
     _check_family1(a, b, not_pm1=True)
     if n < 4:
         raise ParameterError("delta needs n >= 4")
-    exact = a.exact
-    one = Scalar.one(exact)
+    one = Scalar.one(a.exact)
     two = one + one
     if a.is_zero():
-        n_s = Scalar.from_rational(n) if exact else Scalar.from_float(n)
+        n_s = Scalar.from_rational(n) if a.exact else Scalar.from_float(n)
         return -b * n_s / two
-    four = two + two
-    u = one - a
-    p = one + a
-    bracket = four * (one + a * a) + \
-        u.pow(4) / (two * a) * (one - (u / p).pow(n - 4))
-    return -b / two * p.pow(n - 4) * bracket
+    return -b / two * (one + a).pow(n - 4) * eval_P(n, a)
 

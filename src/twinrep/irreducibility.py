@@ -34,11 +34,10 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix, Subspace
-from .reduction import (ParameterError, _check_family1, _eigvec_w_pairs,
-                        _reduced_gen_pairs)
-from .chains import _chain_entries, _chain_entry_pairs
+from .reduction import (ParameterError, _chain_entries, _chain_entry_pairs,
+                        _check_family1, _eigvec_w_pairs, _reduced_gen_pairs)
 from .scalars import (Scalar, _ONE_PARTS, _ZERO_PARTS, _cdiv, _cmul, _cpow,
-                      _pow, _powers, default_eps, require_finite)
+                      _pow, _powers, default_eps)
 
 
 class ClearedPoly(NamedTuple):
@@ -283,8 +282,6 @@ def decide(n, a, b):
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
-    require_finite(a)
-    require_finite(b)
     _check_family1(a, b)
     exact = a.exact
     one, minus_one = _ONE_MINUS_ONE[exact]

@@ -12,6 +12,8 @@ same steps on `Scalar`s.  Determinant, rank, kernel, span pruning and
 result; `oracle` runs the same loops over F_p.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
+`Matrix.identity` with row patches is the one constructor of every matrix
+that differs from I in a few rows: generator images, Q, P and the S_j.
 """
 
 from __future__ import annotations
@@ -53,9 +55,14 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n, exact=True):
+    def identity(cls, n, exact=True, rows=None):
+        """The n x n identity with the rows {row: {column: entry}} put in
+        (0-based; a patched row is 0 but for its listed entries)."""
         one, zero = Scalar.one(exact), Scalar.zero(exact)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls([[rows[i].get(j, zero) for j in range(n)]
+                    if rows and i in rows else
+                    [one if j == i else zero for j in range(n)]
+                    for i in range(n)])
 
     @classmethod
     def column(cls, entries):
@@ -83,22 +90,6 @@ class Matrix:
             if c.cols != 1 or c.rows != rows:
                 raise DimensionError("from_columns wants equal-length column vectors")
         return cls([[c.data[i][0] for c in columns] for i in range(rows)])
-
-    @classmethod
-    def block_diag(cls, *blocks):
-        blocks = [b for b in blocks if b is not None]
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        exact = blocks[0].exact
-        out = [[Scalar.zero(exact)] * m for _ in range(n)]
-        i = j = 0
-        for b in blocks:
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    out[i + r][j + c] = b.data[r][c]
-            i += b.rows
-            j += b.cols
-        return cls(out)
 
     @classmethod
     def basis_vector(cls, n, k, exact=True):
@@ -321,10 +312,10 @@ class _Complex(_Plain):
         return Scalar(z.real, z.imag, False)
 
     def eq(self, x, y):
-        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|)."""
+        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|) < inf."""
         return (math.hypot(x.real - y.real, x.imag - y.imag)
                 <= self.eps * max(1.0, math.hypot(x.real, x.imag),
-                                  math.hypot(y.real, y.imag)))
+                                  math.hypot(y.real, y.imag)) < math.inf)
 
     def threshold(self, a):
         return self.eps * max(1.0, max(math.hypot(z.real, z.imag)

@@ -7,14 +7,17 @@ representation.  A second change of basis by P = I + (w - e_1) e_1^T, where w
 is the -1 eigenvector of the reduced image of s_1, produces the S_j matrices
 whose closed forms drive the irreducibility analysis.  Both Q and P are
 rank-one updates of the identity, so their inverses are the mirrored rank-one
-updates (Sherman-Morrison).
+updates (Sherman-Morrison).  `linalg.Matrix.identity` builds every matrix
+here from the rows in which it differs from I.  The (re, im) pair builders
+that `decide` shares, the chain entries included, live here too.
 """
 
 from __future__ import annotations
 
 from .linalg import Matrix
 from .reps import GeneratorImage, RepSpec, build_block
-from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers
+from .scalars import (Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers,
+                      require_finite)
 
 
 class ParameterError(ValueError):
@@ -22,8 +25,10 @@ class ParameterError(ValueError):
 
 
 def _check_family1(a, b, not_pm1=False):
-    """Reject mixed backends and a b that cannot divide (`Scalar.invertible`),
-    and a = +-1 when `not_pm1` is set."""
+    """Reject a non-finite a or b, mixed backends and a b that cannot divide
+    (`Scalar.invertible`), and a = +-1 when `not_pm1` is set."""
+    require_finite(a)
+    require_finite(b)
     if a.exact != b.exact:
         raise ParameterError("a and b must share a backend")
     if not b.invertible():
@@ -38,26 +43,26 @@ def _check_family1(a, b, not_pm1=False):
 
 def invariant_vector(n, a, b):
     """The fixed vector of the full family-1 representation: component k is
-    ((1-a)/b)^(k-1)."""
+    ((1-a)/b)^(k-1), by one running product on (re, im) pairs."""
     _check_family1(a, b)
-    one = Scalar.one(a.exact)
-    r = (one - a) / b
-    entries = [one]
-    for _ in range(n - 1):
-        entries.append(entries[-1] * r)
-    return Matrix.column(entries)
+    exact = a.exact
+    r = _cdiv(1 - a.re, 0 - a.im, b.re, b.im, exact)
+    return Matrix._trusted_column([Scalar(re, im, exact) for re, im in
+                                   _powers(*r, n - 1, _ONE_PARTS[exact])])
+
+
+def _first_column(col):
+    """I + (col - e_1)e_1^T: the identity with first column `col`."""
+    one = Scalar.one(col[0].exact)
+    return Matrix.identity(len(col), one.exact,
+                           {i: {i: one, 0: x} for i, x in enumerate(col)})
 
 
 def build_Q(n, a, b):
     """Change of basis Q = (v, e_2, ..., e_n) = I + (v - e_1)e_1^T and its
     Sherman-Morrison inverse I - (v - e_1)e_1^T."""
-    v = invariant_vector(n, a, b)
-    q = [list(row) for row in Matrix.identity(n, a.exact).data]
-    qinv = [list(row) for row in Matrix.identity(n, a.exact).data]
-    for i in range(1, n):
-        q[i][0] = v.data[i][0]
-        qinv[i][0] = -v.data[i][0]
-    return Matrix(q), Matrix(qinv)
+    v = invariant_vector(n, a, b).column_entries()
+    return _first_column(v), _first_column(v[:1] + [-x for x in v[1:]])
 
 
 def build_reduced_gen(n, a, b, k):
@@ -68,17 +73,7 @@ def build_reduced_gen(n, a, b, k):
     (-1, (a-1)^2/(-b), ..., (a-1)^(n-1)/(-b)^(n-2)), for k >= 2 the block
     I_{k-2} (+) M (+) I_{n-k-1}.
     """
-    return _patched_identity(n - 1, a.exact,
-                             _reduced_gen_rows(n, a, b, [k])[0])
-
-
-def _patched_identity(d, exact, rows):
-    """The d x d identity with the rows {row: {column: entry}} put in."""
-    zero, one = Scalar.zero(exact), Scalar.one(exact)
-    return Matrix._trusted([[rows[i].get(j, zero) for j in range(d)]
-                            if i in rows else
-                            [one if j == i else zero for j in range(d)]
-                            for i in range(d)])
+    return Matrix.identity(n - 1, a.exact, _reduced_gen_rows(n, a, b, [k])[0])
 
 
 def _reduced_gen_rows(n, a, b, ks):
@@ -135,7 +130,7 @@ def reduced_generators(n, a, b):
     if n < 1:
         raise ParameterError("reduced_generators needs n >= 1")
     rows = _reduced_gen_rows(n, a, b, range(1, n))
-    return [GeneratorImage(k, _patched_identity(n - 1, a.exact, r))
+    return [GeneratorImage(k, Matrix.identity(n - 1, a.exact, r))
             for k, r in enumerate(rows, 1)]
 
 
@@ -166,20 +161,35 @@ def _eigvec_w_pairs(n, a, b):
     return [w1] + [_pow(qr, qi, n - j - 1, exact) for j in range(2, n)]
 
 
+def _chain_entry_pairs(a, b):
+    """The three distinct entries of every chain vector, as (re, im) pairs
+    of a's and b's own numbers: -b x + (1+a) y at (x, y) = (0, 0), (1, 0)
+    and (0, 1), formed as that `Scalar` expression is, signed zeros as
+    summed."""
+    br, bi = -b.re, -b.im
+    pr, pi = 1 + a.re, 0 + a.im
+
+    def entry(x, y):
+        (sr, si), (tr, ti) = _cmul(br, bi, x, 0), _cmul(pr, pi, y, 0)
+        return sr + tr, si + ti
+
+    return entry(0, 0), entry(1, 0), entry(0, 1)
+
+
+def _chain_entries(n, k, zero, lo, hi):
+    """The entries of v_k: `zero` but for `lo` in row k and `hi` in row
+    k + 1 (0-based), whatever kind of number the three are."""
+    entries = [zero] * (n - 1)
+    entries[k], entries[k + 1] = lo, hi
+    return entries
+
+
 def build_P(n, a, b):
     """Transition matrix P = (w, e_2, ..., e_{n-1}) = I + (w - e_1)e_1^T and
     its inverse I - (1/w_1)(w - e_1)e_1^T."""
-    w = eigvec_w(n, a, b)
-    exact = a.exact
-    w1inv = w.data[0][0].inv()
-    p = [list(row) for row in Matrix.identity(n - 1, exact).data]
-    pinv = [list(row) for row in Matrix.identity(n - 1, exact).data]
-    p[0][0] = w.data[0][0]
-    pinv[0][0] = w1inv
-    for i in range(1, n - 1):
-        p[i][0] = w.data[i][0]
-        pinv[i][0] = -w.data[i][0] * w1inv
-    return Matrix(p), Matrix(pinv)
+    w = eigvec_w(n, a, b).column_entries()
+    c = w[0].inv()  # 1/w_1
+    return _first_column(w), _first_column([c] + [-x * c for x in w[1:]])
 
 
 def build_S(n, a, b, j):
@@ -197,24 +207,20 @@ def build_S(n, a, b, j):
     if not 1 <= j <= n - 1:
         raise ParameterError("generator index %d out of range for n=%d" % (j, n))
     exact = a.exact
+    one = Scalar.one(exact)
     if j == 1:
-        one = Scalar.one(exact)
-        data = [list(row) for row in Matrix.identity(n - 1, exact).data]
-        data[0][0] = -one
-        return Matrix(data)
+        return Matrix.identity(n - 1, exact, {0: {0: -one}})
     if j >= 3:
         return build_reduced_gen(n, a, b, j)
-    one = Scalar.one(exact)
     two = one + one
-    u = one - a  # 1 - a
-    p = one + a  # 1 + a
-    data = [list(row) for row in Matrix.identity(n - 1, exact).data]
-    data[0][0] = (a * a + one) / two
-    data[0][1] = u.pow(n - 1) / (two * b.pow(n - 3))
     three = two + one
-    data[1][0] = (three + a * a) * p * b.pow(n - 3) / (two * u.pow(n - 2))
-    data[1][1] = -(one + a * a) / two
+    u, p = one - a, one + a
+    rows = {0: {0: (a * a + one) / two,
+                1: u.pow(n - 1) / (two * b.pow(n - 3))},
+            1: {0: (three + a * a) * p * b.pow(n - 3) / (two * u.pow(n - 2)),
+                1: -(one + a * a) / two}}
     for row in range(3, n):  # rows j >= 3 of the display, 0-based row-1
-        data[row - 1][0] = p * b.pow(n - row - 1) / (two * u.pow(n - row - 2))
-        data[row - 1][1] = -u.pow(row) / (two * b.pow(row - 2))
-    return Matrix(data)
+        rows[row - 1] = {0: p * b.pow(n - row - 1) / (two * u.pow(n - row - 2)),
+                         1: -u.pow(row) / (two * b.pow(row - 2)),
+                         row - 1: one}
+    return Matrix.identity(n - 1, exact, rows)

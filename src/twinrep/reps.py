@@ -1,7 +1,8 @@
 """Generator images of the three classified families and relation checks.
 
 Every family sends generator s_k to I_{k-1} (+) M (+) I_{n-k-1} for one shared
-2x2 block M satisfying M^2 = I.  Family 1 has M = [[a, b], [(1-a^2)/b, -a]]
+2x2 block M satisfying M^2 = I: the identity with rows k and k+1 patched, as
+`linalg.Matrix.identity` builds it.  Family 1 has M = [[a, b], [(1-a^2)/b, -a]]
 with b != 0, family 2 has M = [[s, 0], [c, -s]] with s = +-1, family 3 has
 M = -I.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix
-from .scalars import Scalar, _cdiv, _cmul
+from .scalars import Scalar, _cdiv, _cmul, require_finite
 
 
 class RepSpecError(ValueError):
@@ -45,6 +46,8 @@ class RepSpec(_RepSpecFields):
         if family == 1:
             if a is None or b is None:
                 raise RepSpecError("family 1 requires parameters a and b")
+            require_finite(a)
+            require_finite(b)
             if a.exact != b.exact:
                 raise RepSpecError("a and b must share a backend")
             if not b.invertible():
@@ -68,8 +71,7 @@ class GeneratorImage(NamedTuple):
 def build_block(spec):
     """The shared 2x2 block M of the family; always satisfies M^2 = I."""
     exact = spec.exact
-    one = Scalar.one(exact)
-    zero = Scalar.zero(exact)
+    one, zero = Scalar.one(exact), Scalar.zero(exact)
     if spec.family == 1:
         # (1 - a^2)/b on (re, im) pairs, step for step as in Scalar arithmetic
         a, b = spec.a, spec.b
@@ -86,10 +88,9 @@ def build_generator(spec, k):
     """Image of s_k: I_{k-1} (+) M (+) I_{n-k-1}."""
     if not 1 <= k <= spec.n - 1:
         raise RepSpecError("generator index %d out of range for n=%d" % (k, spec.n))
-    m = build_block(spec)
-    left = Matrix.identity(k - 1, spec.exact) if k > 1 else None
-    right = Matrix.identity(spec.n - k - 1, spec.exact) if k < spec.n - 1 else None
-    return GeneratorImage(k, Matrix.block_diag(left, m, right))
+    m = build_block(spec).data
+    rows = {k - 1 + r: {k - 1: m[r][0], k: m[r][1]} for r in (0, 1)}
+    return GeneratorImage(k, Matrix.identity(spec.n, spec.exact, rows))
 
 
 def build_all_generators(spec):

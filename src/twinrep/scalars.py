@@ -160,7 +160,8 @@ class Scalar:
         if self.exact:
             return self.re == other.re and self.im == other.im
         d = math.hypot(self.re - other.re, self.im - other.im)
-        return d <= _eps * max(1.0, self.magnitude(), other.magnitude())
+        bound = _eps * max(1.0, self.magnitude(), other.magnitude())
+        return d <= bound < math.inf  # an inf bound would pass inf = 5
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -291,7 +292,7 @@ def scalar_format(x):
     return "%r%s%ri" % (x.re, sign, abs(x.im))
 
 
-# Convenience constructors used throughout the package and tests.
+# Short constructors for the README's examples and the tests.
 
 def ex(re, im=0):
     """Exact scalar from ints/Fractions."""

@@ -4,6 +4,7 @@ All randomness is seeded per test, so failures reproduce exactly, and every
 test starts and ends under the default float tolerance.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -39,6 +40,19 @@ def rand_family1_params(rng, avoid=(), gaussian=True):
         a = rand_exact(rng, gaussian=gaussian)
         if all(not a.eq(Scalar.from_rational(v)) for v in avoid):
             return a, b
+
+
+def rand_float_family1_params(rng):
+    """Draw float (a, b) for the first family: moduli 1e-3..1e3 at random
+    angles, a real one with either signed zero now and then."""
+    def draw():
+        r = 10 ** rng.uniform(-3, 3)
+        if rng.random() < 0.2:
+            return Scalar.from_float(rng.choice((r, -r)),
+                                     rng.choice((0.0, -0.0)))
+        z = cmath.rect(r, rng.uniform(0, 7))
+        return Scalar.from_float(z.real, z.imag)
+    return draw(), draw()
 
 
 def rng_for(seed):

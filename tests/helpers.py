@@ -16,7 +16,7 @@ from twinrep.oracle import (_FloatSpan, _squares_to_identity, _unwrap,
                             algebra_closure)
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
                                build_S)
-from twinrep.reps import RepSpec, build_generator
+from twinrep.reps import RepSpec, build_block, build_generator
 from twinrep.scalars import (BackendMismatchError, Scalar, default_eps,
                              require_finite)
 
@@ -595,6 +595,120 @@ def reference_eigvec_w(n, a, b):
     for j in range(2, n):
         entries.append((b / u).pow(n - j - 1))
     return Matrix.column(entries)
+
+
+def reference_block_diag(*blocks):
+    """The block-diagonal matrix of `blocks`, None entries skipped: the
+    layout of the generator images and of the test fixtures before
+    `Matrix.identity` took row patches."""
+    blocks = [b for b in blocks if b is not None]
+    n = sum(b.rows for b in blocks)
+    m = sum(b.cols for b in blocks)
+    out = [[Scalar.zero(blocks[0].exact)] * m for _ in range(n)]
+    i = j = 0
+    for b in blocks:
+        for r in range(b.rows):
+            for c in range(b.cols):
+                out[i + r][j + c] = b.data[r][c]
+        i += b.rows
+        j += b.cols
+    return Matrix(out)
+
+
+def reference_generator(spec, k):
+    """I_{k-1} (+) M (+) I_{n-k-1} by `reference_block_diag`: the reference
+    for `reps.build_generator`."""
+    left = Matrix.identity(k - 1, spec.exact) if k > 1 else None
+    right = (Matrix.identity(spec.n - k - 1, spec.exact)
+             if k < spec.n - 1 else None)
+    return reference_block_diag(left, build_block(spec), right)
+
+
+def reference_invariant_vector(n, a, b):
+    """((1-a)/b)^(k-1), k = 1..n, by a running `Scalar` product: the
+    reference for `reduction.invariant_vector`."""
+    one = Scalar.one(a.exact)
+    r = (one - a) / b
+    entries = [one]
+    for _ in range(n - 1):
+        entries.append(entries[-1] * r)
+    return Matrix.column(entries)
+
+
+def _identity_rows(n, exact):
+    return [list(row) for row in Matrix.identity(n, exact).data]
+
+
+def reference_Q(n, a, b):
+    """Q = I + (v - e_1)e_1^T and I - (v - e_1)e_1^T, each a copy of the
+    identity with its first column written over: the reference for
+    `reduction.build_Q`."""
+    v = reference_invariant_vector(n, a, b)
+    q, qinv = _identity_rows(n, a.exact), _identity_rows(n, a.exact)
+    for i in range(1, n):
+        q[i][0] = v.data[i][0]
+        qinv[i][0] = -v.data[i][0]
+    return Matrix(q), Matrix(qinv)
+
+
+def reference_P(n, a, b):
+    """P = I + (w - e_1)e_1^T and I - (1/w_1)(w - e_1)e_1^T, written over
+    copies of the identity: the reference for `reduction.build_P`."""
+    w = reference_eigvec_w(n, a, b)
+    exact = a.exact
+    w1inv = w.data[0][0].inv()
+    p, pinv = _identity_rows(n - 1, exact), _identity_rows(n - 1, exact)
+    p[0][0] = w.data[0][0]
+    pinv[0][0] = w1inv
+    for i in range(1, n - 1):
+        p[i][0] = w.data[i][0]
+        pinv[i][0] = -w.data[i][0] * w1inv
+    return Matrix(p), Matrix(pinv)
+
+
+def reference_S(n, a, b, j):
+    """S_1 = diag(-1, 1, ..., 1) and the dense S_2, written entry by entry
+    over a copy of the identity: the reference for `reduction.build_S` at
+    j = 1, 2."""
+    exact = a.exact
+    one = Scalar.one(exact)
+    data = _identity_rows(n - 1, exact)
+    if j == 1:
+        data[0][0] = -one
+        return Matrix(data)
+    two = one + one
+    u = one - a
+    p = one + a
+    data[0][0] = (a * a + one) / two
+    data[0][1] = u.pow(n - 1) / (two * b.pow(n - 3))
+    three = two + one
+    data[1][0] = (three + a * a) * p * b.pow(n - 3) / (two * u.pow(n - 2))
+    data[1][1] = -(one + a * a) / two
+    for row in range(3, n):
+        data[row - 1][0] = p * b.pow(n - row - 1) / (two * u.pow(n - row - 2))
+        data[row - 1][1] = -u.pow(row) / (two * b.pow(row - 2))
+    return Matrix(data)
+
+
+def reference_delta(n, a, b):
+    """-b/2 (1+a)^(n-4) [4(1+a^2) + (1-a)^4/(2a) (1 - ((1-a)/(1+a))^(n-4))]
+    with the bracket in `Scalar` arithmetic, and -bn/2 at a = 0: the
+    reference for `chains.delta`, which takes the bracket from `eval_P`."""
+    _check_family1(a, b, not_pm1=True)
+    if n < 4:
+        raise ParameterError("delta needs n >= 4")
+    exact = a.exact
+    one = Scalar.one(exact)
+    two = one + one
+    if a.is_zero():
+        n_s = Scalar.from_rational(n) if exact else Scalar.from_float(n)
+        return -b * n_s / two
+    four = two + two
+    u = one - a
+    p = one + a
+    bracket = four * (one + a * a) + \
+        u.pow(4) / (two * a) * (one - (u / p).pow(n - 4))
+    return -b / two * p.pow(n - 4) * bracket
 
 
 def reference_chain_vector(n, a, b, k):

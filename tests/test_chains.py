@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import pytest
 
@@ -6,10 +7,11 @@ from twinrep.chains import (closed_chain_vector, chain_vectors, delta,
                             delta_direct, delta_matrix)
 from twinrep.linalg import Matrix, mat_det
 from twinrep.reduction import ParameterError, build_S
-from twinrep.scalars import ex
-from conftest import rand_exact, rand_family1_params, rng_for
+from twinrep.scalars import ScalarError, ex, fl
+from conftest import (rand_exact, rand_family1_params,
+                      rand_float_family1_params, rng_for)
 from helpers import (closure_check, delta_intermediate, det_closed_form,
-                     lemma_matrix, s2v1_closed)
+                     lemma_matrix, reference_delta, s2v1_closed)
 
 
 def test_chain_recurrence_matches_closed_form():
@@ -84,6 +86,42 @@ def test_delta_intermediate_agrees():
     for n in range(4, 9):
         a, b = rand_family1_params(rng, avoid=(0, 1, -1))
         assert delta(n, a, b).eq(delta_intermediate(n, a, b)), n
+
+
+def _delta_outcome(fn, n, a, b):
+    """fn(n, a, b) as its parts (float parts by `float.hex`, so every bit
+    and signed zero counts), or its error."""
+    try:
+        x = fn(n, a, b)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return (x.re, x.im) if x.exact else (x.re.hex(), x.im.hex())
+
+
+def test_delta_matches_scalar_bracket_bit_for_bit():
+    # delta takes its bracket from eval_P; the Scalar bracket it replaced
+    # gives the same values and the same errors, on both backends
+    rng = rng_for(5050)
+    cases = []
+    for _ in range(1000):
+        gaussian = rng.random() < 0.8
+        cases.append((rng.randint(4, 16),)
+                     + rand_family1_params(rng, gaussian=gaussian))
+    for _ in range(1000):
+        a, b = rand_float_family1_params(rng)
+        if rng.random() < 0.1:
+            a = fl(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+        cases.append((rng.randint(4, 40), a, b))
+    # a = +-1, the a = 0 branch within eps, overflow, n below 4, inf
+    cases += [(5, ex(1), ex(2)), (5, fl(-1.0), fl(1.0)),
+              (6, fl(1e-12, -1e-13), fl(2.0)), (40, fl(1e150), fl(1.0)),
+              (3, ex(2), ex(1)), (5, fl(math.inf), fl(1.0))]
+    raised = set()
+    for n, a, b in cases:
+        got = _delta_outcome(delta, n, a, b)
+        assert got == _delta_outcome(reference_delta, n, a, b), (n, a, b)
+        raised.add(got[0] if isinstance(got[0], type) else None)
+    assert {None, ParameterError, ScalarError} <= raised
 
 
 def test_delta_a_zero_branch():

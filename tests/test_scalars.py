@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twinrep import linalg
 from twinrep.irreducibility import decide
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure
@@ -99,6 +100,18 @@ def test_float_eq_is_relative():
     assert not fl(1.0).eq(fl(1.0 + 1e-6))
     set_default_eps(1e-5)
     assert fl(1.0).eq(fl(1.0 + 1e-6))
+
+
+def test_float_eq_refuses_an_infinite_difference():
+    # the bound eps max(1, |x|, |y|) is inf too, and inf <= inf held
+    inf = math.inf
+    for x, y in ((inf, 5.0), (5.0, inf), (-inf, 1e300), (complex(1, inf), 1),
+                 (inf, inf)):
+        x, y = complex(x), complex(y)
+        assert not fl(x.real, x.imag).eq(fl(y.real, y.imag)), (x, y)
+        assert not fl(x.real, x.imag) == fl(y.real, y.imag)
+        assert not linalg._Complex().eq(x, y), (x, y)
+    assert fl(1e300).eq(fl(1e300 * (1 + 1e-12)))
 
 
 def test_is_zero_and_tolerance():
