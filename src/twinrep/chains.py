@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .irreducibility import eval_P
 from .linalg import Matrix, Subspace, mat_det
-from .reduction import (ParameterError, _chain_entries, _chain_entry_pairs,
-                        _check_family1, build_S)
+from .reduction import _chain_entries, _chain_entry_pairs, build_S
+from .reps import ParameterError, _check_family1
 from .scalars import Scalar
 
 

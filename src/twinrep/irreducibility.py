@@ -34,8 +34,9 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix, Subspace
-from .reduction import (ParameterError, _chain_entries, _chain_entry_pairs,
-                        _check_family1, _eigvec_w_pairs, _reduced_gen_pairs)
+from .reduction import (_chain_entries, _chain_entry_pairs, _eigvec_w_pairs,
+                        _reduced_gen_pairs)
+from .reps import ParameterError, _check_family1
 from .scalars import (Scalar, _ONE_PARTS, _ZERO_PARTS, _cdiv, _cmul, _cpow,
                       _pow, _powers, default_eps)
 

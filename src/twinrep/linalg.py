@@ -13,7 +13,11 @@ result; `oracle` runs the same loops over F_p.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 `Matrix.identity` with row patches is the one constructor of every matrix
-that differs from I in a few rows: generator images, Q, P and the S_j.
+that differs from I in a few rows: generator images, Q, P and the S_j.  It
+checks the backend of the patch entries only and builds the other rows
+itself, each matrix with row lists of its own.  A Matrix has one private
+slot, `_lifts`, which `oracle` fills with the matrix's entries lifted to
+each number system it runs in, so each image is lifted once per system.
 """
 
 from __future__ import annotations
@@ -27,10 +31,16 @@ class DimensionError(ValueError):
     pass
 
 
+# (1, 0) on each backend, shared by every identity: Scalars are immutable
+_UNITS = {exact: (Scalar.one(exact), Scalar.zero(exact))
+          for exact in (True, False)}
+
+
 class Matrix:
     """Dense row-major matrix over one scalar backend."""
 
-    __slots__ = ("rows", "cols", "exact", "data")
+    # `_lifts`: {number system key: lifted rows}, set and read by `oracle`
+    __slots__ = ("rows", "cols", "exact", "data", "_lifts")
 
     def __init__(self, data):
         if not data or not data[0]:
@@ -57,12 +67,26 @@ class Matrix:
     @classmethod
     def identity(cls, n, exact=True, rows=None):
         """The n x n identity with the rows {row: {column: entry}} put in
-        (0-based; a patched row is 0 but for its listed entries)."""
-        one, zero = Scalar.one(exact), Scalar.zero(exact)
-        return cls([[rows[i].get(j, zero) for j in range(n)]
-                    if rows and i in rows else
-                    [one if j == i else zero for j in range(n)]
-                    for i in range(n)])
+        (0-based; a patched row is 0 but for its listed entries).  Only the
+        patch entries are checked against the backend; every other entry
+        is made here."""
+        if n < 1:
+            raise DimensionError("matrix needs at least one row and column")
+        rows = rows or {}
+        if any(x.exact != exact for patch in rows.values()
+               for x in patch.values()):
+            raise BackendMismatchError("mixed scalar backends in matrix")
+        one, zero = _UNITS[exact]
+        data = []
+        for i in range(n):
+            patch = rows.get(i)
+            if patch is None:
+                row = [zero] * n
+                row[i] = one
+            else:
+                row = [patch.get(j, zero) for j in range(n)]
+            data.append(row)
+        return cls._trusted(data)
 
     @classmethod
     def column(cls, entries):
@@ -170,7 +194,10 @@ class _Plain:
     system: `zero`, `one`, `lift` (a Matrix's entries as its numbers) and
     `scalar` (one number as a Scalar), and may replace the exact entry
     steps below: `threshold`, `pivot` (the first nonzero entry), `inv`,
-    `mul` and `reduce`, which brings a computed row to normal form."""
+    `mul` and `reduce`, which brings a computed row to normal form.  An
+    exact system's row steps leave an entry alone where the term it would
+    add is 0; a float one forms every term, so its signed zeros are those
+    of the dense steps."""
 
     exact = True
 
@@ -219,7 +246,16 @@ class _Plain:
         return row
 
     def _axpy(self, u, f, v):
+        """u - f v; an exact system keeps u's entry where v is 0."""
+        if self.exact:
+            return self.reduce([x - f * y if y else x for x, y in zip(u, v)])
         return self.reduce([x - f * y for x, y in zip(u, v)])
+
+    def _scaled(self, u, f):
+        """u f; an exact system keeps u's zeros."""
+        if self.exact:
+            return self.reduce([x * f if x else x for x in u])
+        return self.reduce([x * f for x in u])
 
     def echelon(self, a):
         """Row echelon form of a, in place, by the subclass's pivots; an
@@ -256,8 +292,7 @@ class _Plain:
             return None
         for k in reversed(range(len(pivots))):
             c = pivots[k]
-            inv = self.inv(a[k][c])
-            a[k] = self.reduce([x * inv for x in a[k]])
+            a[k] = self._scaled(a[k], self.inv(a[k][c]))
             for i in range(k):
                 if a[i][c]:
                     a[i] = self._axpy(a[i], a[i][c], a[k])

@@ -37,18 +37,27 @@ Two detectors validate every verdict the decision procedure produces:
   column are the eigenlines.  This sign tree is written once over a number
   system, and its products and kernels are `linalg`'s one product and one
   elimination loop.  Float mode runs it on `complex`, the loops' float
-  number system.  Exact mode runs it first over F_p with the closure's
-  primes: a sign pattern's subspace is the kernel of the stacked matrix
-  [g - s I] over the generators g and their signs s, whose rank can only
-  drop mod p, so a pattern empty mod p is empty over Q(i).  The tree on
-  the exact `Scalar` entries then runs only along the patterns that
-  survive; at a generic point there are none.  Whether exact input
-  consists of involutions is tested on Gaussian integers.
+  number system.  Exact mode runs it over F_p with the closure's primes: a
+  sign pattern's subspace is the kernel of the stacked matrix [g - s I]
+  over the generators g and their signs s, whose rank can only drop mod p,
+  so a pattern empty mod p is empty over Q(i).  Each full pattern that
+  survives mod p takes its exact subspace from one kernel of its stacked
+  rows on the exact `Scalar` entries; at a generic point there are none.
+  Whether exact input consists of involutions is tested on Gaussian
+  integers, squaring only the rows that are not unit rows.
+
+Each image is lifted once per number system: `_lifted` keeps the lifted
+rows in the Matrix's private slot, keyed by the prime or "complex", so both
+closure primes, the F_p sign tree and the float tree read the rows the
+first of them made.  Only the entries are kept; the relations the closure
+tests are found anew on every call.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (DimensionError, Matrix, Subspace, _Complex, _Gaussian,
@@ -66,10 +75,27 @@ def _unwrap(images):
             raise DimensionError("mixed image dimensions")
         if m.exact != mats[0].exact:
             raise DimensionError("mixed image backends")
-        if not (m.exact or all(math.isfinite(x.re) and math.isfinite(x.im)
-                               for row in m.data for x in row)):
-            raise ValueError("the oracle needs finite matrix entries")
     return mats, d
+
+
+def _lifted(num, m):
+    """num.lift(m), kept in m's private slot under num's key (its prime,
+    or "complex": the lift does not depend on eps), so that each image is
+    lifted once per number system; the complex lift is where float entries
+    are checked finite.  Callers never write the rows."""
+    try:
+        lifts = m._lifts
+    except AttributeError:
+        lifts = {}
+        object.__setattr__(m, "_lifts", lifts)
+    key = num.p if num.exact else "complex"
+    rows = lifts.get(key)
+    if rows is None:
+        rows = num.lift(m)
+        if not (num.exact or all(map(cmath.isfinite, chain(*rows)))):
+            raise ValueError("the oracle needs finite matrix entries")
+        lifts[key] = rows
+    return rows
 
 
 class ClosureResult(NamedTuple):
@@ -123,16 +149,23 @@ class _Fp(_Plain):
 def _is_gaussian_involution(rows):
     """m @ m == I for the exact `Scalar` rows of m, tested as G @ G == D^2 I
     on the Gaussian integers G = D m, D the lcm of the denominators of m's
-    entries."""
-    den = math.lcm(*(x.denominator for row in rows
-                     for z in row for x in (z.re, z.im)))
-    terms = [[(j, (z.re.numerator * (den // z.re.denominator),
-                   z.im.numerator * (den // z.im.denominator)))
-              for j, z in enumerate(row) if z] for row in rows]
+    entries.  Row i of m @ m is e_i wherever row i of m is, so only the
+    other rows are squared, and only they and the rows they reference are
+    made Gaussian integers."""
+    nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in rows]
+    moved = [i for i, t in enumerate(nonzero)
+             if not (len(t) == 1 and t[0][0] == i and t[0][1].re == 1
+                     and not t[0][1].im)]
+    den = math.lcm(*(x.denominator for i in moved for _, z in nonzero[i]
+                     for x in (z.re, z.im)))
+    terms = {j: [(k, (z.re.numerator * (den // z.re.denominator),
+                      z.im.numerator * (den // z.im.denominator)))
+                 for k, z in nonzero[j]]
+             for j in {j for i in moved for j, _ in nonzero[i]}.union(moved)}
     square = den * den
-    for i, row in enumerate(terms):
+    for i in moved:
         acc = {}
-        for j, (cr, ci) in row:
+        for j, (cr, ci) in terms[i]:
             for k, (yr, yi) in terms[j]:
                 sr, si = acc.get(k, (0, 0))
                 acc[k] = (sr + cr * yr - ci * yi, si + cr * yi + ci * yr)
@@ -238,35 +271,40 @@ def _grow(span, lifted, d):
     dims and words do not change."""
     full = d * d
     gens = [_terms(m) for m in lifted]
-    patches = [[(r, terms) for r, terms in enumerate(g)
-                if terms != [(r, span.one)]] for g in gens]
+    # per image, each row it moves: the slice of that row in g v, and its
+    # terms as (column, entry), the entry None for a unit entry
+    plans = [[(slice(r * d, r * d + d),
+               [(j, None if c == 1 else c) for j, c in terms])
+              for r, terms in enumerate(g) if terms != [(r, span.one)]]
+             for g in gens]
     involution = [_squares_to_identity(g, span.eq, span.one, span.zero)
                   for g in gens]
     moved = [_moved(g, span.one) for g in gens]
     disjoint = [[not (s & t) for t in moved] for s in moved]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(full)])
+    zero = [0] * d
     words = [()]
     i = 0
     while i < len(words) < full:
         v = span.rows[i][1]
         word = words[i]
-        live = [any(v[r * d:r * d + d]) for r in range(d)]  # nonzero rows
-        for k, patch in enumerate(patches):
+        segs = [v[r * d:r * d + d] for r in range(d)]  # the rows of v
+        live = [any(seg) for seg in segs]
+        for k, plan in enumerate(plans):
             if word and (involution[k] if word[0] == k else
                          disjoint[word[0]][k]):
                 continue
             gv = v.copy()  # flattened g @ v
-            for r, terms in patch:
+            for out, terms in plan:
                 acc = None
-                for col, c in terms:
-                    if not live[col]:
-                        continue
-                    seg = v[col * d:col * d + d]
-                    if c != 1:
-                        seg = [c * x for x in seg]
-                    acc = seg if acc is None else [
-                        s + x for s, x in zip(acc, seg)]
-                gv[r * d:r * d + d] = acc or [0] * d
+                for j, c in terms:
+                    if live[j]:
+                        seg = segs[j]
+                        if c is not None:
+                            seg = [c * x for x in seg]
+                        acc = seg if acc is None else [
+                            s + x for s, x in zip(acc, seg)]
+                gv[out] = acc or zero
             if span.insert(gv):
                 words.append((k,) + word)
                 if len(words) == full:
@@ -325,14 +363,14 @@ def algebra_closure(images):
     mats, d = _unwrap(images)
     if not mats[0].exact:
         span = _FloatSpan()
-        words = _grow(span, [span.lift(m) for m in mats], d)
+        words = _grow(span, [_lifted(span, m) for m in mats], d)
         gap = span.min_acc / span.max_rej if span.max_rej else math.inf
         return ClosureResult(len(words), words, gap)
     best = []
     for prime in _PRIMES:
         span = _ModSpan(*prime)
         try:
-            lifted = [span.lift(m) for m in mats]
+            lifted = [_lifted(span, m) for m in mats]
         except ValueError:  # the prime divides a denominator
             continue
         words = _grow(span, lifted, d)
@@ -362,8 +400,10 @@ def _normalized_direction(entries):
 def _squares_to_identity(rows, eq, one, zero):
     """m @ m == I, entry by entry under eq, for m given as the nonzero
     (column, entry) terms of each row; a unit entry is not multiplied
-    out."""
+    out, and a row e_i is skipped, since row i of m @ m is then e_i."""
     for i, terms in enumerate(rows):
+        if terms == [(i, one)]:
+            continue
         acc = {}
         for j, c in terms:
             for k, y in rows[j]:
@@ -375,44 +415,63 @@ def _squares_to_identity(rows, eq, one, zero):
     return True
 
 
-def _sign_tree(num, gens, d, keep=None):
+def _sign_tree(num, gens, d):
     """The nonzero leaves (signs, K) of the sign tree over the number
     system num: the columns of K span {x : g x = s x for each image g and
     its sign s}, and the leaves come in (+1, -1) sign order.  Each image
     splits every candidate basis K into K @ kernel(g K - K) and
-    K @ kernel(g K + K), dropping the empty parts; with `keep`, only the
-    sign prefixes it holds are computed."""
+    K @ kernel(g K + K), dropping the empty parts."""
     leaves = [((), num.identity(d))]
     for g in gens:
         split = []
         for signs, k in leaves:
-            children = [(signs + (sign,), combine)
-                        for sign, combine in ((1, num.sub), (-1, num.add))
-                        if keep is None or signs + (sign,) in keep]
-            if not children:
-                continue  # g K is formed only for a child that is kept
             gk = num.matmul(g, k)
-            for child, combine in children:
+            for sign, combine in ((1, num.sub), (-1, num.add)):
                 part = num.kernel(combine(gk, k))
                 if part is not None:
-                    split.append((child, num.matmul(k, part)))
+                    split.append((signs + (sign,), num.matmul(k, part)))
         leaves = split
     return leaves
 
 
-def _surviving_prefixes(mats, d):
-    """Every prefix of a sign pattern whose common eigenspace is nonzero
-    mod the first oracle prime that lifts the images; None when both
-    primes divide a denominator."""
+def _eigenspace_rows(mats, signs):
+    """The nonzero rows of the stacked matrix [g - s I] over the exact
+    images g and their signs s, whose kernel is the pattern's common
+    eigenspace."""
+    out = []
+    for m, s in zip(mats, signs):
+        shift = Scalar.one() if s == 1 else -Scalar.one()
+        for i, row in enumerate(m.data):
+            row = list(row)
+            row[i] = row[i] - shift
+            if any(row):
+                out.append(row)
+    return out
+
+
+def _exact_leaves(mats, d):
+    """The nonzero leaves (signs, K) of the sign tree on the exact images.
+
+    The tree runs over F_p, for the first oracle prime that lifts the
+    images.  Reduction mod p can only lower the rank of [g - s I], so the
+    full sign patterns it leaves are the only ones that can be nonzero
+    over Q(i); the kernel of each one's stacked rows on the exact entries,
+    by one elimination, is its leaf.  The tree on the exact entries runs
+    only when both primes divide a denominator."""
+    num = _Gaussian()
     for prime in _PRIMES:
         fp = _Fp(*prime)
         try:
-            gens = [fp.lift(m) for m in mats]
+            gens = [_lifted(fp, m) for m in mats]
         except ValueError:  # the prime divides a denominator
             continue
-        return {signs[:j] for signs, _ in _sign_tree(fp, gens, d)
-                for j in range(1, len(signs) + 1)}
-    return None
+        leaves = []
+        for signs, _ in _sign_tree(fp, gens, d):
+            basis = num.kernel(_eigenspace_rows(mats, signs))
+            if basis is not None:
+                leaves.append((signs, basis))
+        return leaves
+    return _sign_tree(num, [num.lift(m) for m in mats], d)
 
 
 def common_eigenlines(images):
@@ -426,25 +485,25 @@ def common_eigenlines(images):
     Distinct sign patterns meet only in 0, so no line is returned twice.
     Raises on a non-involution input, tested exactly on exact input.
 
-    Float input runs the tree on `complex`.  Exact input first runs the
-    tree over F_p (i -> a square root of -1) for the first oracle prime
-    that lifts the images.  The leaf of a sign pattern spans the kernel of
-    the stacked matrix [g - s I] over its images g and signs s; reduction
-    mod p can only lower that matrix's rank, so a pattern empty mod p is
-    empty over Q(i).  The tree on the images' own Gaussian-rational
-    `Scalar`s then runs only along the patterns that survive mod p: for a
-    generic point there are none.  When both primes divide a denominator
-    nothing is pruned."""
+    Float input runs the tree on `complex`.  Exact input runs it over F_p
+    (i -> a square root of -1) for the first oracle prime that lifts the
+    images, and takes the leaf of each sign pattern that survives mod p
+    from one kernel on the images' own Gaussian-rational `Scalar`s (see
+    `_exact_leaves`): for a generic point there are none."""
     mats, d = _unwrap(images)
-    exact = mats[0].exact
-    num = _Gaussian() if exact else _Complex()
-    gens = [num.lift(m) for m in mats]
-    if not all(_is_gaussian_involution(g) if exact else _squares_to_identity(
-            _terms(g), num.eq, num.one, num.zero) for g in gens):
-        raise ValueError("common_eigenlines expects involutions")
-    keep = _surviving_prefixes(mats, d) if exact else None
+    if mats[0].exact:
+        if not all(_is_gaussian_involution(m.data) for m in mats):
+            raise ValueError("common_eigenlines expects involutions")
+        num, leaves = _Gaussian(), _exact_leaves(mats, d)
+    else:
+        num = _Complex()
+        gens = [_lifted(num, m) for m in mats]
+        if not all(_squares_to_identity(_terms(g), num.eq, num.one, num.zero)
+                   for g in gens):
+            raise ValueError("common_eigenlines expects involutions")
+        leaves = _sign_tree(num, gens, d)
     lines = []
-    for _, k in _sign_tree(num, gens, d, keep):
+    for _, k in leaves:
         if len(k[0]) == 1:
             entries = [num.scalar(x) for (x,) in k]
             lines.append(Subspace(d, [Matrix.column(

@@ -15,30 +15,8 @@ that `decide` shares, the chain entries included, live here too.
 from __future__ import annotations
 
 from .linalg import Matrix
-from .reps import GeneratorImage, RepSpec, build_block
-from .scalars import (Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers,
-                      require_finite)
-
-
-class ParameterError(ValueError):
-    pass
-
-
-def _check_family1(a, b, not_pm1=False):
-    """Reject a non-finite a or b, mixed backends and a b that cannot divide
-    (`Scalar.invertible`), and a = +-1 when `not_pm1` is set."""
-    require_finite(a)
-    require_finite(b)
-    if a.exact != b.exact:
-        raise ParameterError("a and b must share a backend")
-    if not b.invertible():
-        raise ParameterError("b must be nonzero")
-    if not_pm1:
-        one = Scalar.one(a.exact)
-        if a.eq(one):
-            raise ParameterError("a = 1 is not allowed here")
-        if a.eq(-one):
-            raise ParameterError("a = -1 is not allowed here")
+from .reps import GeneratorImage, ParameterError, _check_family1, _family1_c
+from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers
 
 
 def invariant_vector(n, a, b):
@@ -90,10 +68,11 @@ def _reduced_gen_rows(n, a, b, ks):
 def _reduced_gen_pairs(n, a, b, ks):
     """`_reduced_gen_rows` with (re, im) pairs of a's and b's own numbers
     for entries.  The block [[a, b], [(1-a^2)/b, -a]] is built once for all
-    of ks, by `build_block`.  The float entries (a-1)^j/(-b)^(j-1) of s_1
-    are formed with the steps of `Scalar.pow` and `Scalar.__truediv__`, so
-    they equal the `Scalar` expression bit for bit; the exact ones, the
-    same values, by one running product.  O(n) for each k."""
+    of ks, its (1-a^2)/b by `reps._family1_c`.  The float entries
+    (a-1)^j/(-b)^(j-1) of s_1 are formed with the steps of `Scalar.pow`
+    and `Scalar.__truediv__`, so they equal the `Scalar` expression bit for
+    bit; the exact ones, the same values, by one running product.  O(n)
+    for each k."""
     _check_family1(a, b)
     exact = a.exact
     one = _ONE_PARTS[exact]
@@ -115,8 +94,7 @@ def _reduced_gen_pairs(n, a, b, ks):
                 rows[j - 1] = {0: entry, j - 1: one}
         else:
             if block is None:
-                block = [(x.re, x.im) for row in
-                         build_block(RepSpec(1, n, a, b)).data for x in row]
+                block = [(ar, ai), (br, bi), _family1_c(a, b), (-ar, -ai)]
             rows = {k - 2: {k - 2: block[0], k - 1: block[1]},
                     k - 1: {k - 2: block[2], k - 1: block[3]}}
         out.append(rows)

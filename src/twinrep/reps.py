@@ -4,7 +4,9 @@ Every family sends generator s_k to I_{k-1} (+) M (+) I_{n-k-1} for one shared
 2x2 block M satisfying M^2 = I: the identity with rows k and k+1 patched, as
 `linalg.Matrix.identity` builds it.  Family 1 has M = [[a, b], [(1-a^2)/b, -a]]
 with b != 0, family 2 has M = [[s, 0], [c, -s]] with s = +-1, family 3 has
-M = -I.
+M = -I.  `_check_family1` is the one check of a family-1 (a, b), for
+`RepSpec` and for `reduction`, `chains` and `irreducibility`, and
+`_family1_c` the one formula for the block's (1-a^2)/b.
 """
 
 from __future__ import annotations
@@ -12,11 +14,41 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix
-from .scalars import Scalar, _cdiv, _cmul, require_finite
+from .scalars import _ONE_PARTS, Scalar, _cdiv, _cmul, require_finite
 
 
-class RepSpecError(ValueError):
+class ParameterError(ValueError):
     pass
+
+
+class RepSpecError(ParameterError):
+    """Parameters that name no classified representation."""
+
+
+def _check_family1(a, b, not_pm1=False):
+    """Reject a non-finite a or b, mixed backends and a b that cannot divide
+    (`Scalar.invertible`), the family-1 conditions (RepSpecError), and
+    a = +-1 when `not_pm1` is set (ParameterError)."""
+    require_finite(a)
+    require_finite(b)
+    if a.exact != b.exact:
+        raise RepSpecError("a and b must share a backend")
+    if not b.invertible():
+        raise RepSpecError("b must be nonzero")
+    if not_pm1:
+        one = Scalar.one(a.exact)
+        if a.eq(one):
+            raise ParameterError("a = 1 is not allowed here")
+        if a.eq(-one):
+            raise ParameterError("a = -1 is not allowed here")
+
+
+def _family1_c(a, b):
+    """The entry (1-a^2)/b of the family-1 block as an (re, im) pair of a's
+    and b's own numbers, step for step as in Scalar arithmetic."""
+    one = _ONE_PARTS[a.exact]
+    sr, si = _cmul(a.re, a.im, a.re, a.im)
+    return _cdiv(one[0] - sr, one[1] - si, b.re, b.im, a.exact)
 
 
 class _RepSpecFields(NamedTuple):
@@ -46,12 +78,7 @@ class RepSpec(_RepSpecFields):
         if family == 1:
             if a is None or b is None:
                 raise RepSpecError("family 1 requires parameters a and b")
-            require_finite(a)
-            require_finite(b)
-            if a.exact != b.exact:
-                raise RepSpecError("a and b must share a backend")
-            if not b.invertible():
-                raise RepSpecError("family 1 requires b != 0")
+            _check_family1(a, b)
             exact = a.exact
         elif family == 2:
             if sign not in (1, -1):
@@ -73,11 +100,8 @@ def build_block(spec):
     exact = spec.exact
     one, zero = Scalar.one(exact), Scalar.zero(exact)
     if spec.family == 1:
-        # (1 - a^2)/b on (re, im) pairs, step for step as in Scalar arithmetic
         a, b = spec.a, spec.b
-        sr, si = _cmul(a.re, a.im, a.re, a.im)
-        c = _cdiv(one.re - sr, one.im - si, b.re, b.im, exact)
-        return Matrix([[a, b], [Scalar(*c, exact), -a]])
+        return Matrix([[a, b], [Scalar(*_family1_c(a, b), exact), -a]])
     if spec.family == 2:
         s = one if spec.sign == 1 else -one
         return Matrix([[s, zero], [spec.c, -s]])

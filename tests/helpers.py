@@ -12,8 +12,7 @@ from twinrep import oracle
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, Verdict, _exact_P,
                                     eval_P, witness_check)
 from twinrep.linalg import DimensionError, Matrix, Subspace
-from twinrep.oracle import (_FloatSpan, _squares_to_identity, _unwrap,
-                            algebra_closure)
+from twinrep.oracle import _FloatSpan, _unwrap, algebra_closure
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
                                build_S)
 from twinrep.reps import RepSpec, build_block, build_generator
@@ -906,13 +905,9 @@ def reference_common_eigenlines(images):
 
 
 def reference_is_involution(m):
-    """m @ m == I by `oracle._squares_to_identity` on `Scalar` entries under
-    `Scalar.eq`: the form the exact eigenline oracle's Gaussian-integer
-    check replaced, kept as its reference."""
-    return _squares_to_identity(
-        [[(j, x) for j, x in enumerate(row) if x.re or x.im]
-         for row in m.data], Scalar.eq, Scalar.one(m.exact),
-        Scalar.zero(m.exact))
+    """m @ m == I, every row of the product summed by `reference_matmul`
+    and compared under `Scalar.eq`: no row is skipped."""
+    return reference_matmul(m, m).eq(Matrix.identity(m.rows, m.exact))
 
 
 def _reference_direction(v):

@@ -123,6 +123,20 @@ def test_reduce_rejects_what_the_reduction_rejects():
     assert code_b0 == EXIT_ERROR and "b must be nonzero" in err
 
 
+def test_gen_and_reduce_refuse_family1_parameters_alike():
+    # one check of a family-1 (a, b), one message, for the full and the
+    # reduced representation
+    for a, b, message in ((EX("2/1"), EX("0/1"), "b must be nonzero"),
+                          ("2.0+0.0i", "0.0+0.0i", "b must be nonzero"),
+                          (EX("2/1"), "1.0+0.0i",
+                           "a and b must share a backend")):
+        params = ["--n", "4", "--a", a, "--b", b]
+        outcomes = [run(["gen", "--family", "1", "--k", "1"] + params),
+                    run(["verify", "--family", "1"] + params),
+                    run(["reduce"] + params)]
+        assert outcomes == [(EXIT_ERROR, "", "error: %s\n" % message)] * 3, b
+
+
 def test_tiny_float_b_is_accepted_by_decide_and_sweep():
     # b = -1e-150 i has a nonzero squared modulus, so it divides
     tiny = "0.0-1e-150i"

@@ -176,6 +176,24 @@ def test_public_constructor_checks_what_trusted_skips():
         assert m.to_json() == want.to_json()
 
 
+def test_identity_checks_its_patches_and_owns_its_rows():
+    # only the patch entries are checked against the backend; every other
+    # entry is the backend's own 0 or 1, in row lists of each matrix's own
+    for exact, conv, other in ((True, ex, fl), (False, fl, ex)):
+        with pytest.raises(BackendMismatchError):
+            Matrix.identity(3, exact, {1: {0: conv(2), 2: other(1)}})
+        m = Matrix.identity(3, exact, {1: {0: conv(2), 1: conv(-1)}})
+        want = Matrix([[conv(1), conv(0), conv(0)],
+                       [conv(2), conv(-1), conv(0)],
+                       [conv(0), conv(0), conv(1)]])
+        assert m.exact == exact and m.to_json() == want.to_json()
+        first, second = Matrix.identity(3, exact), Matrix.identity(3, exact)
+        first.data[0][1] = conv(7)
+        assert second.data[0][1].is_zero() and m.data[0][1].is_zero()
+    with pytest.raises(DimensionError):
+        Matrix.identity(0)
+
+
 def test_matmul_against_direct_sum():
     rng = rng_for(204)
     a = rand_matrix(rng, 3, 4)

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
 from twinrep.reduction import reduced_generators
 from twinrep.reps import RepSpec, build_all_generators
-from twinrep.scalars import ex, fl, set_default_eps
+from twinrep.scalars import Scalar, ex, fl, set_default_eps
 from conftest import rand_family1_params, rng_for
 from helpers import (dense_float_closure, is_irreducible_oracle, is_prime,
                      reference_common_eigenlines, reference_closure,
@@ -405,8 +406,118 @@ def test_exact_involution_check_matches_scalar_reference():
     for m in images + perturbed:
         verdicts.append(reference_is_involution(m))
         assert oracle._is_gaussian_involution(m.data) == verdicts[-1]
+        # the closure's check, on the Scalar terms under Scalar.eq
+        assert oracle._squares_to_identity(
+            oracle._terms(m.data), Scalar.eq, Scalar.one(),
+            Scalar.zero()) == verdicts[-1]
     assert all(verdicts[:len(images)])
     assert 100 <= sum(verdicts[len(images):]) <= 200
+
+
+@pytest.mark.parametrize("conv", [ex, fl])
+def test_involution_checks_square_every_moved_row(conv, monkeypatch):
+    # rows 1..3 are unit rows, which both checks skip; row 0 reads the
+    # unit row 3, so row 0 of g @ g is e_0 + 2 e_3 for the shear g, and
+    # e_0 for the reflection h
+    exact = conv(0).exact
+    g = Matrix.identity(4, exact, {0: {0: conv(1), 3: conv(1)}})
+    h = Matrix.identity(4, exact, {0: {0: conv(-1), 3: conv(1)}})
+    assert not reference_is_involution(g) and reference_is_involution(h)
+    with pytest.raises(ValueError, match="expects involutions"):
+        common_eigenlines([g])
+    assert len(common_eigenlines([h])) == 1  # its -1 eigenspace
+    if exact:
+        assert not oracle._is_gaussian_involution(g.data)
+        assert oracle._is_gaussian_involution(h.data)
+    # the closure tests g (g I): the involution rule does not fire for g
+    res, tested = _closure_inserts(monkeypatch, [g])
+    with monkeypatch.context() as m:
+        _hiding(m, "_squares_to_identity")
+        every, all_tested = _closure_inserts(monkeypatch, [g])
+    assert res.words == every.words == [(), (0,)]
+    assert tested == all_tested == 3
+    _, tested = _closure_inserts(monkeypatch, [h])
+    assert tested == 2  # h (h I) is skipped
+
+
+def _fresh_images(n, a, b):
+    return [g.matrix for g in reduced_generators(n, a, b)]
+
+
+def _detector_output(name, images):
+    if name == "closure":
+        res = algebra_closure(images)
+        return res.dim, res.words, res.rank_gap.hex()
+    return _lines_json(common_eigenlines(images))
+
+
+DETECTORS = ("closure", "eigenlines")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_lifted_images_give_the_results_of_fresh_ones(exact, monkeypatch):
+    # each image is lifted once per number system and kept in its slot:
+    # the detectors, alone or together in either order, run twice on the
+    # same images, under both primes or one, give what they give on fresh
+    # images, lift nothing twice and leave the lifted rows as they were
+    conv = (lambda x: x) if exact else (lambda x: x.to_float())
+    points = [(5, ex(2, 1), ex(1, -2)), (5, ex(1), ex(2, 1)),
+              (6, ex(-1), ex(Fraction(1, 2), 2)), (8, ex(0, 1), ex(1)),
+              (4, ex(Fraction(1, P1)), ex(1))]
+    orders = [(name,) for name in DETECTORS] + [DETECTORS, DETECTORS[::-1]]
+    lifts = [0]
+
+    def counting(lift):
+        def counted(*args):
+            rows = lift(*args)  # a lift that raises is not counted
+            lifts[0] += 1
+            return rows
+        return counted
+
+    monkeypatch.setattr(oracle._Fp, "lift", counting(oracle._Fp.lift))
+    monkeypatch.setattr(linalg._Complex, "lift",
+                        staticmethod(counting(linalg._Complex.lift)))
+    primes = oracle._PRIMES
+    for cut in (primes, primes[:1], primes[1:]):
+        monkeypatch.setattr(oracle, "_PRIMES", cut)
+        keys = {p for p, _ in cut} if exact else {"complex"}
+        for n, a, b in points:
+            a, b = conv(a), conv(b)
+            try:
+                want = {name: _detector_output(name, _fresh_images(n, a, b))
+                        for name in DETECTORS}
+            except ValueError:  # P1 divides a denominator; P1 alone
+                assert exact and cut == primes[:1]
+                continue
+            for order in orders:
+                images = _fresh_images(n, a, b)
+                lifts[0] = 0
+                for _ in range(2):
+                    for name in order:
+                        assert _detector_output(name, images) == want[name]
+                stored = [g._lifts for g in images]
+                assert lifts[0] == sum(map(len, stored))
+                assert all(set(s) <= keys for s in stored)
+                before = copy.deepcopy(stored)
+                for name in DETECTORS:
+                    _detector_output(name, images)
+                assert all(g._lifts[key] == rows
+                           for g, lifted in zip(images, before)
+                           for key, rows in lifted.items())
+
+
+def test_lifted_images_follow_an_eps_change():
+    # a = 1 + 1e-8 is generic under eps = 1e-9 and a = 1 under 1e-6; the
+    # images lifted under the first give the second's fresh results
+    n, a, b = 5, fl(1 + 1e-8), fl(2.0, 0.5)
+    images = _fresh_images(n, a, b)
+    first = [_detector_output(name, images) for name in DETECTORS]
+    set_default_eps(1e-6)
+    second = [_detector_output(name, images) for name in DETECTORS]
+    assert second == [_detector_output(name, _fresh_images(n, a, b))
+                      for name in DETECTORS]
+    assert (first[0][0], len(first[1])) == (16, 0)
+    assert (second[0][0], len(second[1])) == (10, 1)
 
 
 def test_closure_float_gap_is_exposed():
@@ -557,15 +668,17 @@ def _assert_matches_reference(images):
             == _lines_json(reference_common_eigenlines(images)))
 
 
-@pytest.mark.parametrize("d", range(3, 11))
+@pytest.mark.parametrize("d", range(3, 13))
 def test_eigenlines_match_scalar_reference_on_reduced_images(d):
-    # to_json-equal: exact lines equal, float lines bit-identical
+    # to_json-equal: exact lines equal, float lines bit-identical; at every
+    # +-1 and +-i point, where the exact lines come from stacked kernels,
+    # and at generic points up to d = 10
     n = d + 1
     rng = rng_for(720 + d)
-    points = [rand_family1_params(rng, avoid=(0, 1, -1)) for _ in range(2)]
+    points = [rand_family1_params(rng, avoid=(0, 1, -1))
+              for _ in range(2 if d <= 10 else 0)]
     points += [(ex(s), rand_family1_params(rng)[1]) for s in (1, -1)]
-    if n % 4 == 0:
-        points += [(ex(0, s), rand_family1_params(rng)[1]) for s in (1, -1)]
+    points += [(ex(0, s), rand_family1_params(rng)[1]) for s in (1, -1)]
     for a, b in points:
         for a, b in ((a, b), (a.to_float(), b.to_float())):
             _assert_matches_reference(reduced_generators(n, a, b))
@@ -586,13 +699,13 @@ def test_eigenlines_match_scalar_reference_on_full_families(n):
 
 def _tree_runs(monkeypatch):
     """Patch the sign tree to record, per run, the prime it runs mod (None
-    for the exact and float trees) and whether it prunes."""
+    for the exact and float trees)."""
     runs = []
     tree = oracle._sign_tree
 
-    def recording(num, gens, d, keep=None):
-        runs.append((getattr(num, "p", None), keep is not None))
-        return tree(num, gens, d, keep)
+    def recording(num, gens, d):
+        runs.append(getattr(num, "p", None))
+        return tree(num, gens, d)
 
     monkeypatch.setattr(oracle, "_sign_tree", recording)
     return runs
@@ -600,11 +713,12 @@ def _tree_runs(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_eigenlines_prune_under_the_second_prime(n, monkeypatch):
+    # the tree runs mod P2 alone; the exact leaves are stacked kernels
     runs = _tree_runs(monkeypatch)
     for a in (ex(Fraction(1, P1)), ex(-1) + ex(Fraction(1, P1))):
         runs.clear()
         _assert_matches_reference(reduced_generators(n, a, ex(1)))
-        assert runs == [(P2, False), (None, True)]
+        assert runs == [P2]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -613,7 +727,7 @@ def test_eigenlines_unpruned_when_both_primes_divide_a_denominator(
     runs = _tree_runs(monkeypatch)
     a = ex(Fraction(1, P1 * P2))
     _assert_matches_reference(reduced_generators(n, a, ex(1)))
-    assert runs == [(None, False)]
+    assert runs == [None]
 
 
 @pytest.mark.parametrize("d", range(3, 9))

@@ -66,11 +66,14 @@ def test_reduced_gen_matches_deleted_conjugation():
 
 
 def test_family1_block_is_built_once(monkeypatch):
-    from twinrep import irreducibility, reduction
+    # (1-a^2)/b has one formula, `reps._family1_c`, for the full and the
+    # reduced images, and is formed once for all the reduced images
+    from twinrep import irreducibility, reduction, reps
     calls = []
-    build = reduction.build_block
-    monkeypatch.setattr(reduction, "build_block",
-                        lambda spec: calls.append(spec) or build(spec))
+    c_pair = reps._family1_c
+    for module in (reps, reduction):
+        monkeypatch.setattr(module, "_family1_c",
+                            lambda a, b: calls.append((a, b)) or c_pair(a, b))
     for a, b in ((ex(2, 1), ex(1, -2)), (fl(0.5, -0.25), fl(2.0, 0.5))):
         calls.clear()
         gens = reduced_generators(9, a, b)
@@ -78,6 +81,11 @@ def test_family1_block_is_built_once(monkeypatch):
         # the same entries as one generator at a time
         for k, g in enumerate(gens, 1):
             assert g.matrix.to_json() == build_reduced_gen(9, a, b, k).to_json()
+        calls.clear()
+        block = reps.build_block(RepSpec(1, 9, a, b))
+        assert len(calls) == 1
+        assert block.to_json()["data"] == [
+            row[:2] for row in gens[1].matrix.to_json()["data"][:2]]
     calls.clear()
     assert irreducibility.decide(8, ex(0, 1), ex(1)).reason == "root-of-P"
     assert len(calls) == 1
