@@ -37,8 +37,8 @@ from .linalg import Matrix, Subspace
 from .reduction import (_chain_entries, _chain_entry_pairs, _eigvec_w_pairs,
                         _reduced_gen_pairs)
 from .reps import ParameterError, _check_family1
-from .scalars import (Scalar, _ONE_PARTS, _ZERO_PARTS, _cdiv, _cmul, _cpow,
-                      _pow, _powers, default_eps)
+from .scalars import (Scalar, _ONE_PARTS, _UNIT_SCALARS, _ZERO_PARTS, _cdiv,
+                      _cmul, _cpow, _pow, _powers, default_eps)
 
 
 class ClearedPoly(NamedTuple):
@@ -265,10 +265,6 @@ def _annihilator_pairs(n, a, b):
                    _ONE_PARTS[a.exact])
 
 
-# (1, -1) on each backend, keyed by `exact`: decide compares every a to both
-_ONE_MINUS_ONE = {e: (Scalar.one(e), -Scalar.one(e)) for e in (True, False)}
-
-
 def decide(n, a, b):
     """Verdict for the reduced family-1 representation of dimension n-1.
 
@@ -285,7 +281,7 @@ def decide(n, a, b):
         raise ParameterError("decide needs n >= 3")
     _check_family1(a, b)
     exact = a.exact
-    one, minus_one = _ONE_MINUS_ONE[exact]
+    one, _, minus_one = _UNIT_SCALARS[exact]
     # the entries of the line, or of w, and at a root of P the chain
     first, chain, phi, diag = None, None, None, {}
     if a.eq(one):

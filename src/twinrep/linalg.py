@@ -9,7 +9,7 @@ read at call time from `scalars.default_eps`.  `complex` arithmetic is
 `Scalar`'s formula for formula, so float results are bit-identical to the
 same steps on `Scalar`s.  Determinant, rank, kernel, span pruning and
 `Matrix @` each lift their input, make one call to the loops and wrap the
-result; `oracle` runs the same loops over F_p.
+result; `oracle` runs the same loops, the product loop included, over F_p.
 
 Vectors are n-by-1 matrices; the column-vector convention is global.
 `Matrix.identity` with row patches is the one constructor of every matrix
@@ -24,16 +24,12 @@ from __future__ import annotations
 
 import math
 
-from .scalars import BackendMismatchError, Scalar, _cdiv, default_eps
+from .scalars import (BackendMismatchError, Scalar, _cdiv, _close,
+                      default_eps)
 
 
 class DimensionError(ValueError):
     pass
-
-
-# (1, 0) on each backend, shared by every identity: Scalars are immutable
-_UNITS = {exact: (Scalar.one(exact), Scalar.zero(exact))
-          for exact in (True, False)}
 
 
 class Matrix:
@@ -76,7 +72,7 @@ class Matrix:
         if any(x.exact != exact for patch in rows.values()
                for x in patch.values()):
             raise BackendMismatchError("mixed scalar backends in matrix")
-        one, zero = _UNITS[exact]
+        one, zero = Scalar.one(exact), Scalar.zero(exact)
         data = []
         for i in range(n):
             patch = rows.get(i)
@@ -346,11 +342,10 @@ class _Complex(_Plain):
     def scalar(z):
         return Scalar(z.real, z.imag, False)
 
-    def eq(self, x, y):
-        """`Scalar.eq` on floats: |x - y| <= eps max(1, |x|, |y|) < inf."""
-        return (math.hypot(x.real - y.real, x.imag - y.imag)
-                <= self.eps * max(1.0, math.hypot(x.real, x.imag),
-                                  math.hypot(y.real, y.imag)) < math.inf)
+    @staticmethod
+    def eq(x, y):
+        """`Scalar.eq` on floats."""
+        return _close(x.real, x.imag, y.real, y.imag)
 
     def threshold(self, a):
         return self.eps * max(1.0, max(math.hypot(z.real, z.imag)
@@ -433,11 +428,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self.basis)
-
-    def matrix(self):
-        if not self.basis:
-            raise ValueError("zero subspace has no basis matrix")
-        return Matrix.from_columns(self.basis)
 
     def contains(self, x):
         if x.cols != 1 or x.rows != self.ambient_dim:

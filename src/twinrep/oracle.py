@@ -17,16 +17,9 @@ Two detectors validate every verdict the decision procedure produces:
   Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994).  Its dimension is
   never above the one over C, so d^2 certifies irreducibility.  The
   closure does not form a product that a relation of its input already
-  puts in the span.  An accepted element v with word (j,) + w is g_j u,
-  for the element u of word w, less a combination of the elements before
-  v, and every generator has already multiplied u and each of those.  So
-  g_k v is in the span when k = j and g_k^2 = I, and when
-  (g_k - I)(g_j - I) = 0, for then g_k g_j u = g_j u + g_k u - u.  These
-  are the twin group's s_k^2 = 1 and far commutation, but each is checked
-  on the input, so the oracle stays independent of the paper: g_k^2 = I
-  in the closure's own number system (mod p, or under the float
-  tolerance), and (g_k - I)(g_j - I) = 0 structurally, by the rows and
-  columns where g_j - I and g_k - I are nonzero not meeting.  g v
+  puts in the span: g_k^2 = I and (g_k - I)(g_j - I) = 0, the twin
+  group's s_k^2 = 1 and far commutation, each checked on the input so that
+  the oracle stays independent of the paper; `_grow` gives the proof.  g v
   recomputes only the rows g moves, and elimination runs over nonzero
   entries: a term left out is an exact 0, so dims, words and the float
   rank gap are those of a dense pass, bit for bit.
@@ -43,6 +36,9 @@ Two detectors validate every verdict the decision procedure produces:
   so a pattern empty mod p is empty over Q(i).  Each full pattern that
   survives mod p takes its exact subspace from one kernel of its stacked
   rows on the exact `Scalar` entries; at a generic point there are none.
+  Each line is scaled by its number system's own pivot rule, the one the
+  elimination uses: its first nonzero entry is made 1 when exact, its
+  largest (the last of equals) when float.
   Whether exact input consists of involutions is tested on Gaussian
   integers, squaring only the rows that are not unit rows.
 
@@ -128,12 +124,6 @@ class _Fp(_Plain):
         mod = lambda x: x.numerator * inv[x.denominator]
         return [[(mod(x.re) + self.root * mod(x.im)) % p if x.re or x.im
                  else 0 for x in row] for row in m.data]
-
-    def matmul(self, a, b):
-        """`_Plain.matmul`, copying b's (reduced) row j for a row e_j of a."""
-        last = len(a[0]) - 1
-        return [list(b[row.index(1)]) if row.count(0) == last and 1 in row
-                else _Plain.matmul(self, [row], b)[0] for row in a]
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -337,14 +327,10 @@ def algebra_closure(images):
     1 + len(images) * d^2 candidates are tested.  The accepted span holds I
     and is mapped into itself by every generator, hence holds every word;
     the loop stops early once it reaches d^2.  Word () is I, and accepting
-    images[k] @ v records (k,) + word(v).  A candidate is not tested when a
-    relation of the images proves it is in the span (see `_grow`): g_k v
-    when word(v) is (j,) + word(u) and either j = k and g_k^2 = I, or
-    (g_k - I)(g_j - I) = 0 because g_j - I and g_k - I touch disjoint
-    rows and columns.  v is g_j u less elements that every generator has
-    already multiplied, as has u, so g_k v is in the span.  Both relations
-    are checked on the images, not assumed from the paper, and exact dims
-    and words are those of testing every candidate.
+    images[k] @ v records (k,) + word(v).  A candidate that a relation of
+    the images puts in the span is not tested (`_grow` gives the relations
+    and the proof), and exact dims and words are those of testing every
+    candidate.
 
     Exact mode eliminates over F_p, i -> a square root of -1, with an
     infinite rank_gap.  Reduction mod p is a ring map on the Gaussian
@@ -381,20 +367,6 @@ def algebra_closure(images):
     if not best:
         raise ValueError("both oracle primes divide a denominator")
     return ClosureResult(len(best), best, math.inf)
-
-
-def _normalized_direction(entries):
-    """The entries scaled so that the lead entry is exactly 1: the first
-    nonzero entry (exact) or the largest one (float)."""
-    exact = entries[0].exact
-    if exact:
-        idx = next(i for i, x in enumerate(entries) if not x.is_zero())
-    else:
-        _, idx = max((x.magnitude(), i) for i, x in enumerate(entries))
-    inv = entries[idx].inv()
-    out = [x * inv for x in entries]
-    out[idx] = Scalar.one(exact)
-    return out
 
 
 def _squares_to_identity(rows, eq, one, zero):
@@ -435,17 +407,15 @@ def _sign_tree(num, gens, d):
 
 
 def _eigenspace_rows(mats, signs):
-    """The nonzero rows of the stacked matrix [g - s I] over the exact
-    images g and their signs s, whose kernel is the pattern's common
-    eigenspace."""
+    """The rows of the stacked matrix [g - s I] over the exact images g and
+    their signs s, whose kernel is the pattern's common eigenspace."""
     out = []
     for m, s in zip(mats, signs):
         shift = Scalar.one() if s == 1 else -Scalar.one()
         for i, row in enumerate(m.data):
             row = list(row)
             row[i] = row[i] - shift
-            if any(row):
-                out.append(row)
+            out.append(row)
     return out
 
 
@@ -481,7 +451,8 @@ def common_eigenlines(images):
     g splits every candidate basis K into K @ kernel(g K - K) and
     K @ kernel(g K + K), its +1 and -1 eigenspaces inside span K; empty
     parts are dropped.  The candidates left with one column are returned,
-    each scaled to a lead entry of 1, in (+1, -1) sign-pattern order.
+    each scaled by the number system's `pivot`, `inv` and `mul` to a lead
+    entry of 1, in (+1, -1) sign-pattern order.
     Distinct sign patterns meet only in 0, so no line is returned twice.
     Raises on a non-involution input, tested exactly on exact input.
 
@@ -505,7 +476,11 @@ def common_eigenlines(images):
     lines = []
     for _, k in leaves:
         if len(k[0]) == 1:
-            entries = [num.scalar(x) for (x,) in k]
-            lines.append(Subspace(d, [Matrix.column(
-                _normalized_direction(entries))], _assume_independent=True))
+            column = [x for (x,) in k]
+            lead = num.pivot(column, 0.0)
+            inv = num.inv(column[lead])
+            column = [num.mul(x, inv) for x in column]
+            column[lead] = num.one
+            lines.append(Subspace(d, [Matrix._trusted_column(
+                [num.scalar(x) for x in column])], _assume_independent=True))
     return lines

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix
-from .scalars import _ONE_PARTS, Scalar, _cdiv, _cmul, require_finite
+from .scalars import (_ONE_PARTS, _UNIT_SCALARS, Scalar, _cdiv, _cmul,
+                      require_finite)
 
 
 class ParameterError(ValueError):
@@ -36,10 +37,10 @@ def _check_family1(a, b, not_pm1=False):
     if not b.invertible():
         raise RepSpecError("b must be nonzero")
     if not_pm1:
-        one = Scalar.one(a.exact)
+        one, _, minus_one = _UNIT_SCALARS[a.exact]
         if a.eq(one):
             raise ParameterError("a = 1 is not allowed here")
-        if a.eq(-one):
+        if a.eq(minus_one):
             raise ParameterError("a = -1 is not allowed here")
 
 

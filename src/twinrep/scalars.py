@@ -9,10 +9,13 @@ backends; every operation here raises `BackendMismatchError` on a mixed pair.
 
 Each pair formula is written once, on plain (re, im) pairs of Fractions or
 floats: `_cmul`, `_cdiv` (with `_norm2`, its divisor test, which
-`Scalar.invertible` shares) and `_pow`.
-`Scalar`'s product, quotient and power wrap them, and the package's hot
-paths call them directly, so both give the same values bit for bit.  A
-`Scalar` is false only when it is 0, as a `complex` is.
+`Scalar.invertible` shares), `_pow` (repeated squaring by `_cmul` on either
+backend) and `_close`, the float equality, which `Scalar.eq` and
+`linalg`'s complex number system share.  `Scalar`'s product, quotient and
+power wrap them, and the package's hot paths call them directly, so both
+give the same values bit for bit.  A `Scalar` is false only when it is 0,
+as a `complex` is.  `Scalar.one` and `Scalar.zero` return one shared
+instance per backend, from the one table of shared units.
 """
 
 from __future__ import annotations
@@ -76,13 +79,13 @@ class Scalar:
     def from_float(cls, re, im=0.0):
         return cls(float(re), float(im), False)
 
-    @classmethod
-    def zero(cls, exact=True):
-        return cls.from_rational(0) if exact else cls.from_float(0.0)
+    @staticmethod
+    def zero(exact=True):
+        return _UNIT_SCALARS[exact][1]
 
-    @classmethod
-    def one(cls, exact=True):
-        return cls.from_rational(1) if exact else cls.from_float(1.0)
+    @staticmethod
+    def one(exact=True):
+        return _UNIT_SCALARS[exact][0]
 
     # -- backend helpers ----------------------------------------------
 
@@ -159,9 +162,7 @@ class Scalar:
         self._check(other)
         if self.exact:
             return self.re == other.re and self.im == other.im
-        d = math.hypot(self.re - other.re, self.im - other.im)
-        bound = _eps * max(1.0, self.magnitude(), other.magnitude())
-        return d <= bound < math.inf  # an inf bound would pass inf = 5
+        return _close(self.re, self.im, other.re, other.im)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -219,6 +220,14 @@ def require_finite(x):
     return x
 
 
+def _close(xr, xi, yr, yi):
+    """The one float equality: |x - y| <= eps max(1, |x|, |y|) < inf, eps
+    read now; the finite bound keeps inf from passing as equal to 5."""
+    return (math.hypot(xr - yr, xi - yi)
+            <= _eps * max(1.0, math.hypot(xr, xi), math.hypot(yr, yi))
+            < math.inf)
+
+
 def _norm2(re, im):
     """The squared modulus: a divisor is zero exactly when this is 0, so a
     float as small as 1e-150 still divides, and one whose square
@@ -260,11 +269,8 @@ def _cpow(xr, xi, k):
 
 
 def _pow(xr, xi, k, exact):
-    """(xr + xi i)^k for k >= 0, the one power formula: Fraction's own
-    power for an exact real base, else `_cpow`, with the parts of
-    `Scalar.one` at k = 0."""
-    if exact and xi == 0:
-        return xr ** k, xi
+    """(xr + xi i)^k for k >= 0, the one power formula: `_cpow`, with the
+    parts of `Scalar.one` at k = 0."""
     return _cpow(xr, xi, k) if k else _ONE_PARTS[exact]
 
 
@@ -280,6 +286,11 @@ def _powers(xr, xi, k, first):
 # the parts of Scalar.zero(exact) and Scalar.one(exact), keyed by `exact`
 _ZERO_PARTS = {True: (Fraction(0), Fraction(0)), False: (0.0, 0.0)}
 _ONE_PARTS = {True: (Fraction(1), Fraction(0)), False: (1.0, 0.0)}
+# 1, 0 and -1 as Scalars, keyed by `exact`: one shared instance of each per
+# backend (a Scalar is immutable), for `Scalar.one` and `Scalar.zero` and
+# the a = +-1 tests, which would otherwise build -1 on every call
+_UNIT_SCALARS = {e: (Scalar(*_ONE_PARTS[e], e), Scalar(*_ZERO_PARTS[e], e),
+                     -Scalar(*_ONE_PARTS[e], e)) for e in (True, False)}
 
 
 def scalar_format(x):

@@ -897,7 +897,8 @@ def reference_common_eigenlines(images):
             gk = reference_matmul(g, k)
             for part in (reference_kernel(gk - k), reference_kernel(gk + k)):
                 if part.dim:
-                    split.append(reference_matmul(k, part.matrix()))
+                    split.append(reference_matmul(
+                        k, Matrix.from_columns(part.basis)))
         candidates = split
     return [Subspace(d, [Matrix.column(_reference_direction(k))],
                      _assume_independent=True)

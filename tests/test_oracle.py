@@ -342,25 +342,15 @@ def test_fp_lift_matches_per_entry_inverses():
     assert oracle._Fp(p2, root2).lift(bad) == _per_entry_lift(bad, p2, root2)
 
 
-def test_fp_matmul_matches_plain_matmul():
-    # unit rows are copied from b; every other row is summed as before
-    rng = rng_for(830)
+def test_fp_kernel_basis_is_reduced():
+    # kernel bases, a right factor of the sign tree, are reduced mod p, so
+    # a product with I returns them unchanged
     p, root = oracle._PRIMES[0]
     fp = oracle._Fp(p, root)
-    shapes = [(d, d, m) for d in (1, 2, 3, 5) for m in (1, d)]
-    for rows, inner, cols in shapes * 4:
-        a = [[rng.choice((0, 0, 1, 2, p - 1, rng.randrange(p)))
-              for _ in range(inner)] for _ in range(rows)]
-        a[0] = [int(j == rows % inner) for j in range(inner)]  # a unit row
-        b = [[rng.choice((0, 1, rng.randrange(p))) for _ in range(cols)]
-             for _ in range(inner)]
-        assert fp.matmul(a, b) == linalg._Plain.matmul(fp, a, b)
-    # kernel bases, the other right factor of the sign tree, are reduced
     a = [[1, 2, 3], [2, 4, 6], [0, 1, p - 1]]
     k = fp.kernel([row[:] for row in a])
     assert all(0 <= x < p for row in k for x in row)
-    ident = fp.identity(3)
-    assert fp.matmul(ident, k) == linalg._Plain.matmul(fp, ident, k) == k
+    assert fp.matmul(fp.identity(3), k) == k
 
 
 def test_exact_involution_check_matches_scalar_reference():
@@ -766,6 +756,42 @@ def test_common_eigenlines_dedups():
     d2 = Matrix([[ex(-1), ex(0)], [ex(0), ex(1)]])
     lines = common_eigenlines([d1, d2])
     assert len(lines) == 2
+
+
+def test_eigenline_lead_entry_follows_the_pivot_rule():
+    # the swap's lines (1, 1) and (1, -1), each scaled by the elimination's
+    # pivot rule: the first nonzero entry exact, the largest float, the
+    # last of equals
+    for conv, want in ((ex, [[1, 1], [1, -1]]), (fl, [[1, 1], [-1, 1]])):
+        swap = Matrix([[conv(0), conv(1)], [conv(1), conv(0)]])
+        lines = common_eigenlines([swap])
+        assert [[(x.re, x.im) for x in line.basis[0].column_entries()]
+                for line in lines] == [[(x, 0) for x in w] for w in want]
+
+
+def _small_family_images(n, conv):
+    """The images at n, on the backend of conv: family 1 at a in
+    {2, 1, -1, 0} and b in {1, 3}, full and reduced, family 2 at sign +-1
+    and c in {0, 1}, and family 3."""
+    out = [build_all_generators(RepSpec(2, n, c=conv(c), sign=sign))
+           for sign in (1, -1) for c in (0, 1)]
+    out.append(build_all_generators(RepSpec(3, n, exact=conv(0).exact)))
+    for a in (2, 1, -1, 0):
+        for b in (1, 3):
+            out.append(build_all_generators(RepSpec(1, n, conv(a), conv(b))))
+            out.append(reduced_generators(n, conv(a), conv(b)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_and_float_oracles_agree_on_small_families(n):
+    # the same algebra dimension and number of eigenlines on both backends;
+    # at n = 2 every reduced image is +-1 and family 3's is -I, so their
+    # stacked [g - s I] is 0
+    def answers(conv):
+        return [(algebra_closure(images).dim, len(common_eigenlines(images)))
+                for images in _small_family_images(n, conv)]
+    assert answers(ex) == answers(fl)
 
 
 def test_unwrap_accepts_generator_images():
