@@ -17,12 +17,12 @@ import os
 import sys
 
 from .scalars import (DEFAULT_EPS, ScalarError, Scalar, scalar_parse,
-                      scalar_format, set_default_eps)
+                      set_default_eps)
 from .reps import (ParameterError, RepSpec, build_all_generators,
                    build_generator, verify_relations)
 from .reduction import build_S, reduced_generators
 from .chains import delta as delta_closed, delta_direct
-from .irreducibility import (REDUCIBLE, cleared_poly, decide, roots_of_P,
+from .irreducibility import (cleared_poly, decide, roots_of_P,
                              root_residual)
 from .oracle import algebra_closure, common_eigenlines
 

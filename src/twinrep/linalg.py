@@ -15,9 +15,7 @@ Vectors are n-by-1 matrices; the column-vector convention is global.
 `Matrix.identity` with row patches is the one constructor of every matrix
 that differs from I in a few rows: generator images, Q, P and the S_j.  It
 checks the backend of the patch entries only and builds the other rows
-itself, each matrix with row lists of its own.  A Matrix has one private
-slot, `_lifts`, which `oracle` fills with the matrix's entries lifted to
-each number system it runs in, so each image is lifted once per system.
+itself, each matrix with row lists of its own.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ class DimensionError(ValueError):
 class Matrix:
     """Dense row-major matrix over one scalar backend."""
 
-    # `_lifts`: {number system key: lifted rows}, set and read by `oracle`
-    __slots__ = ("rows", "cols", "exact", "data", "_lifts")
+    __slots__ = ("rows", "cols", "exact", "data")
 
     def __init__(self, data):
         if not data or not data[0]:

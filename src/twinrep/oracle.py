@@ -41,19 +41,11 @@ Two detectors validate every verdict the decision procedure produces:
   largest (the last of equals) when float.
   Whether exact input consists of involutions is tested on Gaussian
   integers, squaring only the rows that are not unit rows.
-
-Each image is lifted once per number system: `_lifted` keeps the lifted
-rows in the Matrix's private slot, keyed by the prime or "complex", so both
-closure primes, the F_p sign tree and the float tree read the rows the
-first of them made.  Only the entries are kept; the relations the closure
-tests are found anew on every call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (DimensionError, Matrix, Subspace, _Complex, _Gaussian,
@@ -71,27 +63,10 @@ def _unwrap(images):
             raise DimensionError("mixed image dimensions")
         if m.exact != mats[0].exact:
             raise DimensionError("mixed image backends")
-    return mats, d
-
-
-def _lifted(num, m):
-    """num.lift(m), kept in m's private slot under num's key (its prime,
-    or "complex": the lift does not depend on eps), so that each image is
-    lifted once per number system; the complex lift is where float entries
-    are checked finite.  Callers never write the rows."""
-    try:
-        lifts = m._lifts
-    except AttributeError:
-        lifts = {}
-        object.__setattr__(m, "_lifts", lifts)
-    key = num.p if num.exact else "complex"
-    rows = lifts.get(key)
-    if rows is None:
-        rows = num.lift(m)
-        if not (num.exact or all(map(cmath.isfinite, chain(*rows)))):
+        if not (m.exact or all(math.isfinite(x.re) and math.isfinite(x.im)
+                               for row in m.data for x in row)):
             raise ValueError("the oracle needs finite matrix entries")
-        lifts[key] = rows
-    return rows
+    return mats, d
 
 
 class ClosureResult(NamedTuple):
@@ -142,7 +117,7 @@ def _is_gaussian_involution(rows):
     entries.  Row i of m @ m is e_i wherever row i of m is, so only the
     other rows are squared, and only they and the rows they reference are
     made Gaussian integers."""
-    nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in rows]
+    nonzero = _terms(rows)
     moved = [i for i, t in enumerate(nonzero)
              if not (len(t) == 1 and t[0][0] == i and t[0][1].re == 1
                      and not t[0][1].im)]
@@ -349,14 +324,14 @@ def algebra_closure(images):
     mats, d = _unwrap(images)
     if not mats[0].exact:
         span = _FloatSpan()
-        words = _grow(span, [_lifted(span, m) for m in mats], d)
+        words = _grow(span, [span.lift(m) for m in mats], d)
         gap = span.min_acc / span.max_rej if span.max_rej else math.inf
         return ClosureResult(len(words), words, gap)
     best = []
     for prime in _PRIMES:
         span = _ModSpan(*prime)
         try:
-            lifted = [_lifted(span, m) for m in mats]
+            lifted = [span.lift(m) for m in mats]
         except ValueError:  # the prime divides a denominator
             continue
         words = _grow(span, lifted, d)
@@ -432,7 +407,7 @@ def _exact_leaves(mats, d):
     for prime in _PRIMES:
         fp = _Fp(*prime)
         try:
-            gens = [_lifted(fp, m) for m in mats]
+            gens = [fp.lift(m) for m in mats]
         except ValueError:  # the prime divides a denominator
             continue
         leaves = []
@@ -445,7 +420,12 @@ def _exact_leaves(mats, d):
 
 
 def common_eigenlines(images):
-    """All lines fixed (up to sign) by every involution in the list.
+    """The common eigenlines of the involutions in the list: each sign
+    pattern whose common eigenspace is one-dimensional gives its line.
+
+    A pattern whose eigenspace has dimension 2 or more is not listed, nor
+    are the lines inside it: for family 3 at n = 2 the one image is -I,
+    which fixes every line, and none is returned.
 
     A sign tree starts from the whole space, basis matrix I.  Each generator
     g splits every candidate basis K into K @ kernel(g K - K) and
@@ -468,7 +448,7 @@ def common_eigenlines(images):
         num, leaves = _Gaussian(), _exact_leaves(mats, d)
     else:
         num = _Complex()
-        gens = [_lifted(num, m) for m in mats]
+        gens = [num.lift(m) for m in mats]
         if not all(_squares_to_identity(_terms(g), num.eq, num.one, num.zero)
                    for g in gens):
             raise ValueError("common_eigenlines expects involutions")

@@ -14,7 +14,7 @@ from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     decide, eval_P, root_residual, roots_of_P)
 from twinrep.linalg import Matrix, Subspace, mat_det
 from twinrep.oracle import algebra_closure
-from twinrep.reduction import (build_P, build_Q, build_S, build_reduced_gen,
+from twinrep.reduction import (build_P, build_S, build_reduced_gen,
                                invariant_vector, reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators, verify_relations
 from twinrep.scalars import Scalar, ex, fl

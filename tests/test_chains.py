@@ -5,7 +5,7 @@ import pytest
 
 from twinrep.chains import (closed_chain_vector, chain_vectors, delta,
                             delta_direct, delta_matrix)
-from twinrep.linalg import Matrix, mat_det
+from twinrep.linalg import mat_det
 from twinrep.reduction import ParameterError, build_S
 from twinrep.scalars import ScalarError, ex, fl
 from conftest import (rand_exact, rand_family1_params,

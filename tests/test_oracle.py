@@ -1,4 +1,3 @@
-import copy
 import math
 from fractions import Fraction
 
@@ -381,11 +380,10 @@ def test_exact_involution_check_matches_scalar_reference():
         g = rng.choice(images)
         d = g.rows
         if rng.random() < 0.5:
-            p = Matrix.identity(d)
             r, c = rng.sample(range(d), 2)
-            p.data[r][c] = ex(off_lattice(), off_lattice())
-            q = Matrix.identity(d)
-            q.data[r][c] = -p.data[r][c]  # the inverse of p
+            x = ex(off_lattice(), off_lattice())
+            p = Matrix.identity(d, True, {r: {r: ex(1), c: x}})
+            q = Matrix.identity(d, True, {r: {r: ex(1), c: -x}})  # p^-1
             perturbed.append(p @ g @ q)
         else:
             data = [list(row) for row in g.data]
@@ -446,31 +444,17 @@ DETECTORS = ("closure", "eigenlines")
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_lifted_images_give_the_results_of_fresh_ones(exact, monkeypatch):
-    # each image is lifted once per number system and kept in its slot:
     # the detectors, alone or together in either order, run twice on the
     # same images, under both primes or one, give what they give on fresh
-    # images, lift nothing twice and leave the lifted rows as they were
+    # images
     conv = (lambda x: x) if exact else (lambda x: x.to_float())
     points = [(5, ex(2, 1), ex(1, -2)), (5, ex(1), ex(2, 1)),
               (6, ex(-1), ex(Fraction(1, 2), 2)), (8, ex(0, 1), ex(1)),
               (4, ex(Fraction(1, P1)), ex(1))]
     orders = [(name,) for name in DETECTORS] + [DETECTORS, DETECTORS[::-1]]
-    lifts = [0]
-
-    def counting(lift):
-        def counted(*args):
-            rows = lift(*args)  # a lift that raises is not counted
-            lifts[0] += 1
-            return rows
-        return counted
-
-    monkeypatch.setattr(oracle._Fp, "lift", counting(oracle._Fp.lift))
-    monkeypatch.setattr(linalg._Complex, "lift",
-                        staticmethod(counting(linalg._Complex.lift)))
     primes = oracle._PRIMES
     for cut in (primes, primes[:1], primes[1:]):
         monkeypatch.setattr(oracle, "_PRIMES", cut)
-        keys = {p for p, _ in cut} if exact else {"complex"}
         for n, a, b in points:
             a, b = conv(a), conv(b)
             try:
@@ -481,19 +465,28 @@ def test_lifted_images_give_the_results_of_fresh_ones(exact, monkeypatch):
                 continue
             for order in orders:
                 images = _fresh_images(n, a, b)
-                lifts[0] = 0
                 for _ in range(2):
                     for name in order:
                         assert _detector_output(name, images) == want[name]
-                stored = [g._lifts for g in images]
-                assert lifts[0] == sum(map(len, stored))
-                assert all(set(s) <= keys for s in stored)
-                before = copy.deepcopy(stored)
-                for name in DETECTORS:
-                    _detector_output(name, images)
-                assert all(g._lifts[key] == rows
-                           for g, lifted in zip(images, before)
-                           for key, rows in lifted.items())
+
+
+@pytest.mark.parametrize("conv", [ex, fl])
+def test_detectors_read_the_entries_written_since_their_last_run(conv):
+    # g1 starts as g0 = diag(1, -1), then has the swap written into its
+    # rows: the pair generates all of M_2 and shares no eigenline, so each
+    # detector must give what it gives on fresh matrices, not on the
+    # entries it read before
+    g0, g1 = _diag(conv, 1, -1), _diag(conv, 1, -1)
+    assert algebra_closure([g0, g1]).dim == 2
+    assert len(common_eigenlines([g0, g1])) == 2
+    g1.data[0][:] = [conv(0), conv(1)]
+    g1.data[1][:] = [conv(1), conv(0)]
+    fresh = [_diag(conv, 1, -1), _permutation(conv, (1, 0))]
+    for name in DETECTORS:
+        assert (_detector_output(name, [g0, g1])
+                == _detector_output(name, fresh))
+    assert algebra_closure([g0, g1]).dim == 4
+    assert common_eigenlines([g0, g1]) == []
 
 
 def test_lifted_images_follow_an_eps_change():
@@ -552,8 +545,9 @@ def test_float_closure_near_reducible_point(n, a, b):
 
 def test_float_closure_rejects_non_finite_entries():
     bad = Matrix([[fl(1.0), fl(math.inf)], [fl(0.0), fl(1.0)]])
-    with pytest.raises(ValueError, match="finite"):
-        algebra_closure([bad])
+    for detector in (algebra_closure, common_eigenlines):
+        with pytest.raises(ValueError, match="oracle needs finite matrix"):
+            detector([bad])
 
 
 def _flat(m):
