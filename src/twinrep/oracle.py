@@ -14,7 +14,8 @@ Two detectors validate every verdict the decision procedure produces:
   when its residual is at most eps times the candidate's own largest entry.
   Exact mode works on ints mod a prime p = 1 (mod 4), with i sent to a
   square root of -1 mod p, as the MeatAxe does (R. A. Parker 1984; D. F.
-  Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994).  Its dimension is
+  Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994), p below 2^30 so
+  that a residue is one CPython digit.  Its dimension is
   never above the one over C, so d^2 certifies irreducibility.  The
   closure does not form a product that a relation of its input already
   puts in the span: g_k^2 = I and (g_k - I)(g_j - I) = 0, the twin
@@ -90,15 +91,24 @@ class _Fp(_Plain):
 
     def lift(self, m):
         """Each entry x + y i of m as x + root y mod p; ValueError if p
-        divides a denominator.  A zero entry lifts to 0 with no work, and
-        each denominator is inverted once for this instance (its prime)."""
-        p, inv = self.p, self._inverses
-        for den in {x.denominator for row in m.data for z in row
-                    for x in (z.re, z.im)} - inv.keys():
-            inv[den] = pow(den, -1, p)
-        mod = lambda x: x.numerator * inv[x.denominator]
-        return [[(mod(x.re) + self.root * mod(x.im)) % p if x.re or x.im
-                 else 0 for x in row] for row in m.data]
+        divides a denominator.  A zero lifts to 0 with no work: the shared
+        `Scalar.zero()` by identity, before any Fraction is read, another
+        zero by its parts.  Inverses are kept for this instance (its prime)."""
+        p, root, inv, zero = self.p, self.root, self._inverses, Scalar.zero()
+        out = []
+        for row in m.data:
+            out.append(lifted := [])
+            for z in row:
+                if z is zero or not (z.re or z.im):
+                    lifted.append(0)
+                    continue
+                x, y = z.re, z.im
+                dx, dy = x.denominator, y.denominator
+                if dx not in inv or dy not in inv:
+                    inv[dx], inv[dy] = pow(dx, -1, p), pow(dy, -1, p)
+                lifted.append((x.numerator * inv[dx]
+                               + root * y.numerator * inv[dy]) % p)
+        return out
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -181,9 +191,9 @@ class _FloatSpan(_Complex):
 
 
 # p = 1 (mod 4) with a square root of -1 mod p: the largest such prime
-# below 2^61, then the next one down
-_PRIMES = ((2305843009213693921, 583529827753931384),
-           (2305843009213693693, 966685122347009555))
+# below 2^30, then the next one down, so that a residue is one 30-bit
+# CPython digit and a product of two residues is two
+_PRIMES = ((1073741789, 933053945), (1073741741, 784215820))
 
 
 class _ModSpan(_Fp):

@@ -14,9 +14,12 @@ that `decide` shares, the chain entries included, live here too.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .linalg import Matrix
 from .reps import GeneratorImage, ParameterError, _check_family1, _family1_c
-from .scalars import Scalar, _ONE_PARTS, _cdiv, _cmul, _pow, _powers
+from .scalars import (Scalar, _ONE_PARTS, _cdiv, _cmul, _gaussian, _norm2,
+                      _pow, _powers)
 
 
 def invariant_vector(n, a, b):
@@ -71,8 +74,9 @@ def _reduced_gen_pairs(n, a, b, ks):
     of ks, its (1-a^2)/b by `reps._family1_c`.  The float entries
     (a-1)^j/(-b)^(j-1) of s_1 are formed with the steps of `Scalar.pow`
     and `Scalar.__truediv__`, so they equal the `Scalar` expression bit for
-    bit; the exact ones, the same values, by one running product.  O(n)
-    for each k."""
+    bit.  The exact ones come from Gaussian integers: a-1 = U/q and
+    -b = G/r (`_gaussian`) give entry j as U X^(j-1) / (q e^(j-1)), with
+    X = U r conj(G) and e = q |G|^2, by one running product.  O(n) each k."""
     _check_family1(a, b)
     exact = a.exact
     one = _ONE_PARTS[exact]
@@ -83,12 +87,18 @@ def _reduced_gen_pairs(n, a, b, ks):
             raise ParameterError("generator index %d out of range for n=%d"
                                  % (k, n))
         if k == 1:
-            # (a-1)^j/(-b)^(j-1), j = 2..n-1: exact, (a-1) ((a-1)/(-b))^(j-1)
-            s1 = (_powers(*_cdiv(ar - 1, ai - 0, -br, -bi, exact), n - 2,
-                          (ar - 1, ai - 0))[1:] if exact else
-                  [_cdiv(*_pow(ar - 1, ai - 0, j, exact),
-                         *_pow(-br, -bi, j - 1, exact), exact)
-                   for j in range(2, n)])
+            if exact:
+                (ur, ui), q = _gaussian(ar - 1, ai)
+                (gr, gi), r = _gaussian(-br, -bi)
+                x, e = _cmul(ur, ui, r * gr, -r * gi), q * _norm2(gr, gi)
+                s1, den = [], q
+                for sr, si in _powers(*x, n - 2, (ur, ui))[1:]:
+                    den *= e
+                    s1.append((Fraction(sr, den), Fraction(si, den)))
+            else:
+                s1 = [_cdiv(*_pow(ar - 1, ai - 0, j, exact),
+                            *_pow(-br, -bi, j - 1, exact), exact)
+                      for j in range(2, n)]
             rows = {0: {0: (-one[0], -one[1])}}
             for j, entry in enumerate(s1, 2):  # display row j is row j-1
                 rows[j - 1] = {0: entry, j - 1: one}

@@ -11,10 +11,11 @@ M = -I.  `_check_family1` is the one check of a family-1 (a, b), for
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix
-from .scalars import (_ONE_PARTS, _UNIT_SCALARS, Scalar, _cdiv, _cmul,
+from .scalars import (_UNIT_SCALARS, Scalar, _cdiv, _cmul, _gaussian, _norm2,
                       require_finite)
 
 
@@ -46,10 +47,18 @@ def _check_family1(a, b, not_pm1=False):
 
 def _family1_c(a, b):
     """The entry (1-a^2)/b of the family-1 block as an (re, im) pair of a's
-    and b's own numbers, step for step as in Scalar arithmetic."""
-    one = _ONE_PARTS[a.exact]
-    sr, si = _cmul(a.re, a.im, a.re, a.im)
-    return _cdiv(one[0] - sr, one[1] - si, b.re, b.im, a.exact)
+    and b's own numbers: floats by the steps of Scalar arithmetic, exact
+    parts from a = A/q and b = B/r (`_gaussian`) as the Gaussian integer
+    (q^2 - A^2) r conj(B) over q^2 |B|^2."""
+    if not a.exact:
+        sr, si = _cmul(a.re, a.im, a.re, a.im)
+        return _cdiv(1.0 - sr, 0.0 - si, b.re, b.im, False)
+    (ar, ai), q = _gaussian(a.re, a.im)
+    (br, bi), r = _gaussian(b.re, b.im)
+    sr, si = _cmul(ar, ai, ar, ai)
+    nr, ni = _cmul(q * q - sr, -si, r * br, -r * bi)
+    den = q * q * _norm2(br, bi)
+    return Fraction(nr, den), Fraction(ni, den)
 
 
 class _RepSpecFields(NamedTuple):

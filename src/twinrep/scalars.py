@@ -10,7 +10,8 @@ backends; every operation here raises `BackendMismatchError` on a mixed pair.
 Each pair formula is written once, on plain (re, im) pairs of Fractions or
 floats: `_cmul`, `_cdiv` (with `_norm2`, its divisor test, which
 `Scalar.invertible` shares), `_pow` (repeated squaring by `_cmul` on either
-backend) and `_close`, the float equality, which `Scalar.eq` and
+backend), `_gaussian` (exact parts as a Gaussian integer over one
+denominator) and `_close`, the float equality, which `Scalar.eq` and
 `linalg`'s complex number system share.  `Scalar`'s product, quotient and
 power wrap them, and the package's hot paths call them directly, so both
 give the same values bit for bit.  A `Scalar` is false only when it is 0,
@@ -272,6 +273,14 @@ def _pow(xr, xi, k, exact):
     """(xr + xi i)^k for k >= 0, the one power formula: `_cpow`, with the
     parts of `Scalar.one` at k = 0."""
     return _cpow(xr, xi, k) if k else _ONE_PARTS[exact]
+
+
+def _gaussian(re, im):
+    """Exact parts as ((xr, xi), q): q the lcm of their denominators, and
+    xr + xi i the Gaussian integer q (re + im i)."""
+    q = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (q // re.denominator),
+            im.numerator * (q // im.denominator)), q
 
 
 def _powers(xr, xi, k, first):

@@ -74,7 +74,8 @@ def test_modular_closure_matches_fraction_reference(n, monkeypatch):
 def test_oracle_primes_and_roots():
     assert len(oracle._PRIMES) == 2 and P1 != P2
     for p, root in oracle._PRIMES:
-        assert is_prime(p) and p % 4 == 1 and p < 2 ** 61, p
+        # below 2^30 a residue is one CPython digit
+        assert is_prime(p) and p % 4 == 1 and p < 2 ** 30, p
         assert root * root % p == p - 1, p  # root = sqrt(-1) mod p
 
 
@@ -319,11 +320,16 @@ def test_fp_lift_matches_per_entry_inverses():
 
     def entry():
         if rng.random() < 0.3:
-            return ex(0)
+            # the shared zero, known by identity, or a zero of its own
+            return rng.choice((Scalar.zero(),
+                               Scalar(Fraction(0), Fraction(0), True)))
         return ex(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
                     for _ in range(2)))
 
     m = Matrix([[entry() for _ in range(5)] for _ in range(5)])
+    zeros = [z for row in m.data for z in row if not z]
+    assert any(z is Scalar.zero() for z in zeros)
+    assert any(z is not Scalar.zero() for z in zeros)
     for p, root in oracle._PRIMES:
         # one instance per prime, used twice: the second lift reads only
         # inverses this prime computed

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +167,19 @@ def test_reduced_rows_match_scalar_reference_bit_for_bit():
     for _ in range(40):
         a, b = rand_family1_params(rng, gaussian=rng.random() < 0.5)
         cases.append((rng.randint(3, 12), a, b))
+    # exact entries from Gaussian integers: n up to 40, a = +-1 and +-i,
+    # denominators up to 2^70 + 1, and a purely imaginary b
+    dens = (1, 2, 3, 12, 2 ** 31 - 1, 2 ** 70 + 1)
+
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 40),
+                        rng.choice(dens))
+
+    for _ in range(40):
+        a = rng.choice((ex(1), ex(-1), ex(0, 1), ex(0, -1), ex(part()),
+                        ex(part(), part())))
+        b = ex(0, part()) if rng.random() < 0.3 else ex(part(), part())
+        cases.append((rng.randint(3, 40), a, b))
     # b counted as 0, powers of b that underflow, a^2 that overflows, and
     # signed zeros
     cases += [(5, fl(2.0), fl(1e-170)), (45, fl(2.0), fl(1e-8)),
