@@ -38,7 +38,7 @@ from .reduction import (_chain_entries, _chain_entry_pairs, _eigvec_w_pairs,
                         _reduced_gen_pairs)
 from .reps import ParameterError, _check_family1
 from .scalars import (Scalar, _ONE_PARTS, _UNIT_SCALARS, _ZERO_PARTS, _cdiv,
-                      _cmul, _cpow, _pow, _powers, default_eps)
+                      _cmul, _cpow, _gaussian, _pow, _powers, default_eps)
 
 
 class ClearedPoly(NamedTuple):
@@ -105,10 +105,7 @@ def _exact_P(n, a):
     is correctly rounded, as `Fraction.__float__` is: |P| is the float
     `eval_P(n, a).magnitude()` gives.  A part too large for a float makes
     |P| too large as well, so it reads inf."""
-    re, im = a.re, a.im
-    q = math.lcm(re.denominator, im.denominator)
-    pr = re.numerator * (q // re.denominator)
-    pi = im.numerator * (q // im.denominator)
+    (pr, pi), q = _gaussian(a.re, a.im)
     hr, hi = _cpow(q + pr, pi, n - 4)
     mr, mi = _cmul(hr, hi, *_cpow(q + pr, pi, 4))
     br, bi = _cpow(q - pr, -pi, n)

@@ -1,6 +1,9 @@
 """Paper-independent irreducibility checks.
 
-Two detectors validate every verdict the decision procedure produces:
+Two detectors validate every verdict the decision procedure produces.
+Both read each image once, in `_unwrap`, as its patch {row: {column:
+entry}} over the rows that are not e_row, and work on patches alone,
+lifted entry by entry into a number system.
 
 * Burnside test: a set of d x d complex matrices acts irreducibly iff the
   unital algebra they generate has dimension d^2.  The closure is left-only:
@@ -21,7 +24,7 @@ Two detectors validate every verdict the decision procedure produces:
   puts in the span: g_k^2 = I and (g_k - I)(g_j - I) = 0, the twin
   group's s_k^2 = 1 and far commutation, each checked on the input so that
   the oracle stays independent of the paper; `_grow` gives the proof.  g v
-  recomputes only the rows g moves, and elimination runs over nonzero
+  recomputes only g's patch rows, and elimination runs over nonzero
   entries: a term left out is an exact 0, so dims, words and the float
   rank gap are those of a dense pass, bit for bit.
 * Common eigenline enumeration for involutions: every one-dimensional
@@ -31,7 +34,8 @@ Two detectors validate every verdict the decision procedure produces:
   column are the eigenlines.  This sign tree is written once over a number
   system, and its products and kernels are `linalg`'s one product and one
   elimination loop.  Float mode runs it on `complex`, the loops' float
-  number system.  Exact mode runs it over F_p with the closure's primes: a
+  number system.  Exact mode runs it over F_p with the closure's primes,
+  and refuses a denominator both divide, as the closure does: a
   sign pattern's subspace is the kernel of the stacked matrix [g - s I]
   over the generators g and their signs s, whose rank can only drop mod p,
   so a pattern empty mod p is empty over Q(i).  Each full pattern that
@@ -41,7 +45,7 @@ Two detectors validate every verdict the decision procedure produces:
   elimination uses: its first nonzero entry is made 1 when exact, its
   largest (the last of equals) when float.
   Whether exact input consists of involutions is tested on Gaussian
-  integers, squaring only the rows that are not unit rows.
+  integers, squaring only the patch rows.
 """
 
 from __future__ import annotations
@@ -55,19 +59,50 @@ from .scalars import Scalar
 
 
 def _unwrap(images):
+    """(exact, patches, d) for d x d images of one backend, read once: each
+    patch is {row: {column: entry}} over the rows that are not e_row, its
+    nonzero entries in column order (`Matrix.identity`'s format).  A row is
+    e_row when its one nonzero entry is a diagonal 1, by value; the shared
+    `Scalar.zero()` is passed over by identity.  Only patch entries are
+    checked finite: a unit row is, and NaN and inf land in a patch."""
     mats = [img.matrix if hasattr(img, "matrix") else img for img in images]
     if not mats:
         raise DimensionError("need at least one image")
-    d = mats[0].rows
+    d, exact = mats[0].rows, mats[0].exact
+    zero = Scalar.zero(exact)
+    patches = []
     for m in mats:
         if m.rows != d or m.cols != d:
             raise DimensionError("mixed image dimensions")
-        if m.exact != mats[0].exact:
+        if m.exact != exact:
             raise DimensionError("mixed image backends")
-        if not (m.exact or all(math.isfinite(x.re) and math.isfinite(x.im)
-                               for row in m.data for x in row)):
+        patch = {}
+        for i, row in enumerate(m.data):
+            terms = {j: x for j, x in enumerate(row) if x is not zero and x}
+            if terms.keys() != {i} or terms[i].re != 1 or terms[i].im:
+                patch[i] = terms
+        if not (exact or all(math.isfinite(x.re) and math.isfinite(x.im)
+                             for row in patch.values()
+                             for x in row.values())):
             raise ValueError("the oracle needs finite matrix entries")
-    return mats, d
+        patches.append(patch)
+    return exact, patches, d
+
+
+def _lifted(patches, lift):
+    """The patches with each entry lifted by `lift` into a number system,
+    an entry that lifts to 0 dropped; a row stays even if it empties."""
+    return [{i: {j: c for j, x in row.items() if (c := lift(x))}
+             for i, row in patch.items()} for patch in patches]
+
+
+def _dense(num, patch, d):
+    """The d x d rows, in num's numbers, of the image a lifted patch gives."""
+    rows = [[num.zero] * d for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, c in patch.get(i, {i: num.one}).items():
+            row[j] = c
+    return rows
 
 
 class ClosureResult(NamedTuple):
@@ -78,7 +113,7 @@ class ClosureResult(NamedTuple):
 
 class _Fp(_Plain):
     """Ints mod a prime p = 1 (mod 4), i sent to `root`, a square root of
-    -1 mod p.  Pivots are first nonzero entries."""
+    -1 mod p.  Pivots are first nonzero entries; `lift` takes one entry."""
 
     zero, one = 0, 1
 
@@ -89,26 +124,16 @@ class _Fp(_Plain):
     def eq(self, x, y):
         return (x - y) % self.p == 0
 
-    def lift(self, m):
-        """Each entry x + y i of m as x + root y mod p; ValueError if p
-        divides a denominator.  A zero lifts to 0 with no work: the shared
-        `Scalar.zero()` by identity, before any Fraction is read, another
-        zero by its parts.  Inverses are kept for this instance (its prime)."""
-        p, root, inv, zero = self.p, self.root, self._inverses, Scalar.zero()
-        out = []
-        for row in m.data:
-            out.append(lifted := [])
-            for z in row:
-                if z is zero or not (z.re or z.im):
-                    lifted.append(0)
-                    continue
-                x, y = z.re, z.im
-                dx, dy = x.denominator, y.denominator
-                if dx not in inv or dy not in inv:
-                    inv[dx], inv[dy] = pow(dx, -1, p), pow(dy, -1, p)
-                lifted.append((x.numerator * inv[dx]
-                               + root * y.numerator * inv[dy]) % p)
-        return out
+    def lift(self, z):
+        """The exact scalar x + y i as x + root y mod p; ValueError if p
+        divides a denominator.  Inverses are kept per instance (prime)."""
+        p, inv = self.p, self._inverses
+        x, y = z.re, z.im
+        dx, dy = x.denominator, y.denominator
+        if dx not in inv or dy not in inv:
+            inv[dx], inv[dy] = pow(dx, -1, p), pow(dy, -1, p)
+        return (x.numerator * inv[dx]
+                + self.root * y.numerator * inv[dy]) % p
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -121,27 +146,22 @@ class _Fp(_Plain):
         return [x % p for x in row]
 
 
-def _is_gaussian_involution(rows):
-    """m @ m == I for the exact `Scalar` rows of m, tested as G @ G == D^2 I
-    on the Gaussian integers G = D m, D the lcm of the denominators of m's
-    entries.  Row i of m @ m is e_i wherever row i of m is, so only the
-    other rows are squared, and only they and the rows they reference are
-    made Gaussian integers."""
-    nonzero = _terms(rows)
-    moved = [i for i, t in enumerate(nonzero)
-             if not (len(t) == 1 and t[0][0] == i and t[0][1].re == 1
-                     and not t[0][1].im)]
-    den = math.lcm(*(x.denominator for i in moved for _, z in nonzero[i]
-                     for x in (z.re, z.im)))
-    terms = {j: [(k, (z.re.numerator * (den // z.re.denominator),
-                      z.im.numerator * (den // z.im.denominator)))
-                 for k, z in nonzero[j]]
-             for j in {j for i in moved for j, _ in nonzero[i]}.union(moved)}
+def _is_gaussian_involution(patch):
+    """m @ m == I for the image m of an exact patch, tested as G @ G == D^2 I
+    on the Gaussian integers G = D m, D the lcm of the denominators of the
+    patch entries.  Row i of m @ m is e_i wherever row i of m is, so only
+    the patch rows are squared; a row outside the patch is read as D e_j."""
+    den = math.lcm(*(x.denominator for row in patch.values()
+                     for z in row.values() for x in (z.re, z.im)))
+    rows = {i: [(j, (z.re.numerator * (den // z.re.denominator),
+                     z.im.numerator * (den // z.im.denominator)))
+                for j, z in row.items()]
+            for i, row in patch.items()}
     square = den * den
-    for i in moved:
+    for i, terms in rows.items():
         acc = {}
-        for j, (cr, ci) in terms[i]:
-            for k, (yr, yi) in terms[j]:
+        for j, (cr, ci) in terms:
+            for k, (yr, yi) in rows.get(j, ((j, (den, 0)),)):
                 sr, si = acc.get(k, (0, 0))
                 acc[k] = (sr + cr * yr - ci * yi, si + cr * yi + ci * yr)
         if (acc.pop(i, (0, 0)) != (square, 0)
@@ -226,11 +246,10 @@ class _ModSpan(_Fp):
 
 
 def _grow(span, lifted, d):
-    """Words of the left-only closure of the lifted images, eliminated in
-    span.  Each image is kept as its nonzero (column, entry) terms per row;
-    g v is a copy of v, whose unit rows 1 x are v's own, with the other
-    rows recomputed over v's nonzero rows, and a unit entry is not
-    multiplied out.
+    """Words of the left-only closure of the lifted patches, eliminated in
+    span.  g v is a copy of v, whose rows outside g's patch are v's own,
+    with the patch rows recomputed over v's nonzero rows, and a unit entry
+    is not multiplied out.
 
     A candidate g_k v is not formed when a relation of the input proves it
     already lies in the span.  An accepted row v of word (j,) + word(u) is
@@ -238,23 +257,22 @@ def _grow(span, lifted, d):
     and every image has been applied to u and to each of those rows.
     Hence g_k v is in the span when j = k and g_k^2 = I, and when
     (g_k - I)(g_j - I) = 0, since then g_k g_j u = g_j u + g_k u - u.  Each
-    relation is checked once, on the lifted terms in the span's own number
-    system, so the closure assumes nothing from the paper: g_k^2 = I under
-    span.eq, and the product structurally, as the rows and columns where
-    g_j - I and g_k - I are nonzero not meeting (then g_j and g_k
+    relation is checked once, on the lifted patches in the span's own
+    number system, so the closure assumes nothing from the paper: g_k^2 = I
+    under span.eq, and the product structurally, as the rows and columns
+    where g_j - I and g_k - I are nonzero not meeting (then g_j and g_k
     commute).  A skipped candidate is one the span would reject, so exact
     dims and words do not change."""
     full = d * d
-    gens = [_terms(m) for m in lifted]
-    # per image, each row it moves: the slice of that row in g v, and its
-    # terms as (column, entry), the entry None for a unit entry
+    # per image, each patch row: its slice in g v, and its terms as
+    # (column, entry), the entry None for a unit entry
     plans = [[(slice(r * d, r * d + d),
-               [(j, None if c == 1 else c) for j, c in terms])
-              for r, terms in enumerate(g) if terms != [(r, span.one)]]
-             for g in gens]
+               [(j, None if c == 1 else c) for j, c in terms.items()])
+              for r, terms in g.items()]
+             for g in lifted]
     involution = [_squares_to_identity(g, span.eq, span.one, span.zero)
-                  for g in gens]
-    moved = [_moved(g, span.one) for g in gens]
+                  for g in lifted]
+    moved = [_moved(g) for g in lifted]
     disjoint = [[not (s & t) for t in moved] for s in moved]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(full)])
     zero = [0] * d
@@ -288,20 +306,10 @@ def _grow(span, lifted, d):
     return words
 
 
-def _terms(m):
-    """The nonzero (column, entry) terms of each row of m."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
-def _moved(terms, one):
+def _moved(patch):
     """The indices of the rows and columns where g - I is nonzero, for g
-    given by its terms."""
-    out = set()
-    for r, row in enumerate(terms):
-        if row != [(r, one)]:
-            out.add(r)
-            out.update(j for j, _ in row)
-    return out
+    given by its patch: the patch rows and the columns they use."""
+    return set(patch).union(*patch.values())
 
 
 def algebra_closure(images):
@@ -331,17 +339,17 @@ def algebra_closure(images):
     accepted relative residual over the largest rejected one (inf when
     nothing is rejected), both over the candidates actually tested, so
     skipping can only raise it."""
-    mats, d = _unwrap(images)
-    if not mats[0].exact:
+    exact, patches, d = _unwrap(images)
+    if not exact:
         span = _FloatSpan()
-        words = _grow(span, [span.lift(m) for m in mats], d)
+        words = _grow(span, _lifted(patches, Scalar.to_complex), d)
         gap = span.min_acc / span.max_rej if span.max_rej else math.inf
         return ClosureResult(len(words), words, gap)
     best = []
     for prime in _PRIMES:
         span = _ModSpan(*prime)
         try:
-            lifted = [span.lift(m) for m in mats]
+            lifted = _lifted(patches, span.lift)
         except ValueError:  # the prime divides a denominator
             continue
         words = _grow(span, lifted, d)
@@ -354,16 +362,16 @@ def algebra_closure(images):
     return ClosureResult(len(best), best, math.inf)
 
 
-def _squares_to_identity(rows, eq, one, zero):
-    """m @ m == I, entry by entry under eq, for m given as the nonzero
-    (column, entry) terms of each row; a unit entry is not multiplied
-    out, and a row e_i is skipped, since row i of m @ m is then e_i."""
-    for i, terms in enumerate(rows):
-        if terms == [(i, one)]:
-            continue
+def _squares_to_identity(patch, eq, one, zero):
+    """m @ m == I, entry by entry under eq, for the image m of a patch.
+    Only the patch rows are squared, since row i of m @ m is e_i wherever
+    row i of m is; a row outside the patch is read as e_j, and a unit entry
+    is not multiplied out."""
+    for i, terms in patch.items():
         acc = {}
-        for j, c in terms:
-            for k, y in rows[j]:
+        for j, c in terms.items():
+            row = patch[j].items() if j in patch else ((j, one),)
+            for k, y in row:
                 t = y if c == one else c * y
                 acc[k] = acc[k] + t if k in acc else t
         if not (eq(acc.pop(i, zero), one)
@@ -391,42 +399,35 @@ def _sign_tree(num, gens, d):
     return leaves
 
 
-def _eigenspace_rows(mats, signs):
-    """The rows of the stacked matrix [g - s I] over the exact images g and
-    their signs s, whose kernel is the pattern's common eigenspace."""
-    out = []
-    for m, s in zip(mats, signs):
-        shift = Scalar.one() if s == 1 else -Scalar.one()
-        for i, row in enumerate(m.data):
-            row = list(row)
-            row[i] = row[i] - shift
-            out.append(row)
-    return out
-
-
-def _exact_leaves(mats, d):
-    """The nonzero leaves (signs, K) of the sign tree on the exact images.
+def _exact_leaves(patches, d):
+    """The nonzero leaves (signs, K) of the sign tree on the exact patches.
 
     The tree runs over F_p, for the first oracle prime that lifts the
-    images.  Reduction mod p can only lower the rank of [g - s I], so the
+    patches.  Reduction mod p can only lower the rank of [g - s I], so the
     full sign patterns it leaves are the only ones that can be nonzero
     over Q(i); the kernel of each one's stacked rows on the exact entries,
-    by one elimination, is its leaf.  The tree on the exact entries runs
-    only when both primes divide a denominator."""
+    by one elimination, is its leaf.  ValueError if both primes divide a
+    denominator, as in `algebra_closure`."""
     num = _Gaussian()
     for prime in _PRIMES:
         fp = _Fp(*prime)
         try:
-            gens = [fp.lift(m) for m in mats]
+            gens = [_dense(fp, g, d) for g in _lifted(patches, fp.lift)]
         except ValueError:  # the prime divides a denominator
             continue
         leaves = []
         for signs, _ in _sign_tree(fp, gens, d):
-            basis = num.kernel(_eigenspace_rows(mats, signs))
+            stacked = []  # [g - s I] over the images g and their signs s
+            for patch, s in zip(patches, signs):
+                shift = num.one if s == 1 else -num.one
+                for i, row in enumerate(_dense(num, patch, d)):
+                    row[i] = row[i] - shift
+                    stacked.append(row)
+            basis = num.kernel(stacked)
             if basis is not None:
                 leaves.append((signs, basis))
         return leaves
-    return _sign_tree(num, [num.lift(m) for m in mats], d)
+    raise ValueError("both oracle primes divide a denominator")
 
 
 def common_eigenlines(images):
@@ -450,19 +451,20 @@ def common_eigenlines(images):
     (i -> a square root of -1) for the first oracle prime that lifts the
     images, and takes the leaf of each sign pattern that survives mod p
     from one kernel on the images' own Gaussian-rational `Scalar`s (see
-    `_exact_leaves`): for a generic point there are none."""
-    mats, d = _unwrap(images)
-    if mats[0].exact:
-        if not all(_is_gaussian_involution(m.data) for m in mats):
+    `_exact_leaves`): for a generic point there are none.  ValueError if
+    both primes divide a denominator, as in `algebra_closure`."""
+    exact, patches, d = _unwrap(images)
+    if exact:
+        if not all(_is_gaussian_involution(p) for p in patches):
             raise ValueError("common_eigenlines expects involutions")
-        num, leaves = _Gaussian(), _exact_leaves(mats, d)
+        num, leaves = _Gaussian(), _exact_leaves(patches, d)
     else:
         num = _Complex()
-        gens = [num.lift(m) for m in mats]
-        if not all(_squares_to_identity(_terms(g), num.eq, num.one, num.zero)
+        gens = _lifted(patches, Scalar.to_complex)
+        if not all(_squares_to_identity(g, num.eq, num.one, num.zero)
                    for g in gens):
             raise ValueError("common_eigenlines expects involutions")
-        leaves = _sign_tree(num, gens, d)
+        leaves = _sign_tree(num, [_dense(num, g, d) for g in gens], d)
     lines = []
     for _, k in leaves:
         if len(k[0]) == 1:

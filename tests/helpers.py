@@ -12,7 +12,7 @@ from twinrep import oracle
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, Verdict, _exact_P,
                                     eval_P, witness_check)
 from twinrep.linalg import DimensionError, Matrix, Subspace
-from twinrep.oracle import _FloatSpan, _unwrap, algebra_closure
+from twinrep.oracle import _FloatSpan, _lifted, _unwrap, algebra_closure
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
                                build_S)
 from twinrep.reps import RepSpec, build_block, build_generator
@@ -96,10 +96,35 @@ def conjugated_full_gen(n, a, b, k):
     return qinv @ full @ q
 
 
+def _matrices(images):
+    """The images' matrices and their size, read without the oracle."""
+    mats = [img.matrix if hasattr(img, "matrix") else img for img in images]
+    return mats, mats[0].rows
+
+
 def is_irreducible_oracle(images):
     """Burnside: irreducible iff the generated algebra is all of d x d."""
-    mats, d = _unwrap(images)
-    return algebra_closure(mats).dim == d * d
+    _, d = _matrices(images)
+    return algebra_closure(images).dim == d * d
+
+
+def predicted_structure(n, verdict):
+    """(algebra dimension, eigenline count) of the reduced images that the
+    verdict of `decide` predicts, d = n - 1: (d^2, 0) when irreducible;
+    (d^2 - d + 1, 0) at a root of P, where every image keeps the witness
+    hyperplane W, whose stabiliser in M_d has that dimension; and
+    (d(d + 1)/2, 1) at a = +-1, where c = (1 - a^2)/b = 0 makes every block
+    triangular, so a complete flag is invariant and the algebra lies in its
+    triangular algebra.  The dimensions are upper bounds; equality, and the
+    eigenline counts, are observations on the tests' grid."""
+    d = n - 1
+    if not verdict.reducible:
+        return d * d, 0
+    if verdict.reason == "root-of-P":
+        return d * d - d + 1, 0
+    if verdict.reason in ("a=1", "a=-1"):
+        return d * (d + 1) // 2, 1
+    raise ValueError("no prediction for a %s verdict" % verdict.reason)
 
 
 def reference_closure(images):
@@ -108,7 +133,7 @@ def reference_closure(images):
     flattened products, entries as (re, im) Fraction pairs.  The reference
     for the modular closure in `algebra_closure`, which must accept the same
     candidates in the same order."""
-    mats, d = _unwrap(images)
+    mats, d = _matrices(images)
     zero = (Fraction(0), Fraction(0))
     gens = [[[(k, (x.re, x.im)) for k, x in enumerate(row) if not x.is_zero()]
              for row in m.data] for m in mats]
@@ -183,15 +208,15 @@ class DenseFloatSpan(_FloatSpan):
         return True
 
 
-def dense_left_product(terms, v, d):
-    """g @ v for the flattened d x d matrix v and g given by the nonzero
-    (column, entry) terms of each row, every row summed from its terms:
-    the formation `oracle._grow` replaced by recomputing only the rows g
-    moves."""
+def dense_left_product(patch, v, d):
+    """g @ v for the flattened d x d matrix v and g given by its lifted
+    patch, every row summed from its terms, a row outside the patch as the
+    unit term (row, 1): the formation `oracle._grow` replaced by
+    recomputing only the patch rows."""
     gv = []
-    for row in terms:
+    for r in range(d):
         acc = None
-        for col, c in row:
+        for col, c in patch.get(r, {r: 1}).items():
             seg = v[col * d:col * d + d]
             if c != 1:
                 seg = [c * x for x in seg]
@@ -206,13 +231,12 @@ def dense_float_closure(images):
     candidate formed by `dense_left_product` and eliminated by
     `DenseFloatSpan`.  The relations are looked up in `oracle` at call
     time, so a test that hides one from `_grow` hides it here too."""
-    mats, d = _unwrap(images)
+    _, patches, d = _unwrap(images)
     span = DenseFloatSpan()
-    lifted = [span.lift(m) for m in mats]
-    gens = [oracle._terms(m) for m in lifted]
+    gens = _lifted(patches, Scalar.to_complex)
     involution = [oracle._squares_to_identity(g, span.eq, span.one,
                                               span.zero) for g in gens]
-    moved = [oracle._moved(g, span.one) for g in gens]
+    moved = [oracle._moved(g) for g in gens]
     span.insert([1 if j % (d + 1) == 0 else 0 for j in range(d * d)])
     words = [()]
     i = 0
@@ -366,7 +390,7 @@ def reference_matmul(a, b):
 
 def word_matrix(images, word):
     """images[k1] @ ... @ images[km] for word (k1, ..., km); I for ()."""
-    mats, d = _unwrap(images)
+    mats, d = _matrices(images)
     out = Matrix.identity(d, mats[0].exact)
     for k in reversed(word):
         out = mats[k] @ out
@@ -885,7 +909,7 @@ def reference_common_eigenlines(images):
     into K @ kernel(g K - K) and K @ kernel(g K + K), empty parts dropped;
     the one-column candidates, scaled to a lead entry of 1, are the lines,
     in (+1, -1) sign order."""
-    mats, d = _unwrap(images)
+    mats, d = _matrices(images)
     ident = Matrix.identity(d, mats[0].exact)
     for m in mats:
         if not reference_matmul(m, m).eq(ident):

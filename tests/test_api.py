@@ -83,3 +83,25 @@ def test_no_unused_imports():
     unused = {os.path.relpath(p, _ROOT): found for p in paths
               if (found := _unused_imports(p))}
     assert unused == {}
+
+
+def test_package_imports_only_the_stdlib():
+    # every absolute import in the package names a standard-library module
+    # (relative imports are the package's own)
+    found = {}
+    for path in sorted(glob.glob(os.path.join(twinrep.__path__[0], "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], []).append(
+                    "%s:%d" % (os.path.basename(path), node.lineno))
+    assert "fractions" in found
+    assert {name: where for name, where in found.items()
+            if name not in sys.stdlib_module_names} == {}

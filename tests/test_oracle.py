@@ -7,14 +7,14 @@ from twinrep import linalg, oracle
 from twinrep.irreducibility import decide
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure, common_eigenlines
-from twinrep.reduction import reduced_generators
-from twinrep.reps import RepSpec, build_all_generators
+from twinrep.reduction import _reduced_gen_rows, reduced_generators
+from twinrep.reps import RepSpec, build_all_generators, build_block
 from twinrep.scalars import Scalar, ex, fl, set_default_eps
 from conftest import rand_family1_params, rng_for
 from helpers import (dense_float_closure, is_irreducible_oracle, is_prime,
                      reference_common_eigenlines, reference_closure,
-                     reference_is_involution, reference_witness_check,
-                     word_matrix)
+                     predicted_structure, reference_is_involution,
+                     reference_witness_check, word_matrix)
 
 (P1, _), (P2, _) = oracle._PRIMES
 
@@ -142,7 +142,7 @@ def _hiding(monkeypatch, name):
     with disjoint supports."""
     monkeypatch.setattr(oracle, name, {
         "_squares_to_identity": lambda *args: False,
-        "_moved": lambda terms, one: {0}}[name])
+        "_moved": lambda patch: {0}}[name])
 
 
 def _closure_inserts(monkeypatch, images, skip=True):
@@ -307,44 +307,136 @@ def test_modular_closure_recomputes_every_moved_row(n, monkeypatch):
     assert (res.dim, res.words) == reference_closure(gens)
 
 
-def _per_entry_lift(m, p, root):
+def _per_entry_lift(x, p, root):
     """`_Fp.lift` as it inverted every denominator anew."""
-    mod = lambda x: x.numerator * pow(x.denominator, -1, p)
-    return [[(mod(x.re) + root * mod(x.im)) % p for x in row]
-            for row in m.data]
+    mod = lambda q: q.numerator * pow(q.denominator, -1, p)
+    return (mod(x.re) + root * mod(x.im)) % p
+
+
+def _random_exact(rng):
+    dens = (1, 3, 7, 12, 2 ** 70 + 1)
+    return ex(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                for _ in range(2)))
 
 
 def test_fp_lift_matches_per_entry_inverses():
     rng = rng_for(820)
-    dens = (1, 3, 7, 12, 2 ** 70 + 1)
-
-    def entry():
-        if rng.random() < 0.3:
-            # the shared zero, known by identity, or a zero of its own
-            return rng.choice((Scalar.zero(),
-                               Scalar(Fraction(0), Fraction(0), True)))
-        return ex(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
-                    for _ in range(2)))
-
-    m = Matrix([[entry() for _ in range(5)] for _ in range(5)])
-    zeros = [z for row in m.data for z in row if not z]
-    assert any(z is Scalar.zero() for z in zeros)
-    assert any(z is not Scalar.zero() for z in zeros)
+    entries = [_random_exact(rng) for _ in range(25)]
     for p, root in oracle._PRIMES:
         # one instance per prime, used twice: the second lift reads only
         # inverses this prime computed
         fp = oracle._Fp(p, root)
-        want = _per_entry_lift(m, p, root)
-        assert fp.lift(m) == want and fp.lift(m) == want, p
+        want = [_per_entry_lift(x, p, root) for x in entries]
+        for _ in range(2):
+            assert [fp.lift(x) for x in entries] == want, p
     # p divides a denominator: ValueError, under that prime only
-    bad = Matrix([[ex(1), ex(Fraction(1, 3), Fraction(2, P1))],
-                  [ex(0), ex(Fraction(-5, 7))]])
+    bad = ex(Fraction(1, 3), Fraction(2, P1))
     (p1, root1), (p2, root2) = oracle._PRIMES
     with pytest.raises(ValueError):
         oracle._Fp(p1, root1).lift(bad)
     with pytest.raises(ValueError):
         _per_entry_lift(bad, p1, root1)
     assert oracle._Fp(p2, root2).lift(bad) == _per_entry_lift(bad, p2, root2)
+
+
+def _patch(m):
+    return oracle._unwrap([m])[1][0]
+
+
+def _expected_patch(rows):
+    """The rows {row: {column: entry}} with their zero entries dropped,
+    less the rows that are then e_row, entries as their reprs (which tell
+    -0.0 from 0.0), in column order."""
+    out = {}
+    for i, row in rows.items():
+        row = {j: repr(x) for j, x in sorted(row.items()) if x.re or x.im}
+        if list(row) != [i] or rows[i][i].re != 1 or rows[i][i].im:
+            out[i] = row
+    return out
+
+
+def _patch_reprs(patch):
+    return {i: {j: repr(x) for j, x in row.items()}
+            for i, row in patch.items()}
+
+
+def test_unwrap_patches_are_the_non_unit_rows():
+    # the reduced images: their `_reduced_gen_rows` less zeros and unit
+    # rows; at a = 1 the rows 1.. of s_1 are unit rows
+    rng = rng_for(830)
+    for n in (2, 3, 4, 7):
+        for a in (ex(1), ex(-1), ex(0, 1), ex(0), _random_exact(rng)):
+            b = ex(Fraction(3, 2), -1)
+            for a, b in ((a, b), (a.to_float(), b.to_float())):
+                rows = _reduced_gen_rows(n, a, b, range(1, n))
+                exact, patches, d = oracle._unwrap(
+                    reduced_generators(n, a, b))
+                assert (exact, d) == (a.exact, n - 1)
+                assert ([_patch_reprs(p) for p in patches]
+                        == [_expected_patch(r) for r in rows]), (n, a)
+                if n > 2 and a.eq(Scalar.one(a.exact)):
+                    assert list(patches[0]) == [0]
+    # the full families: the block's rows k-1 and k of generator k
+    for conv in (ex, fl):
+        specs = [RepSpec(1, 5, conv(2, 1), conv(-1, 3)),
+                 RepSpec(1, 5, conv(1), conv(3)),
+                 RepSpec(2, 5, c=conv(3, -2), sign=-1),
+                 RepSpec(2, 5, c=conv(0), sign=1),
+                 RepSpec(3, 5, exact=conv(0).exact)]
+        for spec in specs:
+            block = build_block(spec).data
+            want = [_expected_patch({k - 1 + r: {k - 1 + c: x for c, x
+                                                 in enumerate(block[r])}
+                                     for r in range(2)})
+                    for k in range(1, 5)]
+            _, patches, _ = oracle._unwrap(build_all_generators(spec))
+            assert [_patch_reprs(p) for p in patches] == want, spec
+    # dense matrices: zeros of their own, signed zeros, a 1.0 - 0.0i
+    # diagonal entry, a zero row and a permutation row
+    for conv, zeros in ((ex, (Scalar.zero(), Scalar(Fraction(0),
+                                                     Fraction(0), True))),
+                        (fl, (Scalar.zero(False), Scalar(-0.0, 0.0, False),
+                              Scalar(0.0, -0.0, False)))):
+        one = Scalar(*((1.0, -0.0) if conv is fl else (Fraction(1),
+                                                      Fraction(0))),
+                     conv(0).exact)
+        z = zeros[1]
+        m = Matrix([[one, z, zeros[-1], z, z],
+                    [z, z, z, z, conv(1)],
+                    [zeros[0], z, z, z, z],
+                    [conv(2), z, z, one, z],
+                    [z, z, z, z, one]])
+        rows = {i: dict(enumerate(row)) for i, row in enumerate(m.data)}
+        patch = _patch(m)
+        assert _patch_reprs(patch) == _expected_patch(rows)
+        assert list(patch) == [1, 2, 3] and patch[2] == {}
+        # a diagonal 1 + i or -1 alone is not a unit row
+        for x in (conv(1, 1), conv(-1)):
+            g = Matrix.identity(2, x.exact, {1: {1: x}})
+            assert _patch_reprs(_patch(g)) == {1: {1: repr(x)}}
+    # random exact entries with both kinds of zero: the patch, lifted
+    # entry by entry and made dense again, is the per-entry lift of m
+    def entry():
+        if rng.random() < 0.3:
+            # the shared zero, known by identity, or a zero of its own
+            return rng.choice((Scalar.zero(),
+                               Scalar(Fraction(0), Fraction(0), True)))
+        return _random_exact(rng)
+
+    m = Matrix([[entry() for _ in range(5)] for _ in range(5)])
+    zeros = [z for row in m.data for z in row if not z]
+    assert any(z is Scalar.zero() for z in zeros)
+    assert any(z is not Scalar.zero() for z in zeros)
+    for p, root in oracle._PRIMES:
+        fp = oracle._Fp(p, root)
+        (lifted,) = oracle._lifted([_patch(m)], fp.lift)
+        assert oracle._dense(fp, lifted, 5) == [
+            [_per_entry_lift(x, p, root) for x in row] for row in m.data]
+    # an entry that lifts to 0 is dropped from its row, under that prime
+    g = Matrix.identity(2, True, {0: {0: ex(1), 1: ex(P1)}})
+    assert [oracle._lifted([_patch(g)], oracle._Fp(*prime).lift)
+            for prime in oracle._PRIMES] == [[{0: {0: 1}}],
+                                             [{0: {0: 1, 1: P1 % P2}}]]
 
 
 def test_fp_kernel_basis_is_reduced():
@@ -399,11 +491,11 @@ def test_exact_involution_check_matches_scalar_reference():
     verdicts = []
     for m in images + perturbed:
         verdicts.append(reference_is_involution(m))
-        assert oracle._is_gaussian_involution(m.data) == verdicts[-1]
-        # the closure's check, on the Scalar terms under Scalar.eq
+        patch = _patch(m)
+        assert oracle._is_gaussian_involution(patch) == verdicts[-1]
+        # the closure's check, on the Scalar patch under Scalar.eq
         assert oracle._squares_to_identity(
-            oracle._terms(m.data), Scalar.eq, Scalar.one(),
-            Scalar.zero()) == verdicts[-1]
+            patch, Scalar.eq, Scalar.one(), Scalar.zero()) == verdicts[-1]
     assert all(verdicts[:len(images)])
     assert 100 <= sum(verdicts[len(images):]) <= 200
 
@@ -421,8 +513,8 @@ def test_involution_checks_square_every_moved_row(conv, monkeypatch):
         common_eigenlines([g])
     assert len(common_eigenlines([h])) == 1  # its -1 eigenspace
     if exact:
-        assert not oracle._is_gaussian_involution(g.data)
-        assert oracle._is_gaussian_involution(h.data)
+        assert not oracle._is_gaussian_involution(_patch(g))
+        assert oracle._is_gaussian_involution(_patch(h))
     # the closure tests g (g I): the involution rule does not fire for g
     res, tested = _closure_inserts(monkeypatch, [g])
     with monkeypatch.context() as m:
@@ -712,12 +804,15 @@ def test_eigenlines_prune_under_the_second_prime(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_eigenlines_unpruned_when_both_primes_divide_a_denominator(
-        n, monkeypatch):
+def test_eigenlines_refuse_a_denominator_both_primes_divide(n, monkeypatch):
+    # as the closure does, and before any sign tree runs
     runs = _tree_runs(monkeypatch)
-    a = ex(Fraction(1, P1 * P2))
-    _assert_matches_reference(reduced_generators(n, a, ex(1)))
-    assert runs == [None]
+    images = reduced_generators(n, ex(Fraction(1, P1 * P2)), ex(1))
+    for detector in (algebra_closure, common_eigenlines):
+        with pytest.raises(ValueError,
+                           match="both oracle primes divide a denominator"):
+            detector(images)
+    assert runs == []
 
 
 @pytest.mark.parametrize("d", range(3, 9))
@@ -747,6 +842,23 @@ def test_generic_exact_eigenlines_form_no_product(d, monkeypatch):
     images = reduced_generators(d + 1, a, b)
     monkeypatch.setattr(Matrix, "__matmul__", forbidden)
     assert common_eigenlines(images) == []
+
+
+def test_algebra_dimension_and_eigenlines_follow_the_verdict():
+    # exact a = +-1 at n = 3..16 and three b each, and a = +-i at the n
+    # where it is a root of P: the dimension and the number of eigenlines
+    # are the ones the verdict predicts, not only whether dim = d^2
+    points = [(n, ex(s), b) for n in range(3, 17) for s in (1, -1)
+              for b in (ex(1), ex(Fraction(3, 2)), ex(Fraction(1, 3), -2))]
+    points += [(n, ex(0, s), ex(2, 1)) for n in (4, 8, 12, 16)
+               for s in (1, -1)]
+    for n, a, b in points:
+        verdict = decide(n, a, b)
+        assert verdict.reason == ("root-of-P" if a.im else
+                                  "a=1" if a.re == 1 else "a=-1")
+        images = reduced_generators(n, a, b)
+        assert ((algebra_closure(images).dim, len(common_eigenlines(images)))
+                == predicted_structure(n, verdict)), (n, a, b)
 
 
 def test_common_eigenlines_dedups():
