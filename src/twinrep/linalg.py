@@ -194,10 +194,6 @@ class _Plain:
 
     exact = True
 
-    def identity(self, d):
-        return [[self.one if i == j else self.zero for j in range(d)]
-                for i in range(d)]
-
     def matmul(self, a, b):
         """a @ b, each entry summed from zero in column order over the
         terms where neither factor is 0 (the images are mostly sparse)."""

@@ -3,7 +3,9 @@
 Two detectors validate every verdict the decision procedure produces.
 Both read each image once, in `_unwrap`, as its patch {row: {column:
 entry}} over the rows that are not e_row, and work on patches alone,
-lifted entry by entry into a number system.
+lifted entry by entry into a number system.  `_spans` alone picks the
+system: `complex` for float images; for exact ones F_p, under each oracle
+prime in turn, passing over a prime that divides a denominator.
 
 * Burnside test: a set of d x d complex matrices acts irreducibly iff the
   unital algebra they generate has dimension d^2.  The closure is left-only:
@@ -33,14 +35,13 @@ lifted entry by entry into a number system.
   into its +1 and -1 parts K @ kernel(g K -+ K); the candidates left with one
   column are the eigenlines.  This sign tree is written once over a number
   system, and its products and kernels are `linalg`'s one product and one
-  elimination loop.  Float mode runs it on `complex`, the loops' float
-  number system.  Exact mode runs it over F_p with the closure's primes,
-  and refuses a denominator both divide, as the closure does: a
-  sign pattern's subspace is the kernel of the stacked matrix [g - s I]
-  over the generators g and their signs s, whose rank can only drop mod p,
-  so a pattern empty mod p is empty over Q(i).  Each full pattern that
-  survives mod p takes its exact subspace from one kernel of its stacked
-  rows on the exact `Scalar` entries; at a generic point there are none.
+  elimination loop.  It runs in the first system `_spans` gives, where
+  F_p is a filter: a sign pattern's subspace is the kernel of the stacked
+  matrix [g - s I] over the generators g and their signs s, whose rank can
+  only drop mod p, so a pattern empty mod p is empty over Q(i).  Each full
+  pattern that survives mod p takes its exact subspace from one kernel of
+  its stacked rows on the exact `Scalar` entries; at a generic point there
+  are none.
   Each line is scaled by its number system's own pivot rule, the one the
   elimination uses: its first nonzero entry is made 1 when exact, its
   largest (the last of equals) when float.
@@ -113,13 +114,18 @@ class ClosureResult(NamedTuple):
 
 class _Fp(_Plain):
     """Ints mod a prime p = 1 (mod 4), i sent to `root`, a square root of
-    -1 mod p.  Pivots are first nonzero entries; `lift` takes one entry."""
+    -1 mod p.  Pivots are first nonzero entries; `lift` takes one entry.
+
+    Also the exact closure's span: a forward-only row echelon of flattened
+    matrices, in which a candidate is dependent iff it reduces to exactly 0
+    mod p; stored rows have pivot 1 and are never rewritten."""
 
     zero, one = 0, 1
 
     def __init__(self, p, root):
         self.p, self.root = p, root
         self._inverses = {1: 1}  # denominator -> its inverse mod p
+        self.rows = []  # (pivot index, dense row, off-pivot (index, entry))
 
     def eq(self, x, y):
         return (x - y) % self.p == 0
@@ -144,6 +150,25 @@ class _Fp(_Plain):
     def reduce(self, row):
         p = self.p
         return [x % p for x in row]
+
+    def insert(self, v):
+        p = self.p
+        for pivot, _, nonzero in self.rows:
+            f = v[pivot] % p
+            if f:
+                # reduced mod p after the loop; `nonzero` skips the pivot
+                v[pivot] = 0
+                for j, y in nonzero:
+                    v[j] -= f * y
+        v = [x % p for x in v]
+        if not any(v):
+            return False
+        pivot = next(j for j, x in enumerate(v) if x)
+        inv = pow(v[pivot], -1, p)
+        row = [x * inv % p for x in v]
+        self.rows.append((pivot, row, [(j, y) for j, y in enumerate(row)
+                                       if y and j != pivot]))
+        return True
 
 
 def _is_gaussian_involution(patch):
@@ -216,33 +241,21 @@ class _FloatSpan(_Complex):
 _PRIMES = ((1073741789, 933053945), (1073741741, 784215820))
 
 
-class _ModSpan(_Fp):
-    """Forward-only row echelon over F_p of flattened Gaussian-rational
-    matrices, i sent to `root`.  A candidate is dependent iff it reduces to
-    exactly 0 mod p; stored rows have pivot 1 and are never rewritten."""
-
-    def __init__(self, p, root):
-        super().__init__(p, root)
-        self.rows = []  # (pivot index, dense row, off-pivot (index, entry))
-
-    def insert(self, v):
-        p = self.p
-        for pivot, _, nonzero in self.rows:
-            f = v[pivot] % p
-            if f:
-                # reduced mod p after the loop; `nonzero` skips the pivot
-                v[pivot] = 0
-                for j, y in nonzero:
-                    v[j] -= f * y
-        v = [x % p for x in v]
-        if not any(v):
-            return False
-        pivot = next(j for j, x in enumerate(v) if x)
-        inv = pow(v[pivot], -1, p)
-        row = [x * inv % p for x in v]
-        self.rows.append((pivot, row, [(j, y) for j, y in enumerate(row)
-                                       if y and j != pivot]))
-        return True
+def _spans(exact, patches):
+    """The number systems the oracle computes in, each with the patches
+    lifted into it: `complex` (as a `_FloatSpan`) for float patches; F_p
+    for exact ones, under each oracle prime in order, built only when
+    reached and passed over when the prime divides a denominator."""
+    if not exact:
+        yield _FloatSpan(), _lifted(patches, Scalar.to_complex)
+        return
+    for prime in _PRIMES:
+        span = _Fp(*prime)
+        try:
+            lifted = _lifted(patches, span.lift)
+        except ValueError:  # the prime divides a denominator
+            continue
+        yield span, lifted
 
 
 def _grow(span, lifted, d):
@@ -330,9 +343,9 @@ def algebra_closure(images):
     rationals whose denominators p does not divide, so words independent
     mod p have a minor that is nonzero mod p, hence nonzero: they are
     independent over Q(i) and over C, and d^2 certifies irreducibility.  A
-    smaller result, or a denominator p divides, reruns the closure under a
-    second prime; the larger result wins, the first prime's words on a tie.
-    ValueError if both primes divide a denominator.
+    smaller result, or a denominator p divides, reruns the closure under the
+    next prime of `_spans`; the larger result wins, the first prime's words
+    on a tie.  ValueError if both primes divide a denominator.
 
     Float mode rejects a candidate whose residual after elimination is at
     most eps times the candidate's largest entry; rank_gap is the smallest
@@ -340,26 +353,18 @@ def algebra_closure(images):
     nothing is rejected), both over the candidates actually tested, so
     skipping can only raise it."""
     exact, patches, d = _unwrap(images)
-    if not exact:
-        span = _FloatSpan()
-        words = _grow(span, _lifted(patches, Scalar.to_complex), d)
-        gap = span.min_acc / span.max_rej if span.max_rej else math.inf
-        return ClosureResult(len(words), words, gap)
-    best = []
-    for prime in _PRIMES:
-        span = _ModSpan(*prime)
-        try:
-            lifted = _lifted(patches, span.lift)
-        except ValueError:  # the prime divides a denominator
-            continue
+    best, gap = [], math.inf
+    for span, lifted in _spans(exact, patches):
         words = _grow(span, lifted, d)
         if len(words) > len(best):
             best = words
+        if not exact and span.max_rej:
+            gap = span.min_acc / span.max_rej
         if len(best) == d * d:
             break
     if not best:
         raise ValueError("both oracle primes divide a denominator")
-    return ClosureResult(len(best), best, math.inf)
+    return ClosureResult(len(best), best, gap)
 
 
 def _squares_to_identity(patch, eq, one, zero):
@@ -386,7 +391,7 @@ def _sign_tree(num, gens, d):
     its sign s}, and the leaves come in (+1, -1) sign order.  Each image
     splits every candidate basis K into K @ kernel(g K - K) and
     K @ kernel(g K + K), dropping the empty parts."""
-    leaves = [((), num.identity(d))]
+    leaves = [((), _dense(num, {}, d))]
     for g in gens:
         split = []
         for signs, k in leaves:
@@ -397,37 +402,6 @@ def _sign_tree(num, gens, d):
                     split.append((signs + (sign,), num.matmul(k, part)))
         leaves = split
     return leaves
-
-
-def _exact_leaves(patches, d):
-    """The nonzero leaves (signs, K) of the sign tree on the exact patches.
-
-    The tree runs over F_p, for the first oracle prime that lifts the
-    patches.  Reduction mod p can only lower the rank of [g - s I], so the
-    full sign patterns it leaves are the only ones that can be nonzero
-    over Q(i); the kernel of each one's stacked rows on the exact entries,
-    by one elimination, is its leaf.  ValueError if both primes divide a
-    denominator, as in `algebra_closure`."""
-    num = _Gaussian()
-    for prime in _PRIMES:
-        fp = _Fp(*prime)
-        try:
-            gens = [_dense(fp, g, d) for g in _lifted(patches, fp.lift)]
-        except ValueError:  # the prime divides a denominator
-            continue
-        leaves = []
-        for signs, _ in _sign_tree(fp, gens, d):
-            stacked = []  # [g - s I] over the images g and their signs s
-            for patch, s in zip(patches, signs):
-                shift = num.one if s == 1 else -num.one
-                for i, row in enumerate(_dense(num, patch, d)):
-                    row[i] = row[i] - shift
-                    stacked.append(row)
-            basis = num.kernel(stacked)
-            if basis is not None:
-                leaves.append((signs, basis))
-        return leaves
-    raise ValueError("both oracle primes divide a denominator")
 
 
 def common_eigenlines(images):
@@ -447,24 +421,37 @@ def common_eigenlines(images):
     Distinct sign patterns meet only in 0, so no line is returned twice.
     Raises on a non-involution input, tested exactly on exact input.
 
-    Float input runs the tree on `complex`.  Exact input runs it over F_p
-    (i -> a square root of -1) for the first oracle prime that lifts the
-    images, and takes the leaf of each sign pattern that survives mod p
-    from one kernel on the images' own Gaussian-rational `Scalar`s (see
-    `_exact_leaves`): for a generic point there are none.  ValueError if
-    both primes divide a denominator, as in `algebra_closure`."""
+    The tree runs in the first number system of `_spans`: `complex` for
+    float input; for exact input F_p (i -> a square root of -1) under the
+    first oracle prime that lifts the images, after which each sign pattern
+    that survives mod p takes its leaf from one kernel of its stacked
+    [g - s I] on the images' own Gaussian-rational `Scalar`s: for a generic
+    point there are none.  ValueError if both primes divide a denominator,
+    as in `algebra_closure`."""
     exact, patches, d = _unwrap(images)
+    if exact and not all(_is_gaussian_involution(p) for p in patches):
+        raise ValueError("common_eigenlines expects involutions")
+    num, gens = next(_spans(exact, patches), (None, None))
+    if num is None:
+        raise ValueError("both oracle primes divide a denominator")
+    if not (exact or all(_squares_to_identity(g, num.eq, num.one, num.zero)
+                         for g in gens)):
+        raise ValueError("common_eigenlines expects involutions")
+    leaves = _sign_tree(num, [_dense(num, g, d) for g in gens], d)
     if exact:
-        if not all(_is_gaussian_involution(p) for p in patches):
-            raise ValueError("common_eigenlines expects involutions")
-        num, leaves = _Gaussian(), _exact_leaves(patches, d)
-    else:
-        num = _Complex()
-        gens = _lifted(patches, Scalar.to_complex)
-        if not all(_squares_to_identity(g, num.eq, num.one, num.zero)
-                   for g in gens):
-            raise ValueError("common_eigenlines expects involutions")
-        leaves = _sign_tree(num, [_dense(num, g, d) for g in gens], d)
+        # a pattern's exact leaf: the kernel of [g - s I], stacked over the
+        # images g and their signs s, on the exact entries
+        num, mod_p = _Gaussian(), leaves
+        leaves = []
+        for signs, _ in mod_p:
+            stacked = []
+            for patch, s in zip(patches, signs):
+                for i, row in enumerate(_dense(num, patch, d)):
+                    row[i] = row[i] - num.one if s == 1 else row[i] + num.one
+                    stacked.append(row)
+            basis = num.kernel(stacked)
+            if basis is not None:
+                leaves.append((signs, basis))
     lines = []
     for _, k in leaves:
         if len(k[0]) == 1:

@@ -13,7 +13,7 @@ from twinrep.chains import (chain_vectors, closed_chain_vector, delta,
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
                                     decide, eval_P, root_residual, roots_of_P)
 from twinrep.linalg import Matrix, Subspace, mat_det
-from twinrep.oracle import algebra_closure
+from twinrep.oracle import algebra_closure, common_eigenlines
 from twinrep.reduction import (build_P, build_S, build_reduced_gen,
                                invariant_vector, reduced_generators)
 from twinrep.reps import RepSpec, build_all_generators, verify_relations
@@ -21,7 +21,7 @@ from twinrep.scalars import Scalar, ex, fl
 from conftest import rand_exact, rand_family1_params, rng_for
 from helpers import (closure_check, conjugated_full_gen, delete_row_col,
                      det_closed_form, eval_exact, lemma_matrix,
-                     reference_witness_check)
+                     predicted_structure, reference_witness_check)
 
 
 def _report(number, label, body):
@@ -268,41 +268,46 @@ def test_criterion_12_family23_witnesses():
 
 def test_criterion_13_wide_oracle_cross_validation():
     # criterion 9 beyond n = 7: six generic draws per n plus a = +-1, each
-    # float closure with rank gap >= 1e3 (asserted in _oracle_dim)
+    # float closure with rank gap >= 1e3; the algebra dimension and the
+    # eigenline count are the ones the verdict predicts
     def body():
         rng = rng_for(1013)
         for n in (8, 9, 10):
-            d = n - 1
             draws = [rand_family1_params(rng, avoid=(0, 1, -1))
                      for _ in range(6)]
             draws += [(ex(1), rand_exact(rng, nonzero=True)),
                       (ex(-1), rand_exact(rng, nonzero=True))]
             for a, b in draws:
                 verdict = decide(n, a, b)
-                dim = _oracle_dim(n, a, b)
-                agrees = (dim == d * d) == (verdict.status == IRREDUCIBLE)
-                assert agrees, (n, a, b, verdict.status, dim)
+                images = reduced_generators(n, a.to_float(), b.to_float())
+                res = algebra_closure(images)
+                assert res.rank_gap >= 1e3, (n, a, res.rank_gap)
+                got = res.dim, len(common_eigenlines(images))
+                assert got == predicted_structure(n, verdict), (
+                    n, a, b, verdict.reason, got)
     _report(13, "wide Burnside cross-validation", body)
 
 
 def test_criterion_14_modular_oracle_cross_validation():
-    # exact decide against the exact (mod-p) closure past the float
+    # exact decide against the exact (mod-p) detectors past the float
     # closure's reach: a generic draw per n, a = +-1, and the exact roots
-    # a = +-i at 4 | n
+    # a = +-i at 4 | n, each with the algebra dimension and eigenline
+    # count the verdict predicts
     def body():
         start = time.perf_counter()
         rng = rng_for(1014)
         for n in range(11, 17):
-            d = n - 1
             draws = [rand_family1_params(rng, avoid=(0, 1, -1))]
             specials = [ex(1), ex(-1)] + ([ex(0, 1), ex(0, -1)]
                                           if n % 4 == 0 else [])
             draws += [(a, rand_exact(rng, nonzero=True)) for a in specials]
             for i, (a, b) in enumerate(draws):
                 verdict = decide(n, a, b)
-                dim = algebra_closure(reduced_generators(n, a, b)).dim
-                agrees = (dim == d * d) == (verdict.status == IRREDUCIBLE)
-                assert agrees, (n, a, b, verdict.status, dim)
+                images = reduced_generators(n, a, b)
+                got = (algebra_closure(images).dim,
+                       len(common_eigenlines(images)))
+                assert got == predicted_structure(n, verdict), (
+                    n, a, b, verdict.reason, got)
                 # draw 0 is generic; every special point is reducible
                 assert i == 0 or verdict.status == REDUCIBLE, (n, a, b)
         elapsed = time.perf_counter() - start

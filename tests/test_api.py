@@ -1,5 +1,7 @@
 import ast
 import glob
+import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -9,6 +11,9 @@ import sys
 import pytest
 
 import twinrep
+import twinrep.cli  # the benchmark tracer patches cli.main
+from twinrep import irreducibility, oracle, reduction
+from twinrep.scalars import ex, fl
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,3 +110,32 @@ def test_package_imports_only_the_stdlib():
     assert "fractions" in found
     assert {name: where for name, where in found.items()
             if name not in sys.stdlib_module_names} == {}
+
+
+def test_bench_tracer_still_installs():
+    # the per-layer benchmark patches names of the package and reads
+    # ClosureResult.rank_gap; it must still install, trace every detector,
+    # and report exactly the per-layer metrics BENCHMARK.json declares
+    # (bench/worker.py adds the last two)
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", os.path.join(_ROOT, "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        irreducibility.decide(4, ex(0, 1), ex(1))
+        irreducibility.roots_of_P(5)
+        images = reduction.reduced_generators(4, fl(0.0, 1.0), fl(1.0))
+        oracle.algebra_closure(images)
+        oracle.common_eigenlines(images)
+    finally:
+        spans.uninstall()
+    metrics = spans.layer_metrics()
+    assert metrics["oracle.algebra_closure.calls"] == 1
+    assert metrics["oracle.common_eigenlines.calls"] == 1
+    assert metrics["irreducibility.decide.reason.root-of-P"] == 1
+    with open(os.path.join(_ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(metrics) | {"scalars.Scalar.constructions",
+                           "trace.overhead_ratio"} == declared

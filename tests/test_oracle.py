@@ -83,12 +83,12 @@ def _primes_used(monkeypatch):
     """Patch the modular span to record the prime of every closure run."""
     used = []
 
-    class Recording(oracle._ModSpan):
+    class Recording(oracle._Fp):
         def __init__(self, p, root):
             used.append(p)
             super().__init__(p, root)
 
-    monkeypatch.setattr(oracle, "_ModSpan", Recording)
+    monkeypatch.setattr(oracle, "_Fp", Recording)
     return used
 
 
@@ -152,7 +152,7 @@ def _closure_inserts(monkeypatch, images, skip=True):
     count = [0]
     with monkeypatch.context() as m:
         m.setattr(oracle, "_PRIMES", oracle._PRIMES[:1])
-        for cls in (oracle._ModSpan, oracle._FloatSpan):
+        for cls in (oracle._Fp, oracle._FloatSpan):
             def insert(self, v, _insert=cls.insert):
                 count[0] += 1
                 return _insert(self, v)
@@ -447,7 +447,7 @@ def test_fp_kernel_basis_is_reduced():
     a = [[1, 2, 3], [2, 4, 6], [0, 1, p - 1]]
     k = fp.kernel([row[:] for row in a])
     assert all(0 <= x < p for row in k for x in row)
-    assert fp.matmul(fp.identity(3), k) == k
+    assert fp.matmul(oracle._dense(fp, {}, 3), k) == k
 
 
 def test_exact_involution_check_matches_scalar_reference():
