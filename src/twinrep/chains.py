@@ -15,16 +15,16 @@ from typing import NamedTuple
 
 from .irreducibility import eval_P
 from .linalg import Matrix, Subspace, mat_det
-from .reduction import _chain_entries, _chain_entry_pairs, build_S
+from .reduction import _chain_entries, _chain_plain, build_S
 from .reps import ParameterError, _check_family1
-from .scalars import Scalar
+from .scalars import Scalar, _from_plain
 
 
 def closed_chain_vector(n, a, b, k):
     """v_k = -b e_{k+1} + (1+a) e_{k+2} in C^(n-1)."""
     if not 1 <= k <= n - 3:
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
-    entries = [Scalar(re, im, a.exact) for re, im in _chain_entry_pairs(a, b)]
+    entries = [_from_plain(x, a.exact) for x in _chain_plain(a, b)]
     return Matrix._trusted_column(_chain_entries(n, k, *entries))
 
 

@@ -8,8 +8,11 @@ is the -1 eigenvector of the reduced image of s_1, produces the S_j matrices
 whose closed forms drive the irreducibility analysis.  Both Q and P are
 rank-one updates of the identity, so their inverses are the mirrored rank-one
 updates (Sherman-Morrison).  `linalg.Matrix.identity` builds every matrix
-here from the rows in which it differs from I.  The (re, im) pair builders
-that `decide` shares, the chain entries included, live here too.
+here from the rows in which it differs from I.  The builders that `decide`
+shares, the chain entries included, live here too: they return plain
+numbers (`scalars._to_plain`), `complex` for float input and (re, im)
+pairs of Fractions for exact input, which the public functions wrap in
+Scalars.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .reps import GeneratorImage, ParameterError, _check_family1, _family1_c
-from .scalars import (Scalar, _ONE_PARTS, _cdiv, _cmul, _gaussian, _norm2,
-                      _pow, _powers)
+from .scalars import (Scalar, _ONE_PARTS, _UNIT_SCALARS, _cdiv, _cmul,
+                      _from_plain, _gaussian, _norm2, _pow, _powers, _to_plain,
+                      _zdiv, _zpow, _zpowers)
 
 
 def invariant_vector(n, a, b):
@@ -61,54 +65,67 @@ def _reduced_gen_rows(n, a, b, ks):
     """For each k in ks, the rows in which `build_reduced_gen` differs from
     the identity, as {row: {column: entry}} (0-based, entries not listed
     are 0): rows k-2 and k-1 (the block) for k >= 2, every row for k = 1.
-    The entries are those of `_reduced_gen_pairs`, made Scalars."""
+    The entries are those of `_reduced_gen_plain`, made Scalars."""
     exact = a.exact
-    return [{i: {j: Scalar(re, im, exact) for j, (re, im) in row.items()}
+    return [{i: {j: _from_plain(x, exact) for j, x in row.items()}
              for i, row in rows.items()}
-            for rows in _reduced_gen_pairs(n, a, b, ks)]
+            for rows in _reduced_gen_plain(n, a, b, ks)]
 
 
-def _reduced_gen_pairs(n, a, b, ks):
-    """`_reduced_gen_rows` with (re, im) pairs of a's and b's own numbers
-    for entries.  The block [[a, b], [(1-a^2)/b, -a]] is built once for all
-    of ks, its (1-a^2)/b by `reps._family1_c`.  The float entries
-    (a-1)^j/(-b)^(j-1) of s_1 are formed with the steps of `Scalar.pow`
-    and `Scalar.__truediv__`, so they equal the `Scalar` expression bit for
-    bit.  The exact ones come from Gaussian integers: a-1 = U/q and
-    -b = G/r (`_gaussian`) give entry j as U X^(j-1) / (q e^(j-1)), with
-    X = U r conj(G) and e = q |G|^2, by one running product.  O(n) each k."""
+def _reduced_gen_plain(n, a, b, ks):
+    """`_reduced_gen_rows` with plain entries (`scalars._to_plain`).  The
+    block [[a, b], [(1-a^2)/b, -a]] is built once for all of ks, its
+    (1-a^2)/b by `reps._family1_c`; s_1's column by `_s1_column`.  O(n)
+    each k."""
     _check_family1(a, b)
     exact = a.exact
-    one = _ONE_PARTS[exact]
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    one, _, minus_one = map(_to_plain, _UNIT_SCALARS[exact])
     out, block = [], None
     for k in ks:
         if not 1 <= k <= n - 1:
             raise ParameterError("generator index %d out of range for n=%d"
                                  % (k, n))
         if k == 1:
-            if exact:
-                (ur, ui), q = _gaussian(ar - 1, ai)
-                (gr, gi), r = _gaussian(-br, -bi)
-                x, e = _cmul(ur, ui, r * gr, -r * gi), q * _norm2(gr, gi)
-                s1, den = [], q
-                for sr, si in _powers(*x, n - 2, (ur, ui))[1:]:
-                    den *= e
-                    s1.append((Fraction(sr, den), Fraction(si, den)))
-            else:
-                s1 = [_cdiv(*_pow(ar - 1, ai - 0, j, exact),
-                            *_pow(-br, -bi, j - 1, exact), exact)
-                      for j in range(2, n)]
-            rows = {0: {0: (-one[0], -one[1])}}
-            for j, entry in enumerate(s1, 2):  # display row j is row j-1
+            rows = {0: {0: minus_one}}
+            # display row j is row j-1
+            for j, entry in enumerate(_s1_column(n, a, b), 2):
                 rows[j - 1] = {0: entry, j - 1: one}
         else:
             if block is None:
-                block = [(ar, ai), (br, bi), _family1_c(a, b), (-ar, -ai)]
+                c = _family1_c(a, b)
+                if exact:
+                    block = [(a.re, a.im), (b.re, b.im), c, (-a.re, -a.im)]
+                else:
+                    z = a.to_complex()
+                    block = [z, b.to_complex(), complex(*c), -z]
             rows = {k - 2: {k - 2: block[0], k - 1: block[1]},
                     k - 1: {k - 2: block[2], k - 1: block[3]}}
         out.append(rows)
     return out
+
+
+def _s1_column(n, a, b):
+    """The entries (a-1)^j/(-b)^(j-1), j = 2..n-1, of s_1's first column,
+    plain.  Float ones are `Scalar`'s (a-1).pow(j) / (-b).pow(j-1) bit for
+    bit, the powers from `_zpowers`, but a zero numerator over a power of b
+    whose squared modulus underflows, which `_cdiv` refuses, gives 0: at
+    a = 1 every entry is 0.  The exact ones come from Gaussian integers:
+    a-1 = U/q and -b = G/r (`_gaussian`) give entry j as
+    U X^(j-1) / (q e^(j-1)), with X = U r conj(G) and e = q |G|^2, by one
+    running product."""
+    if not a.exact:
+        nums = _zpowers(a.to_complex() - (1 + 0j), n - 1)
+        dens = _zpowers(-b.to_complex(), n - 2)
+        return [_zdiv(x, y) if x or _norm2(y.real, y.imag) else 0j
+                for x, y in zip(nums[2:], dens[1:])]
+    (ur, ui), q = _gaussian(a.re - 1, a.im)
+    (gr, gi), r = _gaussian(-b.re, -b.im)
+    x, e = _cmul(ur, ui, r * gr, -r * gi), q * _norm2(gr, gi)
+    s1, den = [], q
+    for sr, si in _powers(*x, n - 2, (ur, ui))[1:]:
+        den *= e
+        s1.append((Fraction(sr, den), Fraction(si, den)))
+    return s1
 
 
 def reduced_generators(n, a, b):
@@ -129,31 +146,34 @@ def eigvec_w(n, a, b):
     if n < 3:
         raise ParameterError("eigvec_w needs n >= 3")
     exact = a.exact
-    return Matrix._trusted_column([Scalar(re, im, exact)
-                                   for re, im in _eigvec_w_pairs(n, a, b)])
+    return Matrix._trusted_column([_from_plain(x, exact)
+                                   for x in _eigvec_w_plain(n, a, b)])
 
 
-def _eigvec_w_pairs(n, a, b):
-    """The entries of `eigvec_w` as (re, im) pairs of a's and b's own
-    numbers, formed as the `Scalar` expressions 2 b^(n-2) / u^(n-1) and
-    (b/u)^(n-j-1), u = 1 - a, are: bit for bit on floats, with the same
-    errors.  Exact (b/u)^k are the same values, by one running product."""
-    exact = a.exact
+def _eigvec_w_plain(n, a, b):
+    """The entries of `eigvec_w`, plain, formed as the `Scalar` expressions
+    2 b^(n-2) / u^(n-1) and (b/u)^(n-j-1), u = 1 - a, are: bit for bit on
+    floats, with the same errors.  Exact (b/u)^k are the same values, by
+    one running product."""
+    if not a.exact:
+        u, z = (1 + 0j) - a.to_complex(), b.to_complex()
+        w1 = _zdiv((2 + 0j) * _zpow(z, n - 2), _zpow(u, n - 1))
+        return [w1] + _zpowers(_zdiv(z, u), n - 3)[::-1]
     ur, ui = 1 - a.re, 0 - a.im
     br, bi = b.re, b.im
-    w1 = _cdiv(*_cmul(2, 0, *_pow(br, bi, n - 2, exact)),
-               *_pow(ur, ui, n - 1, exact), exact)
-    qr, qi = _cdiv(br, bi, ur, ui, exact)
-    if exact:
-        return [w1] + _powers(qr, qi, n - 3, _ONE_PARTS[exact])[::-1]
-    return [w1] + [_pow(qr, qi, n - j - 1, exact) for j in range(2, n)]
+    w1 = _cdiv(*_cmul(2, 0, *_pow(br, bi, n - 2, True)),
+               *_pow(ur, ui, n - 1, True), True)
+    qr, qi = _cdiv(br, bi, ur, ui, True)
+    return [w1] + _powers(qr, qi, n - 3, _ONE_PARTS[True])[::-1]
 
 
-def _chain_entry_pairs(a, b):
-    """The three distinct entries of every chain vector, as (re, im) pairs
-    of a's and b's own numbers: -b x + (1+a) y at (x, y) = (0, 0), (1, 0)
-    and (0, 1), formed as that `Scalar` expression is, signed zeros as
-    summed."""
+def _chain_plain(a, b):
+    """The three distinct entries of every chain vector, plain: -b x +
+    (1+a) y at (x, y) = (0, 0), (1, 0) and (0, 1), formed as that `Scalar`
+    expression is, signed zeros as summed."""
+    if not a.exact:
+        m, p = -b.to_complex(), (1 + 0j) + a.to_complex()
+        return m * 0j + p * 0j, m * (1 + 0j) + p * 0j, m * 0j + p * (1 + 0j)
     br, bi = -b.re, -b.im
     pr, pi = 1 + a.re, 0 + a.im
 

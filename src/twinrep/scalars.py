@@ -14,7 +14,10 @@ backend), `_gaussian` (exact parts as a Gaussian integer over one
 denominator) and `_close`, the float equality, which `Scalar.eq` and
 `linalg`'s complex number system share.  `Scalar`'s product, quotient and
 power wrap them, and the package's hot paths call them directly, so both
-give the same values bit for bit.  A `Scalar` is false only when it is 0,
+give the same values bit for bit.  Float hot paths run on `complex`
+instead (`_to_plain`): CPython's complex product, sum and negation are the
+pair formulas, `_zdiv` divides by `_cdiv`, and `_zpow` and `_zpowers` keep
+`_cpow`'s products.  A `Scalar` is false only when it is 0,
 as a `complex` is.  `Scalar.one` and `Scalar.zero` return one shared
 instance per backend, from the one table of shared units.
 """
@@ -273,6 +276,49 @@ def _pow(xr, xi, k, exact):
     """(xr + xi i)^k for k >= 0, the one power formula: `_cpow`, with the
     parts of `Scalar.one` at k = 0."""
     return _cpow(xr, xi, k) if k else _ONE_PARTS[exact]
+
+
+def _zdiv(x, y):
+    """x / y for float `complex` x and y by `_cdiv`, with its errors:
+    `complex.__truediv__` uses another formula."""
+    return complex(*_cdiv(x.real, x.imag, y.real, y.imag, False))
+
+
+def _zpow(z, k):
+    """z^k for a float `complex` z and k >= 0: `_cpow`'s products in its
+    order, from 1 + 0j, so the bits are `_pow`'s."""
+    out = 1 + 0j
+    while True:
+        if k & 1:
+            out = out * z
+        k >>= 1
+        if not k:
+            return out
+        z = z * z
+
+
+def _zpowers(z, k):
+    """[z^0, ..., z^k] for a float `complex` z, each with `_zpow`'s bits
+    from one product: z^j is z^(j - 2^h) times the square z^(2^h), h the
+    top bit of j, which is the last product `_zpow` forms."""
+    out, top, square = [1 + 0j], 1, z
+    for j in range(1, k + 1):
+        if j == 2 * top:
+            top, square = j, square * square
+        out.append(out[j - top] * square)
+    return out
+
+
+def _to_plain(x):
+    """A Scalar as a plain number: an (re, im) pair of Fractions when
+    exact, a `complex` on floats, whose product, sum and negation are
+    `_cmul`'s, the pair sum and the pair negation, bit for bit."""
+    return (x.re, x.im) if x.exact else complex(x.re, x.im)
+
+
+def _from_plain(x, exact):
+    """The Scalar of a plain number (`_to_plain`)."""
+    return Scalar(*x, True) if exact else Scalar(x.real, x.imag, False)
 
 
 def _gaussian(re, im):

@@ -16,8 +16,8 @@ from twinrep.oracle import _FloatSpan, _lifted, _unwrap, algebra_closure
 from twinrep.reduction import (ParameterError, _check_family1, build_Q,
                                build_S)
 from twinrep.reps import RepSpec, build_block, build_generator
-from twinrep.scalars import (BackendMismatchError, Scalar, default_eps,
-                             require_finite)
+from twinrep.scalars import (BackendMismatchError, Scalar, _to_plain,
+                             default_eps, require_finite)
 
 
 def s2v1_closed(n, a, b):
@@ -579,30 +579,30 @@ def scalar_witness_check(images, w, phi=None):
     return True
 
 
-def parts(x):
-    """The (re, im) pair of a Scalar."""
-    return x.re, x.im
-
-
-def pair_witness_check(images, w, phi=None):
+def plain_witness_check(images, w, phi=None):
     """`irreducibility.witness_check` on the inputs `scalar_witness_check`
-    takes, each Scalar taken apart into its (re, im) pair."""
+    takes, each Scalar made plain (`scalars._to_plain`): an (re, im) pair
+    when exact, a `complex` on floats."""
     return witness_check(
-        [{i: {j: parts(g) for j, g in row.items()} for i, row in rows.items()}
-         for rows in images],
-        [dict(enumerate(map(parts, v.column_entries()))) for v in w.basis],
-        w.basis[0].exact, None if phi is None else [parts(f) for f in phi])
+        [{i: {j: _to_plain(g) for j, g in row.items()}
+          for i, row in rows.items()} for rows in images],
+        [dict(enumerate(map(_to_plain, v.column_entries()))) for v in w.basis],
+        w.basis[0].exact, None if phi is None else list(map(_to_plain, phi)))
 
 
 def reference_gen_rows(n, a, b):
     """The row patches of s_1..s_{n-1} that `reduction._reduced_gen_rows`
     gives, from `Scalar` arithmetic: the s_1 entries (a-1)^j/(-b)^(j-1) by
-    `Scalar.pow` and `/`, the block [[a, b], [(1-a^2)/b, -a]]."""
+    `Scalar.pow` and `/`, or 0 where the numerator is 0 and the divisor is
+    refused (its squared modulus underflows), the block
+    [[a, b], [(1-a^2)/b, -a]]."""
     _check_family1(a, b)
     one = Scalar.one(a.exact)
     s1 = {0: {0: -one}}
     for j in range(2, n):
-        s1[j - 1] = {0: (a - one).pow(j) / (-b).pow(j - 1), j - 1: one}
+        x, y = (a - one).pow(j), (-b).pow(j - 1)
+        s1[j - 1] = {0: x / y if x or y.invertible() else Scalar.zero(a.exact),
+                     j - 1: one}
     m = [[a, b], [(one - a * a) / b, -a]]
     return [s1] + [{k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]}
                     for r in (0, 1)} for k in range(2, n)]

@@ -150,6 +150,18 @@ def test_tiny_float_b_is_accepted_by_decide_and_sweep():
     assert code == EXIT_ERROR and out == "" and "b must be nonzero" in err
 
 
+def test_a_eq_1_decides_when_powers_of_b_underflow():
+    # at a = 1 every s_1 entry (a-1)^j/(-b)^(j-1) has the numerator 0; from
+    # j = 17 on |b^(j-1)|^2 underflows, and such an entry is 0, not a
+    # division by a zero scalar.  a = -1 still divides by powers of b.
+    args = ["decide", "--n", "19", "--b", "1e-10+0.0i"]
+    code, out, _ = run(args + ["--a=1.0+0.0i"])
+    assert code == EXIT_REDUCIBLE and json.loads(out)["reason"] == "a=1"
+    code, out, err = run(args + ["--a=-1.0+0.0i"])
+    assert code == EXIT_ERROR and out == ""
+    assert "division by float zero scalar" in err
+
+
 def test_reduce_basis_b_does_not_need_w():
     # w_1 divides by (1-a)^(n-1) = -1e-10, which the float zero test calls 0;
     # no S_j divides by it, so the S matrices are emitted

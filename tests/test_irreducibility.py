@@ -6,20 +6,20 @@ import pytest
 
 from twinrep import linalg
 from twinrep.irreducibility import (IRREDUCIBLE, REDUCIBLE, cleared_poly,
-                                    _annihilator_pairs, decide, eval_P,
+                                    _annihilator_plain, decide, eval_P,
                                     root_residual, roots_of_P)
-from twinrep.chains import _chain_entry_pairs, closed_chain_vector
+from twinrep.chains import closed_chain_vector
 from twinrep.linalg import Matrix, Subspace
-from twinrep.reduction import (ParameterError, _eigvec_w_pairs,
-                               _reduced_gen_rows, eigvec_w,
+from twinrep.reduction import (ParameterError, _chain_plain, _eigvec_w_plain,
+                               _reduced_gen_rows, _s1_column, eigvec_w,
                                reduced_generators)
 from twinrep.reps import (RepSpec, RepSpecError, build_all_generators,
                           verify_relations)
 from twinrep.scalars import Scalar, ScalarError, ex, fl, set_default_eps
 from conftest import rand_exact, rand_family1_params, rng_for
-from helpers import (annihilator, eval_exact, from_complex, pair_witness_check,
+from helpers import (annihilator, eval_exact, from_complex, plain_witness_check,
                      reference_chain_vector, reference_decide,
-                     reference_eigvec_w, reference_eval_P,
+                     reference_eigvec_w, reference_eval_P, reference_gen_rows,
                      reference_witness_check, scalar_witness_check)
 
 
@@ -338,8 +338,8 @@ def _hyperplane(n, a, b, a_w=None):
 
 def test_witness_check_rejects_non_invariant():
     rows = _reduced_gen_rows(4, ex(2), ex(1), range(1, 4))
-    assert not pair_witness_check(rows,
-                                  Subspace(3, [Matrix.basis_vector(3, 2)]))
+    assert not plain_witness_check(rows,
+                                   Subspace(3, [Matrix.basis_vector(3, 2)]))
     # the hyperplane witness or its phi built at a(1 + delta) instead of at
     # the root a is off by about a relative delta, above eps = 1e-9, while
     # the true witness stays near 1e-16.  A bound in ||phi||_2 ||x||_2 in
@@ -348,26 +348,26 @@ def test_witness_check_rejects_non_invariant():
     for n in (5, 11, 16, 24):
         for r in roots_of_P(n):
             rows = _reduced_gen_rows(n, r, b, range(1, n))
-            assert pair_witness_check(rows, _hyperplane(n, r, b),
-                                 annihilator(n, r, b)), (n, r)
+            assert plain_witness_check(rows, _hyperplane(n, r, b),
+                                       annihilator(n, r, b)), (n, r)
             for delta in (1e-4, 1e-6, 1e-8):
                 a = r * fl(1.0 + delta)
                 for w, phi in ((_hyperplane(n, r, b, a), annihilator(n, r, b)),
                                (_hyperplane(n, a, b), annihilator(n, r, b)),
                                (_hyperplane(n, r, b), annihilator(n, a, b)),
                                (_hyperplane(n, a, b), annihilator(n, a, b))):
-                    assert not pair_witness_check(rows, w, phi), (n, r, delta)
+                    assert not plain_witness_check(rows, w, phi), (n, r, delta)
     # a basis that phi annihilates is independent only by its shape: a zero
     # on the diagonal or an entry above it fails, on both backends
     for a, b in ((ex(0, 1), ex(1)), (roots_of_P(8)[-1], fl(1.0))):
         rows = _reduced_gen_rows(8, a, b, range(1, 8))
         phi = annihilator(8, a, b)
         basis = _hyperplane(8, a, b).basis
-        assert pair_witness_check(rows, Subspace(7, basis), phi)
+        assert plain_witness_check(rows, Subspace(7, basis), phi)
         for k, v in ((1, basis[2]), (2, basis[1])):  # zero diagonal, above
             bad = basis[:k] + [v] + basis[k + 1:]
             w = Subspace(7, bad, _assume_independent=True)
-            assert not pair_witness_check(rows, w, phi), (a, k)
+            assert not plain_witness_check(rows, w, phi), (a, k)
 
 
 def test_witness_check_row_patches_match_dense():
@@ -388,7 +388,7 @@ def test_witness_check_row_patches_match_dense():
         phi = annihilator(n, a, b) if v.reason == "root-of-P" else None
         for a2, want in ((a, True), (a + a, False)):
             rows = _reduced_gen_rows(n, a2, b, range(1, n))
-            assert pair_witness_check(rows, v.witness, phi) is want, (n, a, a2)
+            assert plain_witness_check(rows, v.witness, phi) is want, (n, a, a2)
             dense = reduced_generators(n, a2, b) if n <= 12 else rows
             assert reference_witness_check(dense, v.witness) is want, (n, a2)
 
@@ -501,20 +501,28 @@ def test_decide_matches_scalar_reference_bit_for_bit():
 
 
 def test_root_witness_and_phi_match_scalar_builders_bit_for_bit():
-    # every root for n = 4..60, with a real and a complex b: the pairs
-    # decide builds w, the chain entries and phi from are those the Scalar
-    # builders give, bit for bit (the grid above compares whole verdicts)
-    hexed = lambda pairs: [(x.hex(), y.hex()) for x, y in pairs]
+    # every root for n = 4..60, with a real and a complex b: the complex
+    # numbers decide builds w, the chain entries, phi and s_1's column from
+    # are those the Scalar builders give, bit for bit (the grid above
+    # compares whole verdicts); so are its lines at a = +-1.0 for n = 3..40
+    hexed = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
     for b in (fl(1.0), fl(0.75, -0.5)):
         for n in range(4, 61):
             for r in roots_of_P(n):
-                assert hexed(_eigvec_w_pairs(n, r, b)) == _columns(
+                assert hexed(_eigvec_w_plain(n, r, b)) == _columns(
                     [reference_eigvec_w(n, r, b)])[0], (n, r)
                 # v_1 holds the zero and the two entries of every v_k
-                assert hexed(_chain_entry_pairs(r, b)) == _columns(
+                assert hexed(_chain_plain(r, b)) == _columns(
                     [reference_chain_vector(n, r, b, 1)])[0][:3], (n, r)
-                assert hexed(_annihilator_pairs(n, r, b)) == \
+                assert hexed(_annihilator_plain(n, r, b)) == \
                     [_hexed(f) for f in annihilator(n, r, b)], (n, r)
+                s1 = reference_gen_rows(n, r, b)[0]
+                assert hexed(_s1_column(n, r, b)) == \
+                    [_hexed(s1[j][0]) for j in range(1, n - 1)], (n, r)
+        for n in range(3, 41):
+            for a in (fl(1.0), fl(-1.0)):
+                assert _columns(decide(n, a, b).witness.basis) == \
+                    _columns(reference_decide(n, a, b).witness.basis), (n, a)
 
 
 def test_exact_running_products_match_scalar_pow():
@@ -588,7 +596,7 @@ def test_witness_check_matches_scalar_reference_on_mutations():
         for entries, f in trials:
             w = Subspace(n - 1, [Matrix.column(u) for u in entries],
                          _assume_independent=True)
-            got = outcome(pair_witness_check, rows, w, f)
+            got = outcome(plain_witness_check, rows, w, f)
             assert got == outcome(scalar_witness_check, rows, w, f), (n, a)
             seen.add(got if isinstance(got, bool) else got[0])
     assert {True, False, ScalarError} <= seen
@@ -597,7 +605,7 @@ def test_witness_check_matches_scalar_reference_on_mutations():
     for one in (ex(1), fl(1.0)):
         rows = [{0: {0: -one}}]
         w = Subspace(3, [Matrix.column([one + one, one, one - one])])
-        assert pair_witness_check(rows, w) is False
+        assert plain_witness_check(rows, w) is False
         assert scalar_witness_check(rows, w) is False
 
 

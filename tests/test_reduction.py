@@ -358,3 +358,49 @@ def test_float_backend_reduction():
     for j in range(1, 5):
         got = pinv @ build_reduced_gen(5, a, b, j) @ p
         assert got.eq(build_S(5, a, b, j))
+
+
+def _family1_at_b_one(n, a, reduced):
+    """The images at b = 1 written out: the block [[a, 1], [1 - a^2, -a]]
+    on rows k-1, k (k-2, k-1 reduced), and the reduced s_1, the identity
+    with first column (-1, ..., (-1)^(j-1) (a-1)^j, ...), j = 2..n-1."""
+    one = Scalar.one(a.exact)
+    block = [[a, one], [one - a * a, -a]]
+    shift = 2 if reduced else 1
+    images = []
+    for k in range(1, n):
+        if reduced and k == 1:
+            rows = {0: {0: -one}}
+            for j in range(2, n):
+                rows[j - 1] = {0: (-one).pow(j - 1) * (a - one).pow(j),
+                               j - 1: one}
+        else:
+            rows = {k - shift + r: {k - shift: block[r][0],
+                                    k - shift + 1: block[r][1]}
+                    for r in (0, 1)}
+        images.append(Matrix.identity(n - shift + 1, a.exact, rows))
+    return images
+
+
+def test_b_is_a_gauge():
+    # D xi(a, b) D^-1 = xi(a, 1) for D = diag(1, b, ..., b^(d-1)), image for
+    # image and exactly: conjugating by diag(lam^i) multiplies entry (i, j)
+    # by lam^(i-j), which cancels the b^(j-i) of every entry
+    for a in (ex(Fraction(2, 3), Fraction(-5, 7)), ex(3, 1)):
+        for b in (ex(Fraction(4, 3), Fraction(1, 2)),
+                  ex(Fraction(1, 1000), -7)):
+            power = {e: b.pow(e) for e in range(-11, 12)}
+            for n in range(2, 13):
+                for reduced in (True, False):
+                    got = (reduced_generators(n, a, b) if reduced else
+                           build_all_generators(RepSpec(1, n, a, b)))
+                    want = _family1_at_b_one(n, a, reduced)
+                    assert len(got) == len(want) == n - 1
+                    for g, h in zip(got, want):
+                        m = g.matrix
+                        d = m.rows
+                        gauged = Matrix([[m.data[i][j] * power[i - j]
+                                          for j in range(d)]
+                                         for i in range(d)])
+                        assert gauged.to_json() == h.to_json(), \
+                            (n, a, b, reduced, g.index)

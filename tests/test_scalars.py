@@ -8,7 +8,8 @@ from twinrep.irreducibility import decide
 from twinrep.linalg import Matrix, mat_rank
 from twinrep.oracle import algebra_closure
 from twinrep.scalars import (DEFAULT_EPS, BackendMismatchError, Scalar,
-                             ScalarError, default_eps, ex, fl, scalar_format,
+                             ScalarError, _cdiv, _cmul, _pow, _zdiv, _zpow,
+                             _zpowers, default_eps, ex, fl, scalar_format,
                              scalar_parse, set_default_eps)
 from conftest import rand_exact, rng_for
 from helpers import scalar_from_json
@@ -171,3 +172,59 @@ def test_exact_hash_float_not():
     assert hash(ex(1, 2)) == hash(ex(1, 2))
     with pytest.raises(TypeError):
         hash(fl(1.0))
+
+
+def _random_part(rng):
+    """A finite float part: a signed zero, a subnormal, a magnitude near
+    1e+-300 or a moderate one, either sign."""
+    sign = rng.choice((1.0, -1.0))
+    kind = rng.random()
+    if kind < 0.1:
+        return sign * 0.0
+    if kind < 0.2:
+        return sign * 5e-324 * rng.randint(1, 2 ** 52)
+    if kind < 0.35:
+        return sign * 10 ** rng.uniform(290, 308)
+    if kind < 0.5:
+        return sign * 10 ** rng.uniform(-308, -290)
+    return sign * 10 ** rng.uniform(-20, 20)
+
+
+def test_complex_arithmetic_is_the_pair_formulas():
+    # the float kernels (and linalg's complex number system) run on complex,
+    # and count on CPython forming its product, sum, difference and
+    # negation with the pair formulas; quotients and powers go through
+    # _cdiv's formula and _cpow's products.  Moduli are math.hypot's, which
+    # abs of a complex can miss by an ulp, so the kernels do not use abs.
+    hexed = lambda z: (float(z[0]).hex(), float(z[1]).hex())
+    parts = lambda z: (z.real, z.imag)
+    rng = rng_for(2626)
+    for _ in range(20000):
+        ar, ai, br, bi = (_random_part(rng) for _ in range(4))
+        x, y = complex(ar, ai), complex(br, bi)
+        assert hexed(parts(x * y)) == hexed(_cmul(ar, ai, br, bi))
+        assert hexed(parts(x - y)) == hexed((ar - br, ai - bi))
+        assert hexed(parts(-x)) == hexed((-ar, -ai))
+        terms = [complex(_random_part(rng), _random_part(rng))
+                 for _ in range(rng.randint(0, 4))]
+        tr, ti = 0, 0
+        for t in terms:
+            tr, ti = tr + t.real, ti + t.imag
+        assert hexed(parts(sum(terms))) == hexed((tr, ti))
+        try:
+            want = hexed(_cdiv(ar, ai, br, bi, False))
+        except (ValueError, ArithmeticError) as exc:
+            want = type(exc)
+        try:
+            got = hexed(parts(_zdiv(x, y)))
+        except (ValueError, ArithmeticError) as exc:
+            got = type(exc)
+        assert got == want
+    for _ in range(500):
+        z = complex(rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-6, 6),
+                    rng.choice((0.0, -0.0, rng.uniform(-3, 3))))
+        powers = _zpowers(z, 70)
+        for k in range(71):
+            want = hexed(_pow(z.real, z.imag, k, False))
+            assert hexed(parts(powers[k])) == want, (z, k)
+            assert hexed(parts(_zpow(z, k))) == want, (z, k)
