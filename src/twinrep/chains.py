@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .irreducibility import eval_P
 from .linalg import Matrix, Subspace, mat_det
-from .reduction import _chain_entries, _chain_plain, build_S
+from .reduction import _chain_columns, _chain_plain, build_S
 from .reps import ParameterError, _check_family1
 from .scalars import Scalar, _from_plain
 
@@ -24,8 +24,8 @@ def closed_chain_vector(n, a, b, k):
     """v_k = -b e_{k+1} + (1+a) e_{k+2} in C^(n-1)."""
     if not 1 <= k <= n - 3:
         raise ParameterError("chain index %d out of range for n=%d" % (k, n))
-    entries = [_from_plain(x, a.exact) for x in _chain_plain(a, b)]
-    return Matrix._trusted_column(_chain_entries(n, k, *entries))
+    return _chain_columns(n, [k], *[_from_plain(x, a.exact)
+                                    for x in _chain_plain(a, b)])[0]
 
 
 class ChainBundle(NamedTuple):

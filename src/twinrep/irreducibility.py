@@ -19,13 +19,10 @@ root iff N = 0, and |P(a)| is reported from correctly rounded int/int
 quotients.  By Niven's theorem (Irrational Numbers, 1956, Cor. 3.12)
 tan(pi k/n) is rational only at 0 and +-1, so the only exact roots are +-i,
 at 4 | n; the tests cross-check N = 0 against that.  A float a is decided
-by |P(a)| <= eps, with P evaluated by `eval_P`, which runs on `complex`
-and builds a `Scalar` only for its argument's checks and its result: the
-same products and quotients as `Scalar` arithmetic, so |P| is
-bit-identical to the `Scalar` form the tests keep as the reference.  A
-Reducible verdict's witness is built and checked in the same way, on
-`complex` for float input and on (re, im) pairs of Fractions for exact
-input (`scalars._to_plain`), and made of Scalars only once it has passed.
+by |P(a)| <= eps, P from `eval_P` on `complex`.  A Reducible verdict's
+witness is built and checked on plain numbers (`scalars._to_plain`), with
+the steps of `Scalar` arithmetic, and made of Scalars once it has passed;
+the float check adds up each sum and its moduli in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .linalg import Matrix, Subspace
-from .reduction import (_chain_entries, _chain_plain, _eigvec_w_plain,
+from .reduction import (_chain_columns, _chain_plain, _eigvec_w_plain,
                         _reduced_gen_plain)
 from .reps import ParameterError, _check_family1
 from .scalars import (Scalar, _ONE_PARTS, _UNIT_SCALARS, _cdiv, _cmul, _cpow,
@@ -199,29 +196,30 @@ def witness_check(images, basis, exact, phi=None):
     entry is plain (`scalars._to_plain`): an (re, im) pair of Fractions
     when `exact`, a `complex` on floats.  The arithmetic is `Scalar`'s,
     formula for formula (`_cmul` or the complex product, `_cdiv`, sums from
-    0), so the answer, and any error, is bit for bit that of the same check
-    on `Scalar` entries, which the tests keep as the reference.
+    0), so the answer, and any error, is that of the same check on
+    `Scalar` entries, which the tests keep as the reference.
 
     A line <x> (phi None) needs g x = lam x at the largest entry x_p; entry
     i of g x - lam x is r . g x for r = e_i - (x_i/x_p) e_p, at most
     eps ||r||_2 ||g x||_2 on floats.  A hyperplane needs phi . x = 0 for its
     basis vectors x and phi g = phi, tested componentwise; vector j has its
     first nonzero entry in row j, so span(basis) = ker phi (dimension
-    ambient - 1), which phi g = phi maps into itself."""
-    nonzero = (lambda x: x[0] or x[1]) if exact else bool
-    xs = [{i: x for i, x in v.items() if nonzero(x)} for v in basis]
+    ambient - 1), which phi g = phi maps into itself.  Zero entries are
+    skipped where they are read."""
     if phi is None:
-        if len(xs) != 1 or not xs[0]:
-            return False
-        return (_exact_line_check if exact else _float_line_check)(images,
-                                                                  xs[0])
+        x = basis[0] if len(basis) == 1 else {}
+        x = {i: z for i, z in x.items() if (z[0] or z[1] if exact else z)}
+        return bool(x) and (_exact_line_check if exact
+                            else _float_line_check)(images, x)
     ambient = len(phi)
-    phi = {i: f for i, f in enumerate(phi) if nonzero(f)}
-    if (len(xs) != ambient - 1 or not phi
-            or any(min(x, default=None) != j for j, x in enumerate(xs))):
+    phi = {i: f for i, f in enumerate(phi) if (f[0] or f[1] if exact else f)}
+    if len(basis) != ambient - 1 or not phi:
         return False
-    return (_exact_plane_check if exact else _float_plane_check)(images, xs,
-                                                                phi)
+    if not exact:
+        return _float_plane_check(images, basis, phi)
+    xs = [{i: x for i, x in v.items() if x[0] or x[1]} for v in basis]
+    return (all(min(x, default=None) == j for j, x in enumerate(xs))
+            and _exact_plane_check(images, xs, phi))
 
 
 def _exact_line_check(images, x):
@@ -241,21 +239,27 @@ def _exact_line_check(images, x):
 
 
 def _float_line_check(images, x):
-    """`witness_check` of the line <x>, on `complex`."""
-    hypot, eps = math.hypot, default_eps()
+    """`witness_check` of the line <x>, on `complex`.  ||g x||_2 is the
+    `math.hypot` of the moduli of x, with those of g's patch rows
+    recomputed."""
+    hypot, eps, inf = math.hypot, default_eps(), math.inf
     mags = {i: hypot(z.real, z.imag) for i, z in x.items()}
     p = max(mags, key=mags.__getitem__)
     for rows in images:
-        gx = dict(x)
+        gx, gmags = dict(x), dict(mags)
         for i, row in rows.items():
-            gx[i] = sum([g * x[c] for c, g in row.items() if c in x])
+            t = 0j
+            for c, g in row.items():
+                if c in x:
+                    t += g * x[c]
+            gx[i], gmags[i] = t, hypot(t.real, t.imag)
         lam = _zdiv(gx[p], x[p]) if p in rows else 1 + 0j
-        norm = hypot(*[hypot(y.real, y.imag) for y in gx.values()])
+        norm = hypot(*gmags.values())
         for i in rows.keys() | (x.keys() if p in rows else {}):
             # |gx_i - lam x_i|; the sum from 0 differs only in signed zeros
             t = gx[i] - lam * x.get(i, 0j)
             scale = norm * hypot(1.0, mags.get(i, 0.0) / mags[p])
-            if not hypot(t.real, t.imag) <= eps * scale < math.inf:
+            if not hypot(t.real, t.imag) <= eps * scale < inf:
                 return False
     return True
 
@@ -278,28 +282,50 @@ def _exact_plane_check(images, xs, phi):
     return True
 
 
-def _float_plane_check(images, xs, phi):
-    """`witness_check` of the hyperplane ker phi, on `complex`: each sum
-    of terms, phi . x as x runs and then each entry of phi g - phi as g
-    runs, must vanish within eps times the sum of the terms' moduli
-    (Oettli and Prager's componentwise test); NaN and overflow fail.  `sum`
-    starts from 0, as `Scalar` sums do, and moduli are `math.hypot`'s,
-    which `abs` of a complex can miss by an ulp."""
-    sums = [[phi[i] * y for i, y in x.items() if i in phi] for x in xs]
+def _float_plane_check(images, basis, phi):
+    """`witness_check` of the hyperplane ker phi, on `complex`: each sum,
+    phi . x as x runs and then each entry of phi g - phi as g runs, must
+    vanish within eps times the sum of its terms' moduli (Oettli and
+    Prager's componentwise test); NaN and overflow fail.  One pass forms
+    the terms and adds up both sums from 0, moduli by `math.hypot` (`abs`
+    can miss by an ulp), and checks that x_j starts in row j."""
+    hypot, eps, inf, keys = math.hypot, default_eps(), math.inf, phi.keys()
+    for j, x in enumerate(basis):
+        if not x.get(j):
+            return False
+        t, m = 0j, 0.0
+        for i, y in x.items():
+            if y:
+                if i < j:
+                    return False
+                f = phi.get(i)
+                if f is not None:
+                    z = f * y
+                    t += z
+                    m += hypot(z.real, z.imag)
+        if not hypot(t.real, t.imag) <= eps * m < inf:
+            return False
     for rows in images:
-        cols = {i: [-phi[i]] for i in rows if i in phi}
-        for i in rows.keys() & phi.keys():
+        # entry c of phi g - phi: phi_i g_ic over the patched rows i, less
+        # phi_c when row c is patched; sums[c] is [its sum, its moduli's]
+        both = rows.keys() & keys
+        sums = {}
+        for c in both:
+            f = phi[c]
+            sums[c] = [0j - f, hypot(f.real, f.imag)]
+        for i in both:
             f = phi[i]
             for c, g in rows[i].items():
-                cols.setdefault(c, []).append(f * g)
-        sums += cols.values()
-    hypot, eps = math.hypot, default_eps()
-    for terms in sums:
-        t = sum(terms)
-        if not (hypot(t.real, t.imag)
-                <= eps * sum([hypot(z.real, z.imag) for z in terms])
-                < math.inf):
-            return False
+                z = f * g
+                if c in sums:
+                    acc = sums[c]
+                    acc[0] += z
+                    acc[1] += hypot(z.real, z.imag)
+                else:
+                    sums[c] = [0j + z, hypot(z.real, z.imag)]
+        for t, m in sums.values():
+            if not hypot(t.real, t.imag) <= eps * m < inf:
+                return False
     return True
 
 
@@ -324,10 +350,8 @@ def decide(n, a, b):
     elimination, before it is returned: a line at a = +-1 and at the n = 3
     special points, or at a root of P the hyperplane <w, v_1, ..., v_{n-3}>
     with its annihilator phi_j = (b/(1+a))^j.  The witness, phi and the
-    generator rows are built and checked on plain numbers
-    (`scalars._to_plain`: Fraction pairs when exact, `complex` on floats),
-    with the steps of the `Scalar` expressions, so they are bit-identical
-    to them; only the returned witness is made of Scalars.
+    generator rows are plain numbers, bit for bit the `Scalar` expressions,
+    until the witness has passed.
     """
     if n < 3:
         raise ParameterError("decide needs n >= 3")
@@ -367,7 +391,8 @@ def decide(n, a, b):
             abs_p, root = _exact_P(n, a)
         else:
             p = eval_P(n, a)
-            abs_p, root = p.magnitude(), p.is_zero()
+            abs_p = p.magnitude()
+            root = abs_p <= default_eps()  # as `p.is_zero()` tests it
         diag = {"abs_P": abs_p}
         reason = "generic"
         if root:
@@ -393,11 +418,10 @@ def decide(n, a, b):
         raise ArithmeticError(
             "internal error: witness failed the invariance check "
             "(n=%d, reason=%s)" % (n, reason))
-    vecs = [Matrix._trusted_column([_from_plain(x, exact) for x in first])]
+    vecs = [Matrix._trusted([[_from_plain(x, exact)] for x in first])]
     if chain is not None:
         # the chain vectors share their three distinct entries
         chain = [_from_plain(x, exact) for x in chain]
-        vecs += [Matrix._trusted_column(_chain_entries(n, k, *chain))
-                 for k in range(1, n - 2)]
+        vecs += _chain_columns(n, range(1, n - 2), *chain)
     return Verdict(REDUCIBLE, reason,
                    Subspace(n - 1, vecs, _assume_independent=True), diag)

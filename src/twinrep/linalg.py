@@ -15,7 +15,8 @@ Vectors are n-by-1 matrices; the column-vector convention is global.
 `Matrix.identity` with row patches is the one constructor of every matrix
 that differs from I in a few rows: generator images, Q, P and the S_j.  It
 checks the backend of the patch entries only and builds the other rows
-itself, each matrix with row lists of its own.
+itself, each matrix with row lists of its own, which `Matrix._trusted`
+takes unchecked and uncopied from its caller.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ class Matrix:
             for x in r:
                 if x.exact != exact:
                     raise BackendMismatchError("mixed scalar backends in matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "data", [list(r) for r in data])
+        _SET_ROWS(self, rows)
+        _SET_COLS(self, cols)
+        _SET_EXACT(self, exact)
+        _SET_DATA(self, [list(r) for r in data])
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable; build a new one")
@@ -90,15 +91,11 @@ class Matrix:
         """The matrix of `rows`, equal-length lists of Scalars of one backend
         that the caller built and hands over: no checks, no copy."""
         m = object.__new__(cls)
-        for name, value in (("rows", len(rows)), ("cols", len(rows[0])),
-                            ("exact", rows[0][0].exact), ("data", rows)):
-            object.__setattr__(m, name, value)
+        _SET_ROWS(m, len(rows))
+        _SET_COLS(m, len(rows[0]))
+        _SET_EXACT(m, rows[0][0].exact)
+        _SET_DATA(m, rows)
         return m
-
-    @classmethod
-    def _trusted_column(cls, entries):
-        """`_trusted` for the column of `entries`."""
-        return cls._trusted([[x] for x in entries])
 
     @classmethod
     def from_columns(cls, columns):
@@ -179,6 +176,10 @@ class Matrix:
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols, "backend": self.backend,
                 "data": [[x.to_json() for x in row] for row in self.data]}
+
+
+_SET_ROWS, _SET_COLS, _SET_EXACT, _SET_DATA = (Matrix.__dict__[name].__set__
+                                               for name in Matrix.__slots__)
 
 
 class _Plain:

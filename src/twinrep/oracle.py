@@ -460,6 +460,6 @@ def common_eigenlines(images):
             inv = num.inv(column[lead])
             column = [num.mul(x, inv) for x in column]
             column[lead] = num.one
-            lines.append(Subspace(d, [Matrix._trusted_column(
-                [num.scalar(x) for x in column])], _assume_independent=True))
+            lines.append(Subspace(d, [Matrix._trusted(
+                [[num.scalar(x)] for x in column])], _assume_independent=True))
     return lines

@@ -17,13 +17,14 @@ Scalars.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linalg import Matrix
 from .reps import GeneratorImage, ParameterError, _check_family1, _family1_c
-from .scalars import (Scalar, _ONE_PARTS, _UNIT_SCALARS, _cdiv, _cmul,
-                      _from_plain, _gaussian, _norm2, _pow, _powers, _to_plain,
-                      _zdiv, _zpow, _zpowers)
+from .scalars import (Scalar, _ONE_PARTS, _PLAIN_UNITS, _ZERO_PARTS, _cdiv,
+                      _cmul, _from_plain, _gaussian, _norm2, _pow, _powers,
+                      _to_plain, _zdiv, _zpow, _zpowers)
 
 
 def invariant_vector(n, a, b):
@@ -32,8 +33,8 @@ def invariant_vector(n, a, b):
     _check_family1(a, b)
     exact = a.exact
     r = _cdiv(1 - a.re, 0 - a.im, b.re, b.im, exact)
-    return Matrix._trusted_column([Scalar(re, im, exact) for re, im in
-                                   _powers(*r, n - 1, _ONE_PARTS[exact])])
+    return Matrix._trusted([[Scalar(re, im, exact)] for re, im in
+                            _powers(*r, n - 1, _ONE_PARTS[exact])])
 
 
 def _first_column(col):
@@ -66,6 +67,7 @@ def _reduced_gen_rows(n, a, b, ks):
     the identity, as {row: {column: entry}} (0-based, entries not listed
     are 0): rows k-2 and k-1 (the block) for k >= 2, every row for k = 1.
     The entries are those of `_reduced_gen_plain`, made Scalars."""
+    _check_family1(a, b)
     exact = a.exact
     return [{i: {j: _from_plain(x, exact) for j, x in row.items()}
              for i, row in rows.items()}
@@ -73,33 +75,28 @@ def _reduced_gen_rows(n, a, b, ks):
 
 
 def _reduced_gen_plain(n, a, b, ks):
-    """`_reduced_gen_rows` with plain entries (`scalars._to_plain`).  The
-    block [[a, b], [(1-a^2)/b, -a]] is built once for all of ks, its
-    (1-a^2)/b by `reps._family1_c`; s_1's column by `_s1_column`.  O(n)
-    each k."""
-    _check_family1(a, b)
+    """`_reduced_gen_rows` with plain entries (`scalars._to_plain`), a and
+    b checked.  The block [[a, b], [(1-a^2)/b, -a]] is built once for all
+    of ks, its (1-a^2)/b by `reps._family1_c`; s_1's column by
+    `_s1_column`.  O(n) each k."""
     exact = a.exact
-    one, _, minus_one = map(_to_plain, _UNIT_SCALARS[exact])
-    out, block = [], None
+    one, _, minus_one = _PLAIN_UNITS[exact]
+    out, p = [], None
     for k in ks:
         if not 1 <= k <= n - 1:
             raise ParameterError("generator index %d out of range for n=%d"
                                  % (k, n))
         if k == 1:
+            # display row j + 1 is row j
             rows = {0: {0: minus_one}}
-            # display row j is row j-1
-            for j, entry in enumerate(_s1_column(n, a, b), 2):
-                rows[j - 1] = {0: entry, j - 1: one}
+            for j, entry in enumerate(_s1_column(n, a, b), 1):
+                rows[j] = {0: entry, j: one}
         else:
-            if block is None:
+            if p is None:
                 c = _family1_c(a, b)
-                if exact:
-                    block = [(a.re, a.im), (b.re, b.im), c, (-a.re, -a.im)]
-                else:
-                    z = a.to_complex()
-                    block = [z, b.to_complex(), complex(*c), -z]
-            rows = {k - 2: {k - 2: block[0], k - 1: block[1]},
-                    k - 1: {k - 2: block[2], k - 1: block[3]}}
+                p, q, m = _to_plain(a), _to_plain(b), _to_plain(-a)
+                c = c if exact else complex(*c)
+            rows = {k - 2: {k - 2: p, k - 1: q}, k - 1: {k - 2: c, k - 1: m}}
         out.append(rows)
     return out
 
@@ -107,17 +104,25 @@ def _reduced_gen_plain(n, a, b, ks):
 def _s1_column(n, a, b):
     """The entries (a-1)^j/(-b)^(j-1), j = 2..n-1, of s_1's first column,
     plain.  Float ones are `Scalar`'s (a-1).pow(j) / (-b).pow(j-1) bit for
-    bit, the powers from `_zpowers`, but a zero numerator over a power of b
-    whose squared modulus underflows, which `_cdiv` refuses, gives 0: at
-    a = 1 every entry is 0.  The exact ones come from Gaussian integers:
-    a-1 = U/q and -b = G/r (`_gaussian`) give entry j as
-    U X^(j-1) / (q e^(j-1)), with X = U r conj(G) and e = q |G|^2, by one
-    running product."""
+    bit, the powers from `_zpowers`, where `_cdiv` takes the power of b.
+    Over one whose squared modulus underflows, 0 stays 0 (every entry at
+    a = 1), and other numerators are divided as with an unbounded exponent
+    range.  The exact ones come from Gaussian integers: a-1 = U/q and
+    -b = G/r (`_gaussian`) give entry j as U X^(j-1) / (q e^(j-1)), with
+    X = U r conj(G) and e = q |G|^2, by one running product."""
     if not a.exact:
         nums = _zpowers(a.to_complex() - (1 + 0j), n - 1)
         dens = _zpowers(-b.to_complex(), n - 2)
-        return [_zdiv(x, y) if x or _norm2(y.real, y.imag) else 0j
-                for x, y in zip(nums[2:], dens[1:])]
+        s1 = []
+        for x, y in zip(nums[2:], dens[1:]):
+            try:
+                s1.append(_zdiv(x, y))
+            except ZeroDivisionError:
+                # x, y times 2^k, y's larger part in [2^-100, 2^-99): exact
+                s = 2.0 ** (-99 - math.frexp(max(abs(y.real), abs(y.imag)))[1])
+                s1.append(_zdiv(complex(x.real * s, x.imag * s),
+                                complex(y.real * s, y.imag * s)) if x else 0j)
+        return s1
     (ur, ui), q = _gaussian(a.re - 1, a.im)
     (gr, gi), r = _gaussian(-b.re, -b.im)
     x, e = _cmul(ur, ui, r * gr, -r * gi), q * _norm2(gr, gi)
@@ -146,8 +151,8 @@ def eigvec_w(n, a, b):
     if n < 3:
         raise ParameterError("eigvec_w needs n >= 3")
     exact = a.exact
-    return Matrix._trusted_column([_from_plain(x, exact)
-                                   for x in _eigvec_w_plain(n, a, b)])
+    return Matrix._trusted([[_from_plain(x, exact)]
+                            for x in _eigvec_w_plain(n, a, b)])
 
 
 def _eigvec_w_plain(n, a, b):
@@ -169,27 +174,23 @@ def _eigvec_w_plain(n, a, b):
 
 def _chain_plain(a, b):
     """The three distinct entries of every chain vector, plain: -b x +
-    (1+a) y at (x, y) = (0, 0), (1, 0) and (0, 1), formed as that `Scalar`
-    expression is, signed zeros as summed."""
-    if not a.exact:
-        m, p = -b.to_complex(), (1 + 0j) + a.to_complex()
-        return m * 0j + p * 0j, m * (1 + 0j) + p * 0j, m * 0j + p * (1 + 0j)
-    br, bi = -b.re, -b.im
-    pr, pi = 1 + a.re, 0 + a.im
-
-    def entry(x, y):
-        (sr, si), (tr, ti) = _cmul(br, bi, x, 0), _cmul(pr, pi, y, 0)
-        return sr + tr, si + ti
-
-    return entry(0, 0), entry(1, 0), entry(0, 1)
+    (1+a) y at (x, y) = (0, 0), (1, 0) and (0, 1), on floats formed as that
+    `Scalar` expression is, signed zeros as summed; exact, 0, -b and 1+a."""
+    if a.exact:
+        return _ZERO_PARTS[True], (-b.re, -b.im), (1 + a.re, a.im)
+    m, p = -b.to_complex(), (1 + 0j) + a.to_complex()
+    return m * 0j + p * 0j, m * (1 + 0j) + p * 0j, m * 0j + p * (1 + 0j)
 
 
-def _chain_entries(n, k, zero, lo, hi):
-    """The entries of v_k: `zero` but for `lo` in row k and `hi` in row
-    k + 1 (0-based), whatever kind of number the three are."""
-    entries = [zero] * (n - 1)
-    entries[k], entries[k + 1] = lo, hi
-    return entries
+def _chain_columns(n, ks, zero, lo, hi):
+    """The columns v_k for k in ks, row by row, each row a list of its own:
+    `zero` but for `lo` in row k and `hi` in row k + 1 (0-based)."""
+    out, rng = [], range(n - 1)
+    for k in ks:
+        rows = [[zero] for _ in rng]
+        rows[k], rows[k + 1] = [lo], [hi]
+        out.append(Matrix._trusted(rows))
+    return out
 
 
 def build_P(n, a, b):

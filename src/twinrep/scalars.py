@@ -17,9 +17,10 @@ power wrap them, and the package's hot paths call them directly, so both
 give the same values bit for bit.  Float hot paths run on `complex`
 instead (`_to_plain`): CPython's complex product, sum and negation are the
 pair formulas, `_zdiv` divides by `_cdiv`, and `_zpow` and `_zpowers` keep
-`_cpow`'s products.  A `Scalar` is false only when it is 0,
-as a `complex` is.  `Scalar.one` and `Scalar.zero` return one shared
-instance per backend, from the one table of shared units.
+`_cpow`'s products.  A `Scalar` is false only when it is 0, as a `complex`
+is.  `Scalar.__init__` writes its slots by their descriptors' setters, as
+`__setattr__` refuses every write.  `Scalar.one` and `Scalar.zero` return
+one shared instance per backend, from the one table of shared units.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class Scalar:
     __slots__ = ("re", "im", "exact")
 
     def __init__(self, re, im, exact):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "exact", exact)
+        _SET_RE(self, re)
+        _SET_IM(self, im)
+        _SET_EXACT(self, exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -189,6 +190,9 @@ class Scalar:
                     "im": [str(self.im.numerator), str(self.im.denominator)]}
         return {"re": self.re, "im": self.im}
 
+
+_SET_RE, _SET_IM, _SET_EXACT = (Scalar.__dict__[name].__set__
+                                for name in Scalar.__slots__)
 
 _EXACT_RE = re.compile(
     r"^\s*([+-]?\d+)/(\d+)\s*([+-])\s*(\d+)/(\d+)\*i\s*$")
@@ -346,6 +350,8 @@ _ONE_PARTS = {True: (Fraction(1), Fraction(0)), False: (1.0, 0.0)}
 # the a = +-1 tests, which would otherwise build -1 on every call
 _UNIT_SCALARS = {e: (Scalar(*_ONE_PARTS[e], e), Scalar(*_ZERO_PARTS[e], e),
                      -Scalar(*_ONE_PARTS[e], e)) for e in (True, False)}
+_PLAIN_UNITS = {e: tuple(map(_to_plain, units))
+                for e, units in _UNIT_SCALARS.items()}
 
 
 def scalar_format(x):

@@ -521,7 +521,11 @@ def _scalar_vanishes(terms, zero, scale=None):
     if zero.exact:
         return total.is_zero()
     if scale is None:
-        scale = sum(t.magnitude() for t in terms)
+        # in order from 0, as `Scalar` sums are: `sum` of floats compensates
+        # its rounding from Python 3.12 on
+        scale = 0.0
+        for t in terms:
+            scale += t.magnitude()
     return total.magnitude() <= default_eps() * scale < math.inf
 
 
@@ -590,18 +594,30 @@ def plain_witness_check(images, w, phi=None):
         w.basis[0].exact, None if phi is None else list(map(_to_plain, phi)))
 
 
+def reference_s1_entry(x, y):
+    """x / y by `Scalar` division, as an s_1 entry is formed: where the
+    divisor is refused (a float whose squared modulus underflows), 0 if x
+    is 0, and otherwise x and y with each part times the power of two 2^k
+    that takes y's larger part into [2^-100, 2^-99), then divided."""
+    if y.invertible():
+        return x / y
+    if not x:
+        return Scalar.zero(x.exact)
+    s = 2.0 ** (-99 - math.frexp(max(abs(y.re), abs(y.im)))[1])
+    return (Scalar(x.re * s, x.im * s, False)
+            / Scalar(y.re * s, y.im * s, False))
+
+
 def reference_gen_rows(n, a, b):
     """The row patches of s_1..s_{n-1} that `reduction._reduced_gen_rows`
     gives, from `Scalar` arithmetic: the s_1 entries (a-1)^j/(-b)^(j-1) by
-    `Scalar.pow` and `/`, or 0 where the numerator is 0 and the divisor is
-    refused (its squared modulus underflows), the block
+    `Scalar.pow` and `reference_s1_entry`, the block
     [[a, b], [(1-a^2)/b, -a]]."""
     _check_family1(a, b)
     one = Scalar.one(a.exact)
     s1 = {0: {0: -one}}
     for j in range(2, n):
-        x, y = (a - one).pow(j), (-b).pow(j - 1)
-        s1[j - 1] = {0: x / y if x or y.invertible() else Scalar.zero(a.exact),
+        s1[j - 1] = {0: reference_s1_entry((a - one).pow(j), (-b).pow(j - 1)),
                      j - 1: one}
     m = [[a, b], [(one - a * a) / b, -a]]
     return [s1] + [{k - 2 + r: {k - 2: m[r][0], k - 1: m[r][1]}

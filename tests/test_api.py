@@ -139,3 +139,14 @@ def test_bench_tracer_still_installs():
         declared = {m["name"] for m in json.load(fh)["per_layer"]}
     assert set(metrics) | {"scalars.Scalar.constructions",
                            "trace.overhead_ratio"} == declared
+    # the Scalar count wraps `Scalar.__init__`: every Scalar of a float
+    # root witness, w's n - 1 entries and the chain's 3, must pass there
+    root, counter = irreducibility.roots_of_P(8)[2], tracer.ScalarCounter()
+    counter.install()
+    try:
+        verdict = irreducibility.decide(8, root, fl(1.0))
+    finally:
+        counter.uninstall()
+    distinct = {id(x) for v in verdict.witness.basis
+                for x in v.column_entries()}
+    assert len(distinct) == 8 - 1 + 3 and counter.count >= len(distinct)

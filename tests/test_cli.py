@@ -151,15 +151,17 @@ def test_tiny_float_b_is_accepted_by_decide_and_sweep():
 
 
 def test_a_eq_1_decides_when_powers_of_b_underflow():
-    # at a = 1 every s_1 entry (a-1)^j/(-b)^(j-1) has the numerator 0; from
-    # j = 17 on |b^(j-1)|^2 underflows, and such an entry is 0, not a
-    # division by a zero scalar.  a = -1 still divides by powers of b.
+    # from j = 17 on |b^(j-1)|^2 underflows.  At a = 1 every s_1 entry
+    # (a-1)^j/(-b)^(j-1) has the numerator 0 and is 0; at a = -1 it is
+    # the quotient of both scaled by one power of two, finite up to n = 31
     args = ["decide", "--n", "19", "--b", "1e-10+0.0i"]
-    code, out, _ = run(args + ["--a=1.0+0.0i"])
-    assert code == EXIT_REDUCIBLE and json.loads(out)["reason"] == "a=1"
+    for a, reason in (("1.0", "a=1"), ("-1.0", "a=-1")):
+        code, out, _ = run(args + ["--a=%s+0.0i" % a])
+        assert code == EXIT_REDUCIBLE and json.loads(out)["reason"] == reason
+    # at n = 40, 2^31/b^30 overflows: an error before any output
+    args[2] = "40"
     code, out, err = run(args + ["--a=-1.0+0.0i"])
-    assert code == EXIT_ERROR and out == ""
-    assert "division by float zero scalar" in err
+    assert code == EXIT_ERROR and out == "" and "non-finite scalar" in err
 
 
 def test_reduce_basis_b_does_not_need_w():

@@ -481,11 +481,16 @@ def test_decide_matches_scalar_reference_bit_for_bit():
     cases += [(8, ex(0, s), ex(Fraction(1, 3), -2)) for s in (1, -1)]
     cases += [(3, fl(0.0, y), b) for y in (s3, -s3)
               for b in (fl(1.0), fl(-2.0, 0.5), fl(1e200))]
+    # a = -1, b = 1e-10: s_1 entries over powers of b whose squared
+    # modulus underflows (from n = 19 on), finite up to n = 31
+    cases += [(n, fl(-1.0), fl(1e-10)) for n in (19, 31, 32)]
     for n, a, b in cases:
         got = _decide_outcome(decide, n, a, b)
         assert got == _decide_outcome(reference_decide, n, a, b), (n, a, b)
-    # b so large or small that entries overflow, underflow or divide by a
-    # zero, at a = +-1 and at the largest root, also under a tiny eps
+    assert [_decide_outcome(decide, n, fl(-1.0), fl(1e-10))[:2]
+            for n in (19, 31)] == [(REDUCIBLE, "a=-1")] * 2
+    # b so large or small that entries overflow or underflow, at a = +-1
+    # and at the largest root, also under a tiny eps
     raised = set()
     for eps in (1e-9, 1e-300):
         set_default_eps(eps)
@@ -497,7 +502,7 @@ def test_decide_matches_scalar_reference_bit_for_bit():
                         assert got == _decide_outcome(reference_decide, n,
                                                       a, b), (eps, n, a, b)
                         raised.add(got[0])
-    assert {ScalarError, ZeroDivisionError, ArithmeticError} <= raised
+    assert {ScalarError, ArithmeticError} <= raised
 
 
 def test_root_witness_and_phi_match_scalar_builders_bit_for_bit():
@@ -548,8 +553,8 @@ def test_exact_running_products_match_scalar_pow():
 
 
 def test_witness_check_matches_scalar_reference_on_mutations():
-    # witnesses and phi mutated in one entry: the pair check answers as the
-    # Scalar check it replaced, errors included
+    # witnesses, phi and image patches mutated in one entry: the plain
+    # check answers as the Scalar check it replaced, errors included
     rng = rng_for(1414)
     s3 = math.sqrt(3.0)
     cases = [(n, r, b) for n in (5, 8, 13) for r in roots_of_P(n)[::3]
@@ -573,6 +578,14 @@ def test_witness_check_matches_scalar_reference_on_mutations():
         except (ValueError, ArithmeticError) as exc:
             return type(exc), str(exc)
 
+    def patched(rows, k, i, c, x):
+        """`rows` with entry (i, c) of image k replaced by x."""
+        out = [{r: dict(row) for r, row in g.items()} for g in rows]
+        out[k][i][c] = x
+        return out
+
+    # the modulus of 1.3e308 (1 + i) overflows, its parts do not
+    big = fl(1.3e308, 1.3e308)
     seen = set()
     for n, a, b in cases:
         v = decide(n, a, b)
@@ -586,18 +599,37 @@ def test_witness_check_matches_scalar_reference_on_mutations():
             for x in bumps(basis[j][i]):
                 bad = [list(u) for u in basis]
                 bad[j][i] = x
-                trials.append((bad, phi))
+                trials.append((bad, phi, rows, None))
         if phi is not None:
-            trials.append((basis[:-1], phi))  # one vector short
+            trials.append((basis[:-1], phi, rows, None))  # one vector short
             for _ in range(3):
                 i = rng.randrange(n - 1)
                 for x in bumps(phi[i]):
-                    trials.append((basis, phi[:i] + [x] + phi[i + 1:]))
-        for entries, f in trials:
+                    trials.append((basis, phi[:i] + [x] + phi[i + 1:], rows,
+                                   None))
+        for _ in range(3):
+            k = rng.randrange(n - 1)
+            i = rng.choice(sorted(rows[k]))
+            c = rng.choice(sorted(rows[k][i]))
+            extra = [] if a.exact else [fl(math.inf), fl(-math.inf, 1.0),
+                                        fl(math.nan)]
+            for x in bumps(rows[k][i][c]) + extra:
+                trials.append((basis, phi, patched(rows, k, i, c, x), None))
+        if not a.exact:
+            # big in an entry whose factor is exactly 1 (phi_0, or the
+            # line's entry 1): a product with finite parts whose modulus,
+            # and so the sum of moduli or the norm of g x, overflows
+            k, i, c = next(
+                (k, i, c) for k, g in enumerate(rows) for i, row in g.items()
+                for c in row
+                if (phi[i] if phi else basis[0][c]).to_complex() == 1)
+            trials.append((basis, phi, patched(rows, k, i, c, big), False))
+        for entries, f, g, want in trials:
             w = Subspace(n - 1, [Matrix.column(u) for u in entries],
                          _assume_independent=True)
-            got = outcome(plain_witness_check, rows, w, f)
-            assert got == outcome(scalar_witness_check, rows, w, f), (n, a)
+            got = outcome(plain_witness_check, g, w, f)
+            assert got == outcome(scalar_witness_check, g, w, f), (n, a)
+            assert want is None or got is want, (n, a)
             seen.add(got if isinstance(got, bool) else got[0])
     assert {True, False, ScalarError} <= seen
     # a line whose largest entry lies in a patched row must also be fixed

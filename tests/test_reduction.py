@@ -16,7 +16,8 @@ from conftest import (rand_exact, rand_family1_params,
                       rand_float_family1_params, rng_for)
 from helpers import (conjugated_full_gen, delete_row_col, is_identity,
                      mat_inverse, reference_P, reference_Q, reference_S,
-                     reference_gen_rows, reference_invariant_vector)
+                     reference_gen_rows, reference_invariant_vector,
+                     reference_s1_entry)
 
 
 def test_invariant_vector_fixed_by_all_generators():
@@ -109,10 +110,19 @@ def _s1_column(n, a, b):
 
 
 def _scalar_s1_column(n, a, b):
-    """(a-1)^j/(-b)^(j-1) for j = 2..n-1 by `Scalar.pow` and `/`: the form
-    `_reduced_gen_rows` replaced."""
+    """(a-1)^j/(-b)^(j-1) for j = 2..n-1 by `Scalar.pow` and
+    `reference_s1_entry`: the form `_reduced_gen_rows` replaced."""
     one = Scalar.one(a.exact)
-    return [(a - one).pow(j) / (-b).pow(j - 1) for j in range(2, n)]
+    return [reference_s1_entry((a - one).pow(j), (-b).pow(j - 1))
+            for j in range(2, n)]
+
+
+def _scaled_division(n, a, b):
+    """Whether an s_1 entry of (n, a, b) divides a nonzero (a-1)^j by a
+    power (-b)^(j-1) whose squared modulus underflows."""
+    one = Scalar.one(a.exact)
+    return any((a - one).pow(j) and not (-b).pow(j - 1).invertible()
+               for j in range(2, n))
 
 
 def test_reduced_s1_matches_scalar_pow_bit_for_bit():
@@ -146,10 +156,16 @@ def test_reduced_s1_matches_scalar_pow_bit_for_bit():
     for n in (3, 4, 40):
         cases += [(n, ex(1), ex(2)), (n, ex(-1), ex(-1, 1)),
                   (n, fl(1.0), fl(-2.0, -0.0)), (n, fl(-1.0), fl(0.5))]
+    # (-b)^(j-1) = 0 from j = 37 on, while (a-1)^j / (-b)^(j-1) is finite
+    cases.append((41, fl(1.0 + 1e-8), fl(1e-9)))
     outcomes = [_s1_outcome(_s1_column, n, a, b) for n, a, b in cases]
     for (n, a, b), got in zip(cases, outcomes):
         assert got == _s1_outcome(_scalar_s1_column, n, a, b), (n, a, b)
-    # the overflowing and the underflowing powers are among them
+    # a quotient by a power of b whose squared modulus underflows has a
+    # value, the reference's; one too large still raises, and so does a
+    # power of b that is 0
+    assert any(isinstance(o, list) and _scaled_division(*c)
+               for c, o in zip(cases, outcomes))
     raised = {o[0] for o in outcomes if isinstance(o, tuple)}
     assert {ScalarError, ZeroDivisionError} <= raised
 
@@ -185,6 +201,9 @@ def test_reduced_rows_match_scalar_reference_bit_for_bit():
     cases += [(5, fl(2.0), fl(1e-170)), (45, fl(2.0), fl(1e-8)),
               (45, fl(2.0), fl(0.0, 1e-8)), (5, fl(1e160), fl(1.0)),
               (4, fl(0.0, -0.0), fl(-0.0, 3.0))]
+    # at a = -1, b = 1e-10 the entries over powers of b whose squared
+    # modulus underflows are finite up to n = 31
+    cases += [(19, fl(-1.0), fl(1e-10)), (40, fl(-1.0), fl(1e-10))]
 
     def outcome(rows_of, n, a, b):
         try:
@@ -195,13 +214,16 @@ def test_reduced_rows_match_scalar_reference_bit_for_bit():
                      for j, x in row.items()} for i, row in r.items()}
                 for r in rows]
 
-    raised = set()
+    raised, scaled = set(), 0
     for n, a, b in cases:
         got = outcome(lambda n, a, b: _reduced_gen_rows(n, a, b, range(1, n)),
                       n, a, b)
         assert got == outcome(reference_gen_rows, n, a, b), (n, a, b)
         raised.add(got[0] if isinstance(got, tuple) else None)
-    assert {ScalarError, ZeroDivisionError} <= raised
+        scaled += isinstance(got, list) and _scaled_division(n, a, b)
+    # the s_1 entries over the powers of b whose squared modulus underflows
+    # have values, the reference's, and the overflows still raise
+    assert scaled and ScalarError in raised
 
 
 @pytest.mark.parametrize("exact", [True, False])
